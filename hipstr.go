@@ -232,8 +232,9 @@ type ProfileReport = profiler.Report
 
 // NewProfiler returns a profiler symbolizing against bin, sampling every
 // interval guest instructions (0 selects the default period). Wire it
-// with Attach (machine hook), BindModel (timing-model cycles), and
-// SetResolver (code-cache PC mapping, e.g. dbt.VM.ResolvePC).
+// with Attach (wraps the machine's timing observer), BindModel
+// (timing-model cycles), and SetClassResolver (code-cache PC mapping,
+// e.g. dbt.VM.ResolvePCClass).
 func NewProfiler(bin *Binary, interval uint64) *Profiler { return profiler.New(bin, interval) }
 
 // ObservabilityOptions configures the embedded observability server's

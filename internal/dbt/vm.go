@@ -294,27 +294,17 @@ func (vm *VM) RATOf(k isa.Kind) *RAT { return vm.rats[k] }
 // Telemetry returns the VM's metrics registry and event tracer.
 func (vm *VM) Telemetry() *telemetry.Telemetry { return vm.tel }
 
-// ResolvePC maps an executing PC on ISA k to the guest source address it
-// executes on behalf of: PCs inside ISA k's code cache (translated units,
-// including their trap stubs) resolve through the owning translation
-// unit's source block; guest-text PCs resolve to themselves. It reports
-// false for addresses in neither region (or in a cache gap left by
-// alignment before the first unit). Single-goroutine, like every other VM
-// accessor: the sampling profiler calls it from the machine's exec hook.
-func (vm *VM) ResolvePC(k isa.Kind, pc uint32) (uint32, bool) {
-	if c := vm.caches[k]; c.Contains(pc) {
-		return c.UnitAt(pc)
-	}
-	if vm.Bin.FuncAt(k, pc) != nil {
-		return pc, true
-	}
-	return pc, false
-}
-
-// ResolvePCClass is ResolvePC plus a dispatch classification: stub
-// reports whether pc falls inside a translation unit's deferred trap-stub
-// region — VM dispatch overhead (chain traps awaiting patching) rather
-// than translated guest code. Guest-text PCs are never stubs.
+// ResolvePCClass maps an executing PC on ISA k to the guest source address
+// it executes on behalf of: PCs inside ISA k's code cache (translated
+// units, including their trap stubs) resolve through the owning
+// translation unit's source block; guest-text PCs resolve to themselves.
+// ok is false for addresses in neither region (or in a cache gap left by
+// alignment before the first unit). stub reports whether pc falls inside a
+// translation unit's deferred trap-stub region — VM dispatch overhead
+// (chain traps awaiting patching) rather than translated guest code; guest
+// text PCs are never stubs. Single-goroutine, like every other VM
+// accessor: the sampling profiler calls it from the machine's timing
+// observer.
 func (vm *VM) ResolvePCClass(k isa.Kind, pc uint32) (src uint32, stub, ok bool) {
 	if c := vm.caches[k]; c.Contains(pc) {
 		src, ok = c.UnitAt(pc)
@@ -357,22 +347,7 @@ func (vm *VM) registerTelemetry() {
 			r.Gauge("dbt.rat." + ks + ".entries").Set(float64(rat.Entries()))
 			r.Gauge("dbt.rat." + ks + ".hit_ratio").Set(rat.HitRatio())
 		}
-		bs := vm.P.M.BlockStats()
-		r.Counter("machine.blockcache.hits").Set(bs.Hits)
-		r.Counter("machine.blockcache.misses").Set(bs.Misses)
-		// The legacy counter is the sum of the partial/full split, so
-		// snapshots taken before the split stay metricsdiff-comparable.
-		r.Counter("machine.blockcache.invalidations").Set(bs.Invalidations)
-		r.Counter("machine.blockcache.invalidations.partial").Set(bs.PartialInvalidations)
-		r.Counter("machine.blockcache.invalidations.full").Set(bs.FullInvalidations)
-		r.Counter("machine.blockcache.evicted").Set(bs.BlocksEvicted)
-		r.Gauge("machine.blockcache.blocks").Set(float64(bs.Blocks))
-		r.Gauge("machine.blockcache.hit_ratio").Set(bs.HitRatio())
-		fs := vm.P.M.FusionStats()
-		r.Counter("machine.fusion.pairs").Set(fs.PairsFused)
-		r.Counter("machine.fusion.blocks.batched").Set(fs.BatchedBlocks)
-		r.Counter("machine.fusion.blocks.exact").Set(fs.ExactBlocks)
-		r.Counter("machine.fusion.commits").Set(fs.Commits)
+		vm.P.M.PublishStats(r)
 		st := &vm.Stats
 		r.Counter("dbt.indirect_dispatch").Set(st.IndirectDispatch)
 		r.Counter("dbt.code_cache_misses").Set(st.CodeCacheMisses)

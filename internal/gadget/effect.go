@@ -49,8 +49,7 @@ type Effect struct {
 	// target (the next gadget address in a chain), or -1.
 	NextSlot int
 	// SPDelta is the net stack-pointer movement.
-	SPDelta   int32
-	MemWrites int
+	SPDelta int32
 }
 
 // Viable reports whether the gadget populates at least one register with
@@ -167,11 +166,6 @@ func (a *Analyzer) NativeEffect(g *Gadget) Effect {
 			e.SyscallNum = m.Regs[isa.R0]
 		}
 		return nil
-	}
-	a.m.OnExec = func(m *machine.Machine, in *isa.Inst) {
-		if in.Op == isa.OpStore || (in.Op == isa.OpMov && in.Dst.Kind == isa.OpdMem) {
-			e.MemWrites++
-		}
 	}
 	for steps := 0; steps < g.Len+4 && !done; steps++ {
 		if err := a.m.Step(); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"hipstr/internal/isa"
 	"hipstr/internal/mem"
+	"hipstr/internal/telemetry"
 )
 
 // BlockCap is the maximum number of instructions predecoded into one basic
@@ -157,7 +158,7 @@ func (bc *blockCache) recycle(b *Block) {
 type FusionStats struct {
 	PairsFused    uint64 // instruction pairs collapsed at predecode time
 	BatchedBlocks uint64 // block dispatches through the fused fast path
-	ExactBlocks   uint64 // block dispatches in exact per-instruction mode
+	ExactBlocks   uint64 // budget tails single-stepped through Step (≤ 1 per Run)
 	Commits       uint64 // batched timing-model commits (CommitBlock calls)
 }
 
@@ -170,6 +171,28 @@ func (m *Machine) FusionStats() FusionStats {
 		ExactBlocks:   bc.exactBlocks,
 		Commits:       bc.commits,
 	}
+}
+
+// PublishStats mirrors the block-cache and fusion counters into r as the
+// machine.blockcache.* and machine.fusion.* series. Collectors call it at
+// snapshot time, on the goroutine that runs the machine.
+func (m *Machine) PublishStats(r *telemetry.Registry) {
+	bs := m.BlockStats()
+	r.Counter("machine.blockcache.hits").Set(bs.Hits)
+	r.Counter("machine.blockcache.misses").Set(bs.Misses)
+	// The legacy counter is the sum of the partial/full split, so
+	// snapshots taken before the split stay metricsdiff-comparable.
+	r.Counter("machine.blockcache.invalidations").Set(bs.Invalidations)
+	r.Counter("machine.blockcache.invalidations.partial").Set(bs.PartialInvalidations)
+	r.Counter("machine.blockcache.invalidations.full").Set(bs.FullInvalidations)
+	r.Counter("machine.blockcache.evicted").Set(bs.BlocksEvicted)
+	r.Gauge("machine.blockcache.blocks").Set(float64(bs.Blocks))
+	r.Gauge("machine.blockcache.hit_ratio").Set(bs.HitRatio())
+	fs := m.FusionStats()
+	r.Counter("machine.fusion.pairs").Set(fs.PairsFused)
+	r.Counter("machine.fusion.blocks.batched").Set(fs.BatchedBlocks)
+	r.Counter("machine.fusion.blocks.exact").Set(fs.ExactBlocks)
+	r.Counter("machine.fusion.commits").Set(fs.Commits)
 }
 
 // BlockStats returns a snapshot of the machine's block-cache counters.

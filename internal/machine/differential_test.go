@@ -8,8 +8,9 @@ package machine_test
 // point, and memory, syscall trace, and exit status at the end. A second
 // test attaches the cycle-approximate timing model to both and requires
 // bit-identical float64 cycle totals, proving the batched commit replays
-// the exact observation sequence. Chunk sizes are primes so Run budgets
-// expire at every offset within blocks, exercising the exact-mode tail.
+// the exact observation sequence, with and without the sampling profiler
+// wrapping the model. Chunk sizes are primes so Run budgets expire at
+// every offset within blocks, exercising Run's single-stepped tail.
 
 import (
 	"fmt"
@@ -23,6 +24,7 @@ import (
 	"hipstr/internal/mem"
 	"hipstr/internal/perf"
 	"hipstr/internal/proc"
+	"hipstr/internal/profiler"
 	"hipstr/internal/testprogs"
 )
 
@@ -150,55 +152,86 @@ func TestFusedRunMatchesStep(t *testing.T) {
 // TestBatchedTimingBitIdentical attaches the perf model to both dispatch
 // paths and requires the accumulated float64 cycle count — and every
 // event counter — to be equal to the last bit. This is the contract that
-// lets every experiment table stay byte-identical under fusion.
+// lets every experiment table stay byte-identical under fusion. The
+// profiled variant wraps the fused side's model in the sampling profiler,
+// which must neither perturb the model nor push Run off the fused path.
 func TestBatchedTimingBitIdentical(t *testing.T) {
 	bins := compileAll(t)
 	for name := range bins {
 		for _, k := range isa.Kinds {
 			t.Run(fmt.Sprintf("%s/%s", name, k), func(t *testing.T) {
-				ref, err := proc.New(bins[name], k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fus, err := proc.New(bins[name], k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mRef := perf.NewModel(perf.CoreFor(k))
-				mRef.Attach(ref.M)
-				mFus := perf.NewModel(perf.CoreFor(k))
-				mFus.Attach(fus.M)
-				for !fus.M.Halted && fus.M.Steps < diffMaxSteps {
-					n, err := fus.Run(1009)
-					if err != nil {
-						t.Fatalf("run: %v", err)
+				for _, profiled := range []bool{false, true} {
+					label := "plain"
+					if profiled {
+						label = "profiled"
 					}
-					stepN(t, ref, n)
-					if n == 0 && !fus.M.Halted {
-						t.Fatal("run made no progress")
-					}
-				}
-				requireSameState(t, "at halt", ref.M, fus.M)
-				if mRef.Cycles != mFus.Cycles {
-					t.Fatalf("cycles diverged: step=%v run=%v (delta %v)",
-						mRef.Cycles, mFus.Cycles, mRef.Cycles-mFus.Cycles)
-				}
-				if mRef.Counts != mFus.Counts {
-					t.Fatalf("counts diverged:\n step: %+v\n  run: %+v", mRef.Counts, mFus.Counts)
-				}
-				if mRef.ICache.Hits() != mFus.ICache.Hits() || mRef.ICache.Misses != mFus.ICache.Misses {
-					t.Fatalf("icache diverged: step=%d/%d run=%d/%d",
-						mRef.ICache.Hits(), mRef.ICache.Misses, mFus.ICache.Hits(), mFus.ICache.Misses)
-				}
-				if mRef.DCache.Hits() != mFus.DCache.Hits() || mRef.DCache.Misses != mFus.DCache.Misses {
-					t.Fatalf("dcache diverged: step=%d/%d run=%d/%d",
-						mRef.DCache.Hits(), mRef.DCache.Misses, mFus.DCache.Hits(), mFus.DCache.Misses)
-				}
-				if mRef.Bpred.Lookups != mFus.Bpred.Lookups || mRef.Bpred.Mispredicts != mFus.Bpred.Mispredicts {
-					t.Fatalf("bpred diverged: step=%d/%d run=%d/%d",
-						mRef.Bpred.Lookups, mRef.Bpred.Mispredicts, mFus.Bpred.Lookups, mFus.Bpred.Mispredicts)
+					t.Run(label, func(t *testing.T) {
+						checkTimingBitIdentical(t, bins[name], k, profiled)
+					})
 				}
 			})
+		}
+	}
+}
+
+// checkTimingBitIdentical runs bin on ISA k under Step with a perf model
+// and under fused Run with another (wrapped by a profiler when profiled),
+// and requires identical state, cycles, counts, and cache/predictor stats.
+func checkTimingBitIdentical(t *testing.T, bin *fatbin.Binary, k isa.Kind, profiled bool) {
+	ref, err := proc.New(bin, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fus, err := proc.New(bin, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mRef := perf.NewModel(perf.CoreFor(k))
+	mRef.Attach(ref.M)
+	mFus := perf.NewModel(perf.CoreFor(k))
+	mFus.Attach(fus.M)
+	var prof *profiler.Profiler
+	if profiled {
+		prof = profiler.New(bin, 8)
+		prof.BindModel(mFus)
+		prof.Attach(fus.M)
+	}
+	for !fus.M.Halted && fus.M.Steps < diffMaxSteps {
+		n, err := fus.Run(1009)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		stepN(t, ref, n)
+		if n == 0 && !fus.M.Halted {
+			t.Fatal("run made no progress")
+		}
+	}
+	requireSameState(t, "at halt", ref.M, fus.M)
+	if mRef.Cycles != mFus.Cycles {
+		t.Fatalf("cycles diverged: step=%v run=%v (delta %v)",
+			mRef.Cycles, mFus.Cycles, mRef.Cycles-mFus.Cycles)
+	}
+	if mRef.Counts != mFus.Counts {
+		t.Fatalf("counts diverged:\n step: %+v\n  run: %+v", mRef.Counts, mFus.Counts)
+	}
+	if mRef.ICache.Hits() != mFus.ICache.Hits() || mRef.ICache.Misses != mFus.ICache.Misses {
+		t.Fatalf("icache diverged: step=%d/%d run=%d/%d",
+			mRef.ICache.Hits(), mRef.ICache.Misses, mFus.ICache.Hits(), mFus.ICache.Misses)
+	}
+	if mRef.DCache.Hits() != mFus.DCache.Hits() || mRef.DCache.Misses != mFus.DCache.Misses {
+		t.Fatalf("dcache diverged: step=%d/%d run=%d/%d",
+			mRef.DCache.Hits(), mRef.DCache.Misses, mFus.DCache.Hits(), mFus.DCache.Misses)
+	}
+	if mRef.Bpred.Lookups != mFus.Bpred.Lookups || mRef.Bpred.Mispredicts != mFus.Bpred.Mispredicts {
+		t.Fatalf("bpred diverged: step=%d/%d run=%d/%d",
+			mRef.Bpred.Lookups, mRef.Bpred.Mispredicts, mFus.Bpred.Lookups, mFus.Bpred.Mispredicts)
+	}
+	if profiled {
+		if prof.Report().Samples == 0 {
+			t.Fatal("profiler took no samples")
+		}
+		if fus.M.FusionStats().BatchedBlocks == 0 {
+			t.Fatal("profiled run dispatched no batched blocks")
 		}
 	}
 }

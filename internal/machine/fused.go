@@ -8,7 +8,7 @@ import (
 
 // This file is the batched fast path of Run: fused superinstruction
 // dispatch with block-batched timing commits. Invariants the arms rely on
-// (established by isa.FuseBlock and Run's mode selection):
+// (established by isa.FuseBlock and Run's budget check):
 //
 //   - The block's terminator, if any, is its final architectural
 //     instruction, so only the last fused entry can transfer control,
@@ -18,7 +18,7 @@ import (
 //   - m.PC may go stale inside the block (nothing reads it mid-block
 //     without hooks attached); every arm leaves it correct after its
 //     entry, and fault paths pin it to the faulting instruction's address
-//     so errors look exactly like the per-instruction loop's.
+//     so errors look exactly like Step's.
 //   - Specialized arms pre-mask register indices to 4 bits at fuse time;
 //     the &0xF here only re-establishes the bound for the compiler.
 //
@@ -28,14 +28,14 @@ import (
 // CommitBlock immediately before the final architectural instruction
 // executes, so anything a terminator's hooks read from the model —
 // measurement snapshots taken inside syscall handlers, span cycle
-// sources — observes exactly the value the per-instruction loop would
-// have shown. Early exits (faults, self-modifying-code evictions) commit
-// the executed prefix at the exit point.
+// sources — observes exactly the value Step would have shown. Early exits
+// (faults, self-modifying-code evictions) commit the executed prefix at
+// the exit point.
 
 // logInstEAs records the generic arm's dynamic addresses before it
 // executes: src EA, dst EA, then pre-exec SP, each when applicable. This
-// mirrors what the timing model computes from live state in exact mode,
-// so replaying the log is observation-identical.
+// mirrors what the timing model computes from live state under Step, so
+// replaying the log is observation-identical.
 func (m *Machine) logInstEAs(in *isa.Inst) {
 	if in.Src.Kind == isa.OpdMem {
 		m.eaLog[m.eaN] = m.ea(in.Src.Mem)
@@ -52,14 +52,14 @@ func (m *Machine) logInstEAs(in *isa.Inst) {
 }
 
 // fusedFault pins the PC to the faulting instruction and wraps the error
-// exactly as stepInst does, so callers cannot tell which path faulted.
+// exactly as Step does, so callers cannot tell which path faulted.
 func (m *Machine) fusedFault(in *isa.Inst, err error) error {
 	m.PC = in.Addr
 	return fmt.Errorf("machine: at %#x (%s): %w", in.Addr, in.Op, err)
 }
 
 // runFused executes one predecoded block through the fused arms. The
-// caller guarantees OnExec is nil and the step budget covers the block.
+// caller guarantees the step budget covers the block.
 func (m *Machine) runFused(blk *Block) error {
 	bc := &m.blocks
 	insts := blk.Insts
@@ -345,7 +345,7 @@ func (m *Machine) execFusedBody(f *isa.FusedInst, insts []isa.Inst) (int, bool, 
 	// restores it after its entry), and exec maintains it from here —
 	// including its fault behavior, e.g. a failing syscall handler
 	// observes the post-instruction PC. Wrapping without touching the PC
-	// therefore matches stepInst exactly.
+	// therefore matches Step exactly.
 	in := &insts[f.A]
 	if m.logEA {
 		m.logInstEAs(in)

@@ -119,22 +119,20 @@ type ControlHook func(m *Machine, in *isa.Inst, kind ControlKind, target, retAdd
 // SyscallHandler services OpSys instructions.
 type SyscallHandler func(m *Machine, vector int32) error
 
-// ExecHook observes each instruction before it executes.
-type ExecHook func(m *Machine, in *isa.Inst)
-
-// Timing is the interface the machine drives a cycle-accounting model
-// through. In exact mode (single-stepping, or any OnExec observer
-// attached) the machine calls ObserveInst immediately before each
-// instruction executes. In batched mode the machine executes a fused
-// block's body while logging dynamic effective addresses, then calls
-// CommitBlock once per block: insts[:nLogged] have already executed and
-// must be accounted from the EA log (see isa.Op.StackAccess for the log
-// layout), while insts[nLogged:] are observed against live machine state
-// exactly as ObserveInst would see them — the machine guarantees that
-// state is still pre-execution for the first of them and that any
-// remaining ones need no dynamic state (a fused cmp+jcc tail). Both paths
-// must charge bit-identical cycles: batching changes when accounting
-// runs, never what it sums.
+// Timing is the machine's only observer interface, the one a
+// cycle-accounting model (or a decorator around one, such as the sampling
+// profiler) is driven through. Step, and Run for the tail of a budget
+// that ends inside a block, call ObserveInst immediately before each
+// instruction executes. Run otherwise executes a fused block's body while
+// logging dynamic effective addresses, then calls CommitBlock once per
+// block: insts[:nLogged] have already executed and must be accounted from
+// the EA log (see isa.Op.StackAccess for the log layout), while
+// insts[nLogged:] are observed against live machine state exactly as
+// ObserveInst would see them — the machine guarantees that state is still
+// pre-execution for the first of them and that any remaining ones need no
+// dynamic state (a fused cmp+jcc tail). Both paths must charge
+// bit-identical cycles: batching changes when accounting runs, never what
+// it sums.
 type Timing interface {
 	ObserveInst(m *Machine, in *isa.Inst)
 	CommitBlock(m *Machine, insts []isa.Inst, nLogged int, eas []uint32)
@@ -146,10 +144,8 @@ type Machine struct {
 	Mem       *mem.Memory
 	Syscall   SyscallHandler
 	OnControl ControlHook
-	OnExec    ExecHook
 
-	// Timing, when non-nil, receives cycle-accounting callbacks. Unlike
-	// OnExec it does not force exact per-instruction dispatch: fused
+	// Timing, when non-nil, receives cycle-accounting callbacks. Fused
 	// blocks batch its updates into one CommitBlock at block exit, which
 	// is observation-equivalent because every point that can read the
 	// model mid-run (control hooks, syscall handlers, span cycle sources)
@@ -261,10 +257,11 @@ func (m *Machine) control(in *isa.Inst, kind ControlKind, target, retAddr uint32
 	return m.OnControl(m, in, kind, target, retAddr)
 }
 
-// Step fetches, decodes, and executes one instruction. It is the slow
-// path: single-steppers (the gadget analyzer, debug harnesses) use it
-// directly, and Run reproduces its exact fault behavior through the block
-// cache. The fetch window lives on the stack so stepping never allocates.
+// Step fetches, decodes, and executes one instruction. It is the
+// reference path: single-steppers (the gadget analyzer, debug harnesses)
+// use it directly, Run single-steps budget tails through it, and the
+// differential-semantics tests check the fused path against it. The fetch
+// window lives on the stack so stepping never allocates.
 func (m *Machine) Step() error {
 	if m.Halted {
 		return ErrHalted
@@ -278,23 +275,11 @@ func (m *Machine) Step() error {
 	if err != nil {
 		return fmt.Errorf("machine: decode at %#x: %w", m.PC, err)
 	}
-	return m.stepInst(&in)
-}
-
-// stepInst is the shared per-instruction arm: timing observation, exec
-// hook, step accounting, execution, and error wrapping. Step and Run's
-// exact path both funnel through it so single-stepping and cached
-// dispatch cannot drift; the fused path is checked against it by the
-// differential-semantics tests.
-func (m *Machine) stepInst(in *isa.Inst) error {
 	if m.Timing != nil {
-		m.Timing.ObserveInst(m, in)
-	}
-	if m.OnExec != nil {
-		m.OnExec(m, in)
+		m.Timing.ObserveInst(m, &in)
 	}
 	m.Steps++
-	if err := m.exec(in); err != nil {
+	if err := m.exec(&in); err != nil {
 		return fmt.Errorf("machine: at %#x (%s): %w", in.Addr, in.Op, err)
 	}
 	return nil
@@ -305,30 +290,18 @@ func (m *Machine) stepInst(in *isa.Inst) error {
 //
 // Run dispatches predecoded basic blocks: each block is fetched, decoded,
 // and fused into superinstructions once, then re-executed from the cache
-// for as long as the memory's code generations hold.
+// for as long as the memory's code generations hold. Every block runs
+// whole through the fused arms (runFused): the timing model's delta for
+// the block is committed once just before the final architectural
+// instruction executes, and the Mem.CodeGen poll runs only after
+// memory-writing instructions (the write barrier's dirty signal), so
+// self-modifying code still takes effect at the very next instruction.
+// Control hooks and syscall handlers only fire at block terminators, so
+// no observer needs per-instruction dispatch.
 //
-// Two dispatch modes exist per block, chosen fresh at every dispatch:
-//
-//   - Batched (the fast path): no per-instruction observer is attached
-//     (OnExec is nil — control hooks and syscall handlers only fire at
-//     block terminators, so they never force exact mode) and the step
-//     budget covers the whole block. Fused entries execute through
-//     dedicated arms, the timing model's delta for the block is committed
-//     once just before the final architectural instruction executes, and
-//     the Mem.CodeGen poll runs only after memory-writing instructions
-//     (the write barrier's dirty signal) — so self-modifying code still
-//     takes effect at the very next instruction.
-//
-//   - Exact: with OnExec attached (profiler sampling, gadget tracing) or
-//     near the budget boundary, instructions run one at a time through
-//     the same stepInst arm Step uses, with hook semantics, Steps counts,
-//     and fault behavior bit-identical to single-stepping.
-//
-// When the code generation moves mid-block, the cache reconciles at page
-// granularity and execution continues in place if the current block's
-// pages were untouched, while unrelated code production (DBT translation
-// commits, chain patches) no longer interrupts the block or evicts its
-// neighbors.
+// When the remaining step budget ends inside the next block, Run
+// single-steps that tail through Step and returns, so a budget tail costs
+// at most one partial block per call.
 func (m *Machine) Run(maxSteps uint64) (uint64, error) {
 	start := m.Steps
 	bc := &m.blocks
@@ -360,37 +333,18 @@ func (m *Machine) Run(maxSteps uint64) (uint64, error) {
 			}
 		}
 		prev = blk
-		if m.OnExec == nil && uint64(len(blk.Insts)) <= maxSteps-(m.Steps-start) {
-			bc.batchedBlocks++
-			if err := m.runFused(blk); err != nil {
-				return m.Steps - start, err
-			}
-			continue
-		}
-		bc.exactBlocks++
-		startPC := m.PC
-		insts := blk.Insts
-		for i := range insts {
-			if m.Steps-start >= maxSteps {
-				return m.Steps - start, nil
-			}
-			if err := m.stepInst(&insts[i]); err != nil {
-				return m.Steps - start, err
-			}
-			if m.Halted {
-				return m.Steps - start, nil
-			}
-			if g := m.Mem.CodeGen(); g != bc.gen {
-				// Code changed somewhere. Reconcile now; if this block
-				// survived (the write was elsewhere), keep executing it,
-				// otherwise re-decode from the new PC. A control transfer
-				// is always a block terminator, so m.ISA still names the
-				// block's ISA here.
-				m.reconcileSpanned(bc, g)
-				if !bc.alive(m.ISA, startPC, blk) {
-					break
+		if left := maxSteps - (m.Steps - start); uint64(len(blk.Insts)) > left {
+			bc.exactBlocks++
+			for ; left > 0 && !m.Halted; left-- {
+				if err := m.Step(); err != nil {
+					return m.Steps - start, err
 				}
 			}
+			break
+		}
+		bc.batchedBlocks++
+		if err := m.runFused(blk); err != nil {
+			return m.Steps - start, err
 		}
 	}
 	return m.Steps - start, nil

@@ -37,7 +37,7 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := profiler.New(bin, 8)
-	prof.SetResolver(vm.ResolvePC)
+	prof.SetClassResolver(vm.ResolvePCClass)
 	prof.Attach(vm.P.M)
 	prof.BindTelemetry(vm.Telemetry())
 

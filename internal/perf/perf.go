@@ -344,9 +344,10 @@ func (mo *Model) BindTelemetry(t *telemetry.Telemetry) {
 }
 
 // Attach installs the model as the machine's timing observer. The machine
-// calls ObserveInst before each instruction in exact mode and CommitBlock
-// once per fused block in batched mode; both account identically (see
-// machine.Timing). Set m.Timing to nil to stop observing.
+// calls ObserveInst before each single-stepped instruction and
+// CommitBlock once per fused block; both account identically (see
+// machine.Timing). Attach before any decorator that wraps m.Timing (the
+// sampling profiler). Set m.Timing to nil to stop observing.
 func (mo *Model) Attach(m *machine.Machine) {
 	m.Timing = mo
 }
@@ -357,7 +358,7 @@ func (mo *Model) latencyExposure() float64 {
 	return mo.exp
 }
 
-// ObserveInst implements machine.Timing's exact-mode observation.
+// ObserveInst implements machine.Timing's per-instruction observation.
 func (mo *Model) ObserveInst(m *machine.Machine, in *isa.Inst) {
 	mo.Observe(m, in)
 }

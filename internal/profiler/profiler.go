@@ -1,12 +1,12 @@
 // Package profiler implements a guest-cycle sampling profiler for the
-// HIPStR VM: it hooks the machine's dispatch loop, samples execution every
-// N guest instructions, and attributes the simulated cycles accumulated
-// between samples (from the perf timing model when one is bound, raw
-// instruction counts otherwise) to guest code regions — per basic block
-// and per function of the fat binary's extended symbol table.
+// HIPStR VM: it decorates the machine's timing observer, samples execution
+// about every N guest instructions, and attributes the simulated cycles
+// accumulated between samples (from the perf timing model when one is
+// bound, raw instruction counts otherwise) to guest code regions — per
+// basic block and per function of the fat binary's extended symbol table.
 //
 // Execution inside a PSR code cache is mapped back to guest source
-// addresses through a resolver (dbt.VM.ResolvePC), so translated code,
+// addresses through a resolver (dbt.VM.ResolvePCClass), so translated code,
 // trap stubs, and chained superblocks all charge the guest function they
 // were translated from — the paper's evaluation (§6-7) reports per-region
 // PSR overhead, which end-to-end totals cannot attribute.
@@ -19,8 +19,11 @@
 // format cmd/tracestat -folded emits.
 //
 // The profiler is strictly pay-for-what-you-use: nothing is attached to
-// the machine until Attach is called, and the sampling fast path is one
-// counter increment and compare per instruction.
+// the machine until Attach is called. Attached, it rides the timing
+// interface the machine already drives, so fused blocks keep their batched
+// dispatch and the sampling fast path is one counter add and compare per
+// block commit. Samples therefore land on the first instruction or block
+// boundary at or after each interval.
 package profiler
 
 import (
@@ -41,15 +44,12 @@ import (
 // DefaultInterval is the sampling period in guest instructions.
 const DefaultInterval = 64
 
-// Resolver maps an executing PC on ISA k to the guest source address it
-// executes on behalf of (identity for native text, unit-source for code
-// caches). It reports false when the PC belongs to no guest code.
-type Resolver func(k isa.Kind, pc uint32) (uint32, bool)
-
-// ClassResolver additionally classifies the PC: stub reports that it
-// falls inside a translation unit's trap-stub region, i.e. the sample
-// caught VM-dispatch overhead rather than translated guest code
-// (dbt.VM.ResolvePCClass).
+// ClassResolver maps an executing PC on ISA k to the guest source address
+// it executes on behalf of (identity for native text, unit-source for code
+// caches) and classifies it: stub reports that it falls inside a
+// translation unit's trap-stub region, i.e. the sample caught VM-dispatch
+// overhead rather than translated guest code. ok is false when the PC
+// belongs to no guest code (dbt.VM.ResolvePCClass).
 type ClassResolver func(k isa.Kind, pc uint32) (src uint32, stub, ok bool)
 
 // blockKey aggregates samples per guest basic block.
@@ -80,8 +80,7 @@ type Profiler struct {
 	cycles   func() float64
 	last     float64
 	bin      *fatbin.Binary
-	resolve  Resolver
-	resolveC ClassResolver
+	resolve  ClassResolver
 
 	mu        sync.Mutex
 	buckets   map[blockKey]*agg
@@ -111,15 +110,12 @@ func New(bin *fatbin.Binary, interval uint64) *Profiler {
 // Interval returns the sampling period in guest instructions.
 func (p *Profiler) Interval() uint64 { return p.interval }
 
-// SetResolver installs the execution-PC → guest-source mapping. The PSR
-// drivers wire dbt.VM.ResolvePC; native execution needs none (text PCs
-// symbolize directly).
-func (p *Profiler) SetResolver(r Resolver) { p.resolve = r }
-
-// SetClassResolver installs a classifying resolver (dbt.VM.ResolvePCClass)
-// that splits sampled cycles between translated guest code and VM
-// dispatch overhead (trap stubs). It takes precedence over SetResolver.
-func (p *Profiler) SetClassResolver(r ClassResolver) { p.resolveC = r }
+// SetClassResolver installs the execution-PC → guest-source mapping, which
+// also splits sampled cycles between translated guest code and VM
+// dispatch overhead (trap stubs). The PSR drivers wire
+// dbt.VM.ResolvePCClass; native execution needs none (text PCs symbolize
+// directly).
+func (p *Profiler) SetClassResolver(r ClassResolver) { p.resolve = r }
 
 // BindModel attributes the timing model's simulated cycles instead of raw
 // instruction counts. Attach the model to the machine *before* the
@@ -139,18 +135,45 @@ func (p *Profiler) BindCycles(f func() float64) {
 	}
 }
 
-// Attach chains the profiler onto m's exec hook. Attach after any timing
-// model so samples observe post-charge cycle counts.
+// Attach wraps m's timing observer (a perf.Model, or none) in the
+// profiler's sampler. Attach after any timing model: the sampler forwards
+// each observation to the model before counting, so samples observe
+// post-charge cycle counts.
 func (p *Profiler) Attach(m *machine.Machine) {
-	prev := m.OnExec
-	m.OnExec = func(mm *machine.Machine, in *isa.Inst) {
-		if prev != nil {
-			prev(mm, in)
-		}
-		p.pending++
-		if p.pending >= p.interval {
-			p.sample(mm.ISA, in.Addr)
-		}
+	m.Timing = &sampler{p: p, next: m.Timing}
+}
+
+// sampler is the machine.Timing decorator Attach installs. It forwards
+// every call to the wrapped model unchanged, then counts the instructions
+// the call accounted for and samples once the interval has elapsed.
+type sampler struct {
+	p    *Profiler
+	next machine.Timing
+}
+
+func (s *sampler) ObserveInst(m *machine.Machine, in *isa.Inst) {
+	if s.next != nil {
+		s.next.ObserveInst(m, in)
+	}
+	p := s.p
+	p.pending++
+	if p.pending >= p.interval {
+		p.sample(m.ISA, in.Addr)
+	}
+}
+
+func (s *sampler) CommitBlock(m *machine.Machine, insts []isa.Inst, nLogged int, eas []uint32) {
+	if s.next != nil {
+		s.next.CommitBlock(m, insts, nLogged, eas)
+	}
+	p := s.p
+	before := p.pending
+	p.pending += uint64(len(insts))
+	if p.pending >= p.interval {
+		// The sample's PC is the instruction at which the interval
+		// elapsed, so PCs are still sampled in proportion to how often
+		// they execute; only the cost boundary moves to the block commit.
+		p.sample(m.ISA, insts[p.interval-before-1].Addr)
 	}
 }
 
@@ -200,10 +223,8 @@ func (p *Profiler) sample(k isa.Kind, pc uint32) {
 	p.pending = 0
 
 	src, stub, ok := pc, false, true
-	if p.resolveC != nil {
-		src, stub, ok = p.resolveC(k, pc)
-	} else if p.resolve != nil {
-		src, ok = p.resolve(k, pc)
+	if p.resolve != nil {
+		src, stub, ok = p.resolve(k, pc)
 	}
 	key := blockKey{k: k, fn: -1, bb: -1, stub: stub}
 	if ok && p.bin != nil {

@@ -10,6 +10,7 @@ import (
 	"hipstr/internal/dbt"
 	"hipstr/internal/fatbin"
 	"hipstr/internal/isa"
+	"hipstr/internal/machine"
 	"hipstr/internal/perf"
 	"hipstr/internal/proc"
 	"hipstr/internal/profiler"
@@ -35,6 +36,9 @@ func compile(t *testing.T, name string) *fatbin.Binary {
 // TestNativeAttribution runs a native process with the timing model bound
 // and checks the acceptance bar: at least 90% of simulated cycles land on
 // symbolized guest functions, and per-function costs add up to the total.
+// It runs in chunks to check that profiling keeps Run on the fused path:
+// blocks dispatch batched, and at most one budget tail per Run call is
+// single-stepped.
 func TestNativeAttribution(t *testing.T) {
 	bin := compile(t, "nested")
 	for _, k := range isa.Kinds {
@@ -47,8 +51,18 @@ func TestNativeAttribution(t *testing.T) {
 		prof := profiler.New(bin, 8)
 		prof.BindModel(model)
 		prof.Attach(p.M)
-		if err := p.RunToExit(maxSteps); err != nil {
-			t.Fatalf("%s: %v", k, err)
+		calls := uint64(0)
+		for !p.Exited && !p.M.Halted {
+			if calls++; calls > maxSteps/97 {
+				t.Fatalf("%s: program did not exit", k)
+			}
+			if _, err := p.Run(97); err != nil {
+				t.Fatalf("%s: %v", k, err)
+			}
+		}
+		if fs := p.M.FusionStats(); fs.BatchedBlocks == 0 || fs.ExactBlocks == 0 || fs.ExactBlocks > calls {
+			t.Errorf("%s: %d batched blocks, %d single-stepped tails over %d Run calls",
+				k, fs.BatchedBlocks, fs.ExactBlocks, calls)
 		}
 		rep := prof.Report()
 		if rep.Samples == 0 {
@@ -86,7 +100,7 @@ func TestVMResolverAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := profiler.New(bin, 8)
-	prof.SetResolver(vm.ResolvePC)
+	prof.SetClassResolver(vm.ResolvePCClass)
 	prof.Attach(vm.P.M)
 	if _, err := vm.Run(maxSteps); err != nil {
 		t.Fatal(err)
@@ -107,7 +121,10 @@ func TestVMResolverAttribution(t *testing.T) {
 }
 
 // TestInstructionCountFallback pins the no-model contract: every sampled
-// instruction costs exactly one cycle, so totals equal sampled counts.
+// instruction costs exactly one cycle, so totals equal sampled counts. It
+// also pins the block-granular sample period: a sample fires at the first
+// instruction or block commit at or after the interval, so each sample
+// covers at least interval and fewer than interval+BlockCap instructions.
 func TestInstructionCountFallback(t *testing.T) {
 	bin := compile(t, "sumloop")
 	p, err := proc.New(bin, isa.ARM)
@@ -126,9 +143,11 @@ func TestInstructionCountFallback(t *testing.T) {
 	if rep.TotalCycles != float64(rep.Instructions) {
 		t.Errorf("total %.0f != sampled instructions %d", rep.TotalCycles, rep.Instructions)
 	}
-	if rep.Instructions != rep.Samples*prof.Interval() {
-		t.Errorf("instructions %d != samples %d * interval %d",
-			rep.Instructions, rep.Samples, prof.Interval())
+	lo := rep.Samples * prof.Interval()
+	hi := rep.Samples * (prof.Interval() + machine.BlockCap)
+	if rep.Instructions < lo || rep.Instructions >= hi {
+		t.Errorf("instructions %d outside [%d, %d) for %d samples at interval %d",
+			rep.Instructions, lo, hi, rep.Samples, prof.Interval())
 	}
 }
 

@@ -229,7 +229,7 @@ func (s Span) StartChild(name string) Span {
 	return c
 }
 
-// SetISA tags the span with an ISA name. Returns the span for chaining.
+// SetISA tags the span with an ISA name.
 func (s *Span) SetISA(isa string) {
 	if s.tr != nil {
 		s.isa = isa
