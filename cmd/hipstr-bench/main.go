@@ -80,7 +80,8 @@ func main() {
 
 	// The suite registry carries no collectors (experiments publish series
 	// with atomic writes), so handlers can snapshot it live from any
-	// goroutine — no pump needed here, unlike hipstr-run.
+	// goroutine, unlike hipstr-run, which serves its health monitor's
+	// latest observed snapshot.
 	if *listen != "" {
 		srv, err := hipstr.NewObservabilityServer(*listen, hipstr.ObservabilityOptions{
 			Snapshot: func() (hipstr.MetricsSnapshot, bool) { return tel.Snapshot(), true },

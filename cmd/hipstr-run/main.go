@@ -28,6 +28,7 @@ import (
 	"hipstr/internal/obsrv"
 	"hipstr/internal/perf"
 	"hipstr/internal/profiler"
+	"hipstr/internal/telemetry"
 )
 
 func main() {
@@ -56,17 +57,19 @@ func main() {
 	if *timelineOut != "" || *listen != "" {
 		spans = tel.EnableSpans(0)
 	}
+	var traceSink *telemetry.JSONLSink
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		tel.Trace.AddSink(hipstr.NewJSONLTraceSink(f))
-		// Completed spans share the stream; tracestat tells the line kinds
-		// apart by the spans' "kind":"span" discriminator.
+		// One sink takes both tracers' records; tracestat tells the line
+		// kinds apart by the spans' "kind":"span" discriminator.
+		traceSink = hipstr.NewJSONLTraceSink(f)
+		tel.Trace.AddSink(traceSink)
 		if spans != nil {
-			spans.AddSink(hipstr.NewSpanJSONLSink(f))
+			spans.AddSink(traceSink)
 		}
 	}
 
@@ -191,14 +194,12 @@ func main() {
 	}
 
 	// The observability server never touches VM state: this goroutine
-	// publishes snapshots through the pump at chunk boundaries and handlers
-	// serve the latest published copy.
-	var pump obsrv.Pump
+	// hands a snapshot to the health monitor at every chunk boundary, and
+	// handlers serve the monitor's latest copy. The same snapshots land in
+	// the rolling history ring and are evaluated against the single-VM
+	// rule set, so /history and /incidents work on one guest exactly as
+	// they do on a fleet.
 	var srv *obsrv.Server
-	// The health engine rides the pump: every published snapshot also
-	// lands in the rolling history ring and is evaluated against the
-	// single-VM rule set, so /history and /incidents work on one guest
-	// exactly as they do on a fleet.
 	var mon *health.Monitor
 	if *listen != "" {
 		rcfg := health.RecorderConfig{Events: tel.Trace.Tail}
@@ -224,7 +225,7 @@ func main() {
 			Recorder:  rcfg,
 		})
 		opts := obsrv.Options{
-			Snapshot:  pump.Latest,
+			Snapshot:  mon.Latest,
 			Tracer:    tel.Trace,
 			Spans:     spans,
 			History:   mon.HistoryHandler(),
@@ -243,7 +244,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}()
-		pump.Publish(tel.Snapshot())
+		mon.ObserveNow(tel.Snapshot())
 	}
 
 	// When serving, cap chunks so scrapes see fresh counters even between
@@ -262,11 +263,8 @@ func main() {
 		ran, exited, err := runChunk(chunk)
 		total += ran
 		due := *interval != 0 && !exited && total-lastReport >= *interval
-		if srv != nil || due {
+		if mon != nil || due {
 			snap := tel.Snapshot()
-			if srv != nil {
-				pump.Publish(snap)
-			}
 			if mon != nil {
 				mon.ObserveNow(snap)
 			}
@@ -288,15 +286,11 @@ func main() {
 		fmt.Printf("interrupted after %d instructions\n", total)
 	}
 	finish()
-	if srv != nil {
-		snap := tel.Snapshot()
-		pump.Publish(snap)
-		if mon != nil {
-			mon.ObserveNow(snap)
-			if opened, resolved, _ := mon.Recorder.Counts(); opened > 0 {
-				fmt.Printf("health: %d incidents opened, %d resolved (see /incidents)\n",
-					opened, resolved)
-			}
+	if mon != nil {
+		mon.ObserveNow(tel.Snapshot())
+		if opened, resolved, _ := mon.Recorder.Counts(); opened > 0 {
+			fmt.Printf("health: %d incidents opened, %d resolved (see /incidents)\n",
+				opened, resolved)
 		}
 	}
 
@@ -323,7 +317,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := hipstr.WriteChromeTrace(f, spans.Spans(), tel.Trace.Events()); err != nil {
+		if err := hipstr.WriteChromeTrace(f, spans.Spans(), tel.Trace.Tail(0)); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -345,7 +339,10 @@ func main() {
 		}
 		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
 	}
-	if *traceOut != "" {
+	if traceSink != nil {
+		if err := traceSink.Err(); err != nil {
+			log.Fatalf("trace-out %s: %v", *traceOut, err)
+		}
 		fmt.Printf("trace written to %s (%d events emitted)\n", *traceOut, tel.Trace.Emitted())
 	}
 

@@ -83,6 +83,37 @@ func TestReadTraceMixedSpans(t *testing.T) {
 	}
 }
 
+// TestReadTraceSharedSink reads a stream written the way hipstr-run writes
+// -trace-out: one JSONLSink on both tracers.
+func TestReadTraceSharedSink(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := telemetry.NewJSONLSink(f)
+	tr := telemetry.NewTracer(0)
+	st := telemetry.NewSpanTracer(0)
+	tr.AddSink(sink)
+	st.AddSink(sink)
+	tr.Emit(telemetry.Event{Type: telemetry.EvTranslate, ISA: "x86", Cost: 3})
+	st.StartSpan("migrate", "migrate").End()
+	tr.Emit(telemetry.Event{Type: telemetry.EvRATMiss, ISA: "arm"})
+	if err := f.Close(); err != nil || sink.Err() != nil {
+		t.Fatalf("close %v, sink %v", err, sink.Err())
+	}
+	events, spans, err := readTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || events[0].Seq != 1 || events[1].Type != telemetry.EvRATMiss {
+		t.Fatalf("events = %+v", events)
+	}
+	if len(spans) != 1 || spans[0].Name != "migrate" {
+		t.Fatalf("spans = %+v", spans)
+	}
+}
+
 func TestAssignPhasesEmpty(t *testing.T) {
 	if labels := assignPhases(nil); len(labels) != 0 {
 		t.Fatalf("assignPhases(nil) = %v", labels)

@@ -212,13 +212,11 @@ func WriteChromeTrace(w io.Writer, spans []SpanEvent, events []TraceEvent) error
 // NewTelemetry returns a fresh metrics registry + event tracer pair.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
-// NewSpanJSONLSink returns a span sink writing one JSON object per
-// completed span to w; the "kind":"span" field keeps span lines
-// distinguishable from point events sharing the stream.
-func NewSpanJSONLSink(w io.Writer) *telemetry.SpanJSONLSink { return telemetry.NewSpanJSONLSink(w) }
-
-// NewJSONLTraceSink returns a sink writing one JSON object per event to w;
-// attach it with tel.Trace.AddSink.
+// NewJSONLTraceSink returns a sink writing one JSON object per record to
+// w. It serves both tracers: attach it with tel.Trace.AddSink for events
+// and, with spans enabled, tel.Spans.AddSink for completed spans, which
+// then interleave in emission order ("kind":"span" marks span lines).
+// Check its Err after the run: the first failed write stops the sink.
 func NewJSONLTraceSink(w io.Writer) *telemetry.JSONLSink { return telemetry.NewJSONLSink(w) }
 
 // Profiler is the guest-cycle sampling profiler: it attributes simulated
@@ -245,11 +243,6 @@ type ObservabilityOptions = obsrv.Options
 // ObservabilityServer serves live telemetry over HTTP while a simulation
 // runs.
 type ObservabilityServer = obsrv.Server
-
-// TelemetryPump hands snapshots from the goroutine driving the VM to the
-// observability server's scrape handlers (Snapshot is only safe on the VM
-// goroutine; Pump.Latest is safe anywhere).
-type TelemetryPump = obsrv.Pump
 
 // NewObservabilityServer listens on addr and serves the configured
 // observability endpoints (call Serve to start, Shutdown to stop).

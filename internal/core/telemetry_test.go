@@ -50,7 +50,7 @@ func TestSystemTelemetry(t *testing.T) {
 	}
 	if s.Migrations() > 0 {
 		found := map[telemetry.EventType]bool{}
-		for _, e := range s.Telemetry().Trace.Events() {
+		for _, e := range s.Telemetry().Trace.Tail(0) {
 			found[e.Type] = true
 		}
 		for _, want := range []telemetry.EventType{
@@ -79,7 +79,7 @@ func TestRespawnEmitsEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawRespawn bool
-	for _, e := range s.Telemetry().Trace.Events() {
+	for _, e := range s.Telemetry().Trace.Tail(0) {
 		if e.Type == telemetry.EvRespawn {
 			sawRespawn = true
 		}

@@ -73,7 +73,7 @@ func TestTelemetryMatchesStats(t *testing.T) {
 	}
 	// Trace must carry translate events — as many as units were committed.
 	var translateEvents uint64
-	for _, e := range tel.Trace.Events() {
+	for _, e := range tel.Trace.Tail(0) {
 		if e.Type == telemetry.EvTranslate {
 			translateEvents++
 		}

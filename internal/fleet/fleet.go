@@ -100,18 +100,19 @@ type Config struct {
 	// cache, full translation) instead of forking the prototype
 	// snapshot — the baseline the warm path is measured against.
 	ColdAdmission bool
-	// PerTenantSeries bounds how many tenants publish per-tenant metric
-	// series into the registry (0 = 64; < 0 = every tenant). The bound
-	// exists because series are gauges that live forever in the
-	// registry; a million-tenant run must not grow it unbounded.
-	PerTenantSeries int
-	// TenantTraceCap bounds each tenant's private event ring (0 = 256).
-	// Events are ~80 B; the default keeps a 1000-tenant fleet's tracer
-	// footprint around 20 MB instead of 300+.
-	TenantTraceCap int
 	// Telemetry receives fleet aggregates (nil = private instance).
 	Telemetry *telemetry.Telemetry
 }
+
+// Per-tenant bounds. Only the first perTenantSeries tenants publish
+// fleet.tenant.<id>.* gauges: series live forever in the registry, and a
+// million-tenant run must not grow it unbounded. Each tenant's private
+// event ring keeps tenantTraceCap events (~80 B each), which holds a
+// 1000-tenant fleet's tracer footprint near 20 MB instead of 300+.
+const (
+	perTenantSeries = 64
+	tenantTraceCap  = 256
+)
 
 // DefaultConfig returns a HIPStR-mode fleet with the default policy.
 func DefaultConfig() Config {
@@ -273,20 +274,13 @@ type Host struct {
 
 // NewHost returns a host with its aggregate metrics registered. The
 // gauges (active, peak, rps, injector depth) are collector-backed and
-// read only atomics, so the registry is scrape-safe from any goroutine
-// without a pump.
+// read only atomics, so the registry is scrape-safe from any goroutine.
 func NewHost(cfg Config) *Host {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Policy.SliceSteps == 0 {
 		cfg.Policy.SliceSteps = DefaultSliceSteps
-	}
-	if cfg.PerTenantSeries == 0 {
-		cfg.PerTenantSeries = 64
-	}
-	if cfg.TenantTraceCap <= 0 {
-		cfg.TenantTraceCap = 256
 	}
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -349,7 +343,7 @@ func (h *Host) Ready() bool { return h.ready.Load() }
 // forkConfig is the per-tenant fork envelope: private telemetry with a
 // small event ring (the fleet-scale memory bound).
 func (h *Host) forkConfig() dbt.ForkConfig {
-	return dbt.ForkConfig{TraceCap: h.cfg.TenantTraceCap}
+	return dbt.ForkConfig{TraceCap: tenantTraceCap}
 }
 
 // protoConfig builds the boot config for a workload prototype.
@@ -357,7 +351,7 @@ func (h *Host) protoConfig(prof workload.Profile) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Mode = h.cfg.Mode
 	cfg.DBT.Seed = h.cfg.Seed ^ prof.Seed<<16
-	cfg.DBT.TraceCap = h.cfg.TenantTraceCap
+	cfg.DBT.TraceCap = tenantTraceCap
 	if q := h.cfg.Policy.CacheQuotaBytes; q > 0 {
 		cfg.DBT.CodeCacheSize = q
 	}
@@ -647,10 +641,9 @@ func (h *Host) finalizeLocked(t *Tenant, st int32, msg string) bool {
 
 // publishTenantSeries exports the tenant's headline numbers as gauges
 // (fleet.tenant.<id>.*) for the obsrv drill-down and /metrics scrape,
-// bounded by PerTenantSeries. Caller holds t.mu.
+// bounded by perTenantSeries. Caller holds t.mu.
 func (h *Host) publishTenantSeries(t *Tenant) {
-	lim := h.cfg.PerTenantSeries
-	if lim >= 0 && t.id > uint64(lim) {
+	if t.id > perTenantSeries {
 		return
 	}
 	h.tel.PublishSeries(

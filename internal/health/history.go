@@ -8,8 +8,8 @@
 // storm has rotated it out of the rings.
 //
 // Everything here runs off the snapshot path: Observe is called by the
-// goroutine that already snapshots the registry (the obsrv pump loop or a
-// dedicated fleet monitor goroutine), so the guest hot path never sees a
+// goroutine that already snapshots the registry (hipstr-run's run loop or
+// a dedicated fleet monitor goroutine), so the guest hot path never sees a
 // single extra instruction, and HTTP reads of history and incidents take
 // their own locks against that one writer.
 package health

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"sync"
 	"time"
 
 	"hipstr/internal/telemetry"
@@ -30,6 +31,10 @@ type Monitor struct {
 	History  *History
 	Engine   *Engine
 	Recorder *Recorder
+
+	mu       sync.Mutex
+	latest   telemetry.Snapshot
+	observed bool
 }
 
 // NewMonitor builds the monitor.
@@ -59,11 +64,26 @@ func NewMonitor(cfg Config) *Monitor {
 	return m
 }
 
-// Observe appends one registry snapshot to the history and evaluates the
-// rules at tsNS.
+// Observe appends one registry snapshot to the history, evaluates the
+// rules at tsNS, and keeps snap as the Latest.
 func (m *Monitor) Observe(tsNS int64, snap telemetry.Snapshot) {
 	m.History.Append(tsNS, snap)
 	m.Engine.Eval(tsNS)
+	m.mu.Lock()
+	m.latest, m.observed = snap, true
+	m.mu.Unlock()
+}
+
+// Latest returns the snapshot most recently passed to Observe; ok is false
+// before the first. It is safe from any goroutine, so scrape handlers
+// serve it where the registry's collectors read VM state only the
+// observing goroutine may touch; each observed snapshot is newer than the
+// last, so successive scrapes see monotone counters. History rows would
+// not do: they flatten histograms into four series.
+func (m *Monitor) Latest() (snap telemetry.Snapshot, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.latest, m.observed
 }
 
 // ObserveNow is Observe stamped with the current wall clock.

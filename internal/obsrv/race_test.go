@@ -1,6 +1,8 @@
 package obsrv_test
 
 import (
+	"bufio"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,22 +10,97 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hipstr/internal/compiler"
 	"hipstr/internal/dbt"
+	"hipstr/internal/health"
 	"hipstr/internal/isa"
 	"hipstr/internal/obsrv"
 	"hipstr/internal/profiler"
+	"hipstr/internal/telemetry"
 	"hipstr/internal/testprogs"
 )
 
-// TestConcurrentScrapesDuringExecution is the -race proof of the pump
-// design: one goroutine drives a PSR VM in chunks, publishing a snapshot
-// at every chunk boundary, while scrapers hammer /metrics, /stats.json,
-// and /profile throughout. Registry collectors read non-atomic VM state,
-// so this only stays race-free because handlers never call Snapshot()
-// themselves. Scrapers also assert the published counters never move
-// backwards.
+// TestSSEHammer streams /events to two clients while four goroutines emit
+// into an 8-event ring. Each client connects before the first emit, so it
+// owes nothing to a backlog: its ids must strictly increase, and its
+// frames plus its reported drops must account for every sequence number.
+func TestSSEHammer(t *testing.T) {
+	const (
+		emitters = 4
+		perG     = 2000
+		total    = emitters * perG
+	)
+	tr := telemetry.NewTracer(8)
+	ts := httptest.NewServer(obsrv.NewHandler(obsrv.Options{Tracer: tr}))
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	var clients sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/events", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			var last, delivered, dropped, gap uint64
+			sc := bufio.NewScanner(resp.Body)
+			for last < total && sc.Scan() {
+				line := sc.Text()
+				if rest, ok := strings.CutPrefix(line, ": dropped "); ok {
+					n, err := strconv.ParseUint(strings.Fields(rest)[0], 10, 64)
+					if err != nil {
+						t.Errorf("bad drop comment %q", line)
+						return
+					}
+					gap += n
+					continue
+				}
+				rest, ok := strings.CutPrefix(line, "id: ")
+				if !ok {
+					continue
+				}
+				id, err := strconv.ParseUint(rest, 10, 64)
+				if err != nil || id != last+gap+1 {
+					t.Errorf("id %q after %d with %d reported dropped, want %d", rest, last, gap, last+gap+1)
+					return
+				}
+				delivered++
+				dropped += gap
+				last, gap = id, 0
+			}
+			if last != total || delivered+dropped != total {
+				t.Errorf("stream ended at id %d: %d delivered + %d dropped, want %d", last, delivered, dropped, total)
+			}
+		}()
+	}
+	var emit sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		emit.Add(1)
+		go func() {
+			defer emit.Done()
+			for i := 0; i < perG; i++ {
+				tr.Emit(telemetry.Event{Type: telemetry.EvTranslate})
+			}
+		}()
+	}
+	emit.Wait()
+	clients.Wait()
+}
+
+// TestConcurrentScrapesDuringExecution is the -race proof of serving
+// scrapes from health.Monitor.Latest: one goroutine drives a PSR VM in
+// chunks, observing a snapshot at every chunk boundary, while scrapers
+// hammer /metrics, /stats.json, and /profile throughout. Registry
+// collectors read non-atomic VM state, so this only stays race-free
+// because handlers never call Snapshot() themselves. Scrapers also assert
+// the served counters never move backwards.
 func TestConcurrentScrapesDuringExecution(t *testing.T) {
 	tc := testprogs.All()["nested"]
 	bin, err := compiler.Compile(tc.Mod)
@@ -41,16 +118,16 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 	prof.Attach(vm.P.M)
 	prof.BindTelemetry(vm.Telemetry())
 
-	var pump obsrv.Pump
-	h, _ := obsrv.NewHandler(obsrv.Options{
-		Snapshot: pump.Latest,
+	mon := health.NewMonitor(health.Config{})
+	h := obsrv.NewHandler(obsrv.Options{
+		Snapshot: mon.Latest,
 		Tracer:   vm.Telemetry().Trace,
 		Profile:  func() (profiler.Report, bool) { return prof.Report(), true },
 	})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	pump.Publish(vm.Telemetry().Snapshot())
+	mon.ObserveNow(vm.Telemetry().Snapshot())
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -82,8 +159,8 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 		}()
 	}
 
-	// Drive the VM in small chunks, publishing at each boundary, for as
-	// long as the scrapers run — every scrape overlaps a publish.
+	// Drive the VM in small chunks, observing at each boundary, for as
+	// long as the scrapers run — every scrape overlaps an observe.
 	scrapersDone := make(chan struct{})
 	go func() { wg.Wait(); close(scrapersDone) }()
 	const chunk = 20_000
@@ -100,7 +177,7 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 					t.Fatal("program did not exit")
 				}
 			}
-			pump.Publish(vm.Telemetry().Snapshot())
+			mon.ObserveNow(vm.Telemetry().Snapshot())
 			continue
 		}
 		break
@@ -109,12 +186,12 @@ func TestConcurrentScrapesDuringExecution(t *testing.T) {
 	if !vm.P.Exited {
 		t.Fatal("program did not exit")
 	}
-	snap, _ := pump.Latest()
+	snap, _ := mon.Latest()
 	if snap.Counters["machine.blockcache.hits"] == 0 {
 		t.Error("no block cache hits recorded")
 	}
 	if snap.Counters["profiler.samples"] == 0 {
-		t.Error("profiler collector not publishing through the pump")
+		t.Error("profiler collector not reaching the served snapshot")
 	}
 }
 

@@ -4,10 +4,11 @@
 // /stats.json, a live server-sent-event stream of the trace ring at
 // /events, the sampling profiler at /profile, /healthz, and the stdlib
 // pprof handlers under /debug/pprof/ for introspecting the simulator
-// itself. The server never touches VM state directly: scrapes read
-// snapshots published through a Pump by the goroutine driving the VM, and
-// the SSE hub's fan-out is drop-oldest so a slow curl can never stall
-// translation or migration trap paths.
+// itself. The server never touches VM state directly: scrapes read the
+// snapshot the goroutine driving the VM last handed over (Options.Snapshot),
+// and /events streams read the tracer ring through their own cursors, so a
+// slow curl loses its oldest events rather than stalling translation or
+// migration trap paths.
 package obsrv
 
 import (
@@ -51,11 +52,11 @@ type TenantSource interface {
 // (404 for /profile, 503 for /metrics and /stats.json, empty stream for
 // /events).
 type Options struct {
-	// Snapshot supplies the latest telemetry snapshot (typically
-	// Pump.Latest). ok=false means none has been published yet.
+	// Snapshot supplies the latest telemetry snapshot (hipstr-run passes
+	// health.Monitor.Latest). ok=false means none has been taken yet.
 	Snapshot func() (telemetry.Snapshot, bool)
-	// Tracer, when set, feeds /events subscribers (its buffered ring is
-	// replayed as backlog on connect).
+	// Tracer, when set, feeds /events: each stream replays the buffered
+	// ring as backlog on connect, then follows it live.
 	Tracer *telemetry.Tracer
 	// Spans, when set, serves the bounded span ring at /timeline as
 	// Chrome trace-event JSON (loadable in ui.perfetto.dev).
@@ -80,32 +81,21 @@ type Options struct {
 	// Incidents, when set, serves the incident flight recorder at
 	// /incidents and /incidents/{id} (health.Recorder.Handler).
 	Incidents http.Handler
-	// SSEBuffer overrides the per-subscriber ring capacity (tests).
-	SSEBuffer int
-	// SSEKeepalive overrides the idle-stream keepalive interval for
-	// /events (0 selects DefaultSSEKeepalive, negative disables).
-	SSEKeepalive time.Duration
 }
-
-// DefaultSSEKeepalive is how often an idle /events stream emits a
-// ": keepalive" comment so proxies and test clients don't time out
-// half-open connections.
-const DefaultSSEKeepalive = 15 * time.Second
 
 // Server serves the observability endpoints on one listener.
 type Server struct {
 	srv    *http.Server
 	ln     net.Listener
-	hub    *EventHub
 	cancel context.CancelFunc
 }
 
-// NewHandler builds the route mux. The returned hub is attached to
-// o.Tracer (nil when no tracer was given).
-func NewHandler(o Options) (http.Handler, *EventHub) {
-	var hub *EventHub
+// NewHandler builds the route mux, attaching the /events wake hub to
+// o.Tracer when one is given.
+func NewHandler(o Options) http.Handler {
+	var hub *eventHub
 	if o.Tracer != nil {
-		hub = NewEventHub(o.SSEBuffer)
+		hub = &eventHub{wakes: make(map[chan struct{}]struct{})}
 		o.Tracer.AddSink(hub)
 	}
 	mux := http.NewServeMux()
@@ -210,7 +200,7 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 		}
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		serveSSE(w, r, o.Tracer, hub, o.SSEKeepalive)
+		serveSSE(w, r, o.Tracer, hub)
 	})
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
 		if o.Spans == nil {
@@ -219,7 +209,7 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 		}
 		var events []telemetry.Event
 		if o.Tracer != nil && r.URL.Query().Get("events") == "1" {
-			events = o.Tracer.Events()
+			events = o.Tracer.Tail(0)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		telemetry.WriteChromeTrace(w, o.Spans.Spans(), events)
@@ -258,7 +248,7 @@ func NewHandler(o Options) (http.Handler, *EventHub) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux, hub
+	return mux
 }
 
 func latest(o Options) (telemetry.Snapshot, bool) {
@@ -268,85 +258,6 @@ func latest(o Options) (telemetry.Snapshot, bool) {
 	return o.Snapshot()
 }
 
-// serveSSE streams trace events: the tracer's buffered ring as backlog,
-// then live events until the client disconnects. Frames carry the event
-// sequence number as the SSE id; dropped events surface as comment lines
-// so consumers can detect gaps, and idle streams emit periodic
-// ": keepalive" comments so half-open connections don't time out.
-func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer, hub *EventHub, keepalive time.Duration) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	if hub == nil || tr == nil {
-		fmt.Fprint(w, ": no tracer attached\n\n")
-		fl.Flush()
-		return
-	}
-	sub := hub.Subscribe()
-	defer hub.Unsubscribe(sub)
-	if keepalive == 0 {
-		keepalive = DefaultSSEKeepalive
-	}
-	var tick <-chan time.Time
-	if keepalive > 0 {
-		t := time.NewTicker(keepalive)
-		defer t.Stop()
-		tick = t.C
-	}
-	// Backlog: subscribe first, then replay the ring, skipping any overlap
-	// delivered through the subscription while we replayed.
-	var lastSeq uint64
-	for _, e := range tr.Events() {
-		writeSSE(w, e)
-		lastSeq = e.Seq
-	}
-	fl.Flush()
-	for {
-		events, dropped := sub.Drain()
-		if dropped > 0 {
-			fmt.Fprintf(w, ": dropped %d events (slow consumer)\n\n", dropped)
-		}
-		wrote := dropped > 0
-		for _, e := range events {
-			if e.Seq <= lastSeq {
-				continue
-			}
-			if err := writeSSE(w, e); err != nil {
-				return
-			}
-			lastSeq = e.Seq
-			wrote = true
-		}
-		if wrote {
-			fl.Flush()
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-sub.Notify():
-		case <-tick:
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
-}
-
-func writeSSE(w http.ResponseWriter, e telemetry.Event) error {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data)
-	return err
-}
-
 // New listens on addr and returns a server ready to Serve. Pass an
 // explicit port 0 to let the OS choose (Addr reports the result).
 func New(addr string, o Options) (*Server, error) {
@@ -354,7 +265,7 @@ func New(addr string, o Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obsrv: listen %s: %w", addr, err)
 	}
-	h, hub := NewHandler(o)
+	h := NewHandler(o)
 	// Request contexts derive from this base context so Shutdown can end
 	// otherwise-unbounded SSE streams.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -365,16 +276,12 @@ func New(addr string, o Options) (*Server, error) {
 			BaseContext:       func(net.Listener) context.Context { return ctx },
 		},
 		ln:     ln,
-		hub:    hub,
 		cancel: cancel,
 	}, nil
 }
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Hub returns the SSE hub (nil when no tracer was configured).
-func (s *Server) Hub() *EventHub { return s.hub }
 
 // Serve blocks serving requests until Shutdown; it returns
 // http.ErrServerClosed after a graceful shutdown.

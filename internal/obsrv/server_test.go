@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hipstr/internal/health"
 	"hipstr/internal/obsrv"
 	"hipstr/internal/telemetry"
 )
@@ -26,7 +27,7 @@ func TestEndpoints(t *testing.T) {
 	tel := telemetry.New()
 	tel.Reg.Counter("dbt.translations.x86").Add(42)
 	tel.Reg.Gauge("perf.x86.cpi").Set(1.5)
-	h, _ := obsrv.NewHandler(testOptions(tel))
+	h := obsrv.NewHandler(testOptions(tel))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -94,7 +95,7 @@ func TestTenantEndpoints(t *testing.T) {
 	src.reg.Counter("dbt.translations.x86").Add(7)
 	opts := testOptions(tel)
 	opts.Tenants = src
-	h, _ := obsrv.NewHandler(opts)
+	h := obsrv.NewHandler(opts)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -136,7 +137,7 @@ func TestTenantEndpoints(t *testing.T) {
 	}
 
 	// Without a source the drill-down is absent, not empty.
-	h2, _ := obsrv.NewHandler(testOptions(tel))
+	h2 := obsrv.NewHandler(testOptions(tel))
 	ts2 := httptest.NewServer(h2)
 	defer ts2.Close()
 	resp, err := http.Get(ts2.URL + "/tenants")
@@ -150,8 +151,8 @@ func TestTenantEndpoints(t *testing.T) {
 }
 
 func TestMetricsBeforeFirstPublish(t *testing.T) {
-	var pump obsrv.Pump
-	h, _ := obsrv.NewHandler(obsrv.Options{Snapshot: pump.Latest})
+	mon := health.NewMonitor(health.Config{})
+	h := obsrv.NewHandler(obsrv.Options{Snapshot: mon.Latest})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -160,30 +161,28 @@ func TestMetricsBeforeFirstPublish(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("pre-publish /metrics = %d, want 503", resp.StatusCode)
+		t.Fatalf("pre-observe /metrics = %d, want 503", resp.StatusCode)
 	}
-	pump.Publish(telemetry.NewRegistry().Snapshot())
+	mon.Observe(0, telemetry.NewRegistry().Snapshot())
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("post-publish /metrics = %d", resp.StatusCode)
+		t.Fatalf("post-observe /metrics = %d", resp.StatusCode)
 	}
 }
 
-// TestSSEDropOldest pins the never-block contract: a subscriber that is
-// not drained absorbs unbounded emission by discarding its oldest events,
-// and Drain reports the loss.
+// TestSSEDropOldest pins the never-block contract /events relies on: the
+// tracer ring absorbs unbounded emission by discarding its oldest events,
+// and a reader whose cursor fell behind learns how many it lost.
 func TestSSEDropOldest(t *testing.T) {
-	hub := obsrv.NewEventHub(4)
-	sub := hub.Subscribe()
-	defer hub.Unsubscribe(sub)
+	tr := telemetry.NewTracer(4)
 	for i := 1; i <= 10; i++ {
-		hub.Emit(telemetry.Event{Seq: uint64(i), Type: telemetry.EvTranslate})
+		tr.Emit(telemetry.Event{Type: telemetry.EvTranslate})
 	}
-	events, dropped := sub.Drain()
+	events, dropped := tr.Since(0)
 	if dropped != 6 {
 		t.Errorf("dropped = %d, want 6", dropped)
 	}
@@ -195,9 +194,9 @@ func TestSSEDropOldest(t *testing.T) {
 			t.Errorf("event %d: seq %d, want %d (oldest must go first)", i, e.Seq, want)
 		}
 	}
-	// Drained ring starts empty again.
-	if events, dropped = sub.Drain(); len(events) != 0 || dropped != 0 {
-		t.Errorf("second drain = %d events, %d dropped", len(events), dropped)
+	// A caught-up cursor reads nothing.
+	if events, dropped = tr.Since(10); len(events) != 0 || dropped != 0 {
+		t.Errorf("Since(10) = %d events, %d dropped", len(events), dropped)
 	}
 }
 
@@ -207,7 +206,7 @@ func TestSSEStream(t *testing.T) {
 	tel := telemetry.New()
 	tel.Trace.Emit(telemetry.Event{Type: telemetry.EvTranslate, ISA: "x86", Addr: 0x1000})
 	tel.Trace.Emit(telemetry.Event{Type: telemetry.EvRATMiss, ISA: "x86"})
-	h, _ := obsrv.NewHandler(testOptions(tel))
+	h := obsrv.NewHandler(testOptions(tel))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

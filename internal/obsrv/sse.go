@@ -1,121 +1,116 @@
 package obsrv
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"sync"
+	"time"
 
 	"hipstr/internal/telemetry"
 )
 
-// DefaultSubscriberBuffer is the per-subscriber event ring capacity.
-const DefaultSubscriberBuffer = 1024
+// sseKeepalive is how often an idle /events stream emits a ": keepalive"
+// comment so proxies and test clients don't time out half-open
+// connections.
+const sseKeepalive = 15 * time.Second
 
-// EventHub fans tracer events out to SSE subscribers. It implements
-// telemetry.Sink; Emit runs synchronously on the VM's trap paths, so it
-// must never block: each subscriber owns a bounded ring that drops its
-// oldest events when a slow consumer falls behind, and wakeups use a
-// non-blocking capacity-1 channel.
-type EventHub struct {
-	mu   sync.Mutex
-	subs map[*Subscriber]struct{}
-	cap  int
-}
-
-// NewEventHub returns a hub whose subscribers buffer up to capacity events
-// (<= 0 selects DefaultSubscriberBuffer).
-func NewEventHub(capacity int) *EventHub {
-	if capacity <= 0 {
-		capacity = DefaultSubscriberBuffer
-	}
-	return &EventHub{subs: make(map[*Subscriber]struct{}), cap: capacity}
+// eventHub wakes /events streams when the tracer emits. It is a
+// telemetry.Sink, and Emit runs synchronously on the VM's trap paths, so
+// it never blocks and never copies the event: each stream owns a
+// capacity-1 wake channel and reads the events themselves from the tracer
+// ring through its own sequence cursor.
+type eventHub struct {
+	mu    sync.Mutex
+	wakes map[chan struct{}]struct{}
 }
 
 // Emit implements telemetry.Sink.
-func (h *EventHub) Emit(e telemetry.Event) {
-	h.mu.Lock()
-	for s := range h.subs {
-		s.push(e)
-	}
-	h.mu.Unlock()
-}
-
-// Subscribe registers a new subscriber receiving events from now on.
-func (h *EventHub) Subscribe() *Subscriber {
-	s := &Subscriber{
-		buf:    make([]telemetry.Event, h.cap),
-		notify: make(chan struct{}, 1),
-	}
-	h.mu.Lock()
-	h.subs[s] = struct{}{}
-	h.mu.Unlock()
-	return s
-}
-
-// Unsubscribe detaches s; its buffered events are discarded.
-func (h *EventHub) Unsubscribe(s *Subscriber) {
-	h.mu.Lock()
-	delete(h.subs, s)
-	h.mu.Unlock()
-}
-
-// Subscribers returns the number of attached subscribers.
-func (h *EventHub) Subscribers() int {
+func (h *eventHub) Emit(telemetry.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
-// Subscriber is one SSE consumer's bounded event ring.
-type Subscriber struct {
-	mu      sync.Mutex
-	buf     []telemetry.Event
-	head    int // index of the oldest buffered event
-	n       int // buffered event count
-	dropped uint64
-	notify  chan struct{}
-}
-
-func (s *Subscriber) push(e telemetry.Event) {
-	s.mu.Lock()
-	if s.n == len(s.buf) {
-		// Ring full: overwrite the oldest (drop-oldest, never block).
-		s.buf[s.head] = e
-		s.head = (s.head + 1) % len(s.buf)
-		s.dropped++
-	} else {
-		s.buf[(s.head+s.n)%len(s.buf)] = e
-		s.n++
-	}
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
+	for wake := range h.wakes {
+		select {
+		case wake <- struct{}{}:
+		default: // a wake is already pending; that read takes this event too
+		}
 	}
 }
 
-// Notify returns the wakeup channel: a receive means Drain may have work.
-func (s *Subscriber) Notify() <-chan struct{} { return s.notify }
-
-// Drain returns the buffered events in emission order and the number of
-// events dropped since the previous Drain, clearing both.
-func (s *Subscriber) Drain() ([]telemetry.Event, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 && s.dropped == 0 {
-		return nil, 0
-	}
-	out := make([]telemetry.Event, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.buf[(s.head+i)%len(s.buf)]
-	}
-	s.head, s.n = 0, 0
-	d := s.dropped
-	s.dropped = 0
-	return out, d
+func (h *eventHub) subscribe() chan struct{} {
+	wake := make(chan struct{}, 1)
+	h.mu.Lock()
+	h.wakes[wake] = struct{}{}
+	h.mu.Unlock()
+	return wake
 }
 
-// Dropped returns the events dropped since the last Drain.
-func (s *Subscriber) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
+func (h *eventHub) unsubscribe(wake chan struct{}) {
+	h.mu.Lock()
+	delete(h.wakes, wake)
+	h.mu.Unlock()
+}
+
+// serveSSE streams trace events off the tracer ring: the buffered events
+// as backlog, then live events until the client disconnects. Frames carry
+// the event sequence number as the SSE id. Events that rotate out of the
+// ring before a slow stream reads them surface as one ": dropped N events"
+// comment, and idle streams emit periodic ": keepalive" comments so
+// half-open connections don't time out.
+func serveSSE(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer, hub *eventHub) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	if tr == nil {
+		fmt.Fprint(w, ": no tracer attached\n\n")
+		fl.Flush()
+		return
+	}
+	// Subscribe before the first read so no emit in between goes unseen.
+	wake := hub.subscribe()
+	defer hub.unsubscribe(wake)
+	keepalive := time.NewTicker(sseKeepalive)
+	defer keepalive.Stop()
+	// Start at the oldest buffered event: events that rotated out before
+	// the client connected are history, not a gap in its stream.
+	var cursor uint64
+	if n, c := tr.Emitted(), uint64(tr.Cap()); n > c {
+		cursor = n - c
+	}
+	for {
+		events, dropped := tr.Since(cursor)
+		cursor += dropped + uint64(len(events))
+		if dropped > 0 {
+			fmt.Fprintf(w, ": dropped %d events (slow consumer)\n\n", dropped)
+		}
+		for _, e := range events {
+			if err := writeSSE(w, e); err != nil {
+				return
+			}
+		}
+		fl.Flush()
+		select {
+		case <-r.Context().Done():
+			return
+		case <-wake:
+		case <-keepalive.C:
+			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
+				return
+			}
+		}
+	}
+}
+
+func writeSSE(w http.ResponseWriter, e telemetry.Event) error {
+	data, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data)
+	return err
 }

@@ -21,8 +21,8 @@ import (
 //
 // plus an optional modeled-cost attribute in microseconds (the Figure 12
 // cost model lives in modeled time, not in either clock). Completed spans
-// land in a bounded ring and fan out to sinks, mirroring the event
-// tracer's shape so obsrv and tracestat can treat both uniformly.
+// land in the same bounded ring type the event tracer uses and fan out to
+// sinks; one JSONLSink serves both tracers.
 //
 // The subsystem is strictly opt-in: a nil *SpanTracer (the default — the
 // Telemetry facade leaves Spans nil unless EnableSpans is called) makes
@@ -86,9 +86,7 @@ type SpanTracer struct {
 	cycles func() float64
 
 	mu    sync.Mutex
-	ring  []SpanEvent
-	cap   int
-	total uint64
+	ring  ring[SpanEvent]
 	sinks []SpanSink
 }
 
@@ -98,7 +96,7 @@ func NewSpanTracer(capacity int) *SpanTracer {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	return &SpanTracer{epoch: time.Now(), cap: capacity}
+	return &SpanTracer{epoch: time.Now(), ring: ring[SpanEvent]{cap: capacity}}
 }
 
 // SetCycleSource attaches the guest-cycle domain source. Pass nil to
@@ -127,7 +125,7 @@ func (st *SpanTracer) Cap() int {
 	if st == nil {
 		return 0
 	}
-	return st.cap
+	return st.ring.cap
 }
 
 // Completed returns the total number of spans completed (including any
@@ -138,34 +136,22 @@ func (st *SpanTracer) Completed() uint64 {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.total
+	return st.ring.total
 }
 
 // Spans returns the buffered completed spans in completion order.
-func (st *SpanTracer) Spans() []SpanEvent {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]SpanEvent, 0, len(st.ring))
-	if len(st.ring) < st.cap {
-		return append(out, st.ring...)
-	}
-	start := int(st.total % uint64(st.cap))
-	out = append(out, st.ring[start:]...)
-	return append(out, st.ring[:start]...)
-}
+func (st *SpanTracer) Spans() []SpanEvent { return st.Tail(0) }
 
 // Tail returns the most recent n completed spans in completion order (all
 // of them when n <= 0 or exceeds the buffer) — the flight-recorder tap
 // mirroring Tracer.Tail.
 func (st *SpanTracer) Tail(n int) []SpanEvent {
-	spans := st.Spans()
-	if n > 0 && len(spans) > n {
-		spans = spans[len(spans)-n:]
+	if st == nil {
+		return nil
 	}
-	return spans
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.ring.tail(n)
 }
 
 func (st *SpanTracer) readCycles() float64 {
@@ -280,59 +266,12 @@ func (s Span) End() {
 		ev.DurCycles = 0
 	}
 	st.mu.Lock()
-	st.total++
-	if len(st.ring) < st.cap {
-		st.ring = append(st.ring, ev)
-	} else {
-		st.ring[int((st.total-1)%uint64(st.cap))] = ev
-	}
+	st.ring.push(ev)
 	sinks := st.sinks
 	st.mu.Unlock()
 	for _, snk := range sinks {
 		snk.EmitSpan(ev)
 	}
-}
-
-// SpanJSONLSink writes each completed span as one JSON object per line;
-// the "kind":"span" field keeps the lines distinguishable from point
-// Events sharing the same stream.
-type SpanJSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	n   uint64
-	err error
-}
-
-// NewSpanJSONLSink returns a sink writing JSON lines to w.
-func NewSpanJSONLSink(w io.Writer) *SpanJSONLSink {
-	return &SpanJSONLSink{enc: json.NewEncoder(w)}
-}
-
-// EmitSpan implements SpanSink.
-func (s *SpanJSONLSink) EmitSpan(ev SpanEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(ev)
-	if s.err == nil {
-		s.n++
-	}
-}
-
-// Written returns the number of spans successfully written.
-func (s *SpanJSONLSink) Written() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Err returns the first write error, if any.
-func (s *SpanJSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // --- Chrome trace-event / Perfetto export ---------------------------------

@@ -184,25 +184,51 @@ func TestWriteChromeTraceShape(t *testing.T) {
 	}
 }
 
-// TestSpanJSONLSinkDiscriminator checks every emitted line carries the
-// "kind":"span" field tracestat keys on.
-func TestSpanJSONLSinkDiscriminator(t *testing.T) {
-	var b strings.Builder
-	sink := NewSpanJSONLSink(&b)
-	st := NewSpanTracer(4)
-	st.AddSink(sink)
-	st.StartSpan("dbt", "translate").End()
-	st.StartSpan("migrate", "migrate").End()
-	if sink.Written() != 2 || sink.Err() != nil {
-		t.Fatalf("sink wrote %d, err %v", sink.Written(), sink.Err())
-	}
-	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal([]byte(line), &probe); err != nil || probe.Kind != "span" {
-			t.Fatalf("line %q: kind %q, err %v", line, probe.Kind, err)
-		}
+// TestJSONLSinkDiscriminator checks the line kinds a JSONLSink writes:
+// span lines carry the "kind":"span" field tracestat keys on, and one sink
+// on both tracers interleaves events and spans in emission order.
+func TestJSONLSinkDiscriminator(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		events bool // also attach the sink to the event tracer
+		want   string
+	}{
+		{"spans", false, "span,span"},
+		{"events and spans", true, "event,span,event,span"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b strings.Builder
+			sink := NewJSONLSink(&b)
+			tr := NewTracer(4)
+			st := NewSpanTracer(4)
+			st.AddSink(sink)
+			if tc.events {
+				tr.AddSink(sink)
+			}
+			tr.Emit(Event{Type: EvSecurity})
+			st.StartSpan("dbt", "translate").End()
+			tr.Emit(Event{Type: EvMigrateBegin})
+			st.StartSpan("migrate", "migrate").End()
+			var kinds []string
+			for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+				var probe struct {
+					Kind string `json:"kind"`
+				}
+				if err := json.Unmarshal([]byte(line), &probe); err != nil {
+					t.Fatalf("line %q: %v", line, err)
+				}
+				if probe.Kind == "" {
+					probe.Kind = "event"
+				}
+				kinds = append(kinds, probe.Kind)
+			}
+			if got := strings.Join(kinds, ","); got != tc.want {
+				t.Fatalf("line kinds %s, want %s", got, tc.want)
+			}
+			if sink.Written() != uint64(len(kinds)) || sink.Err() != nil {
+				t.Fatalf("sink wrote %d, err %v", sink.Written(), sink.Err())
+			}
+		})
 	}
 }
 

@@ -28,6 +28,14 @@ func TestTracerTail(t *testing.T) {
 	if got := tr.Tail(100); len(got) != 8 || got[0].Detail != "e4" {
 		t.Fatalf("oversized Tail = %d events starting %q", len(got), got[0].Detail)
 	}
+	// Since reads the same ring by sequence: within it nothing is lost,
+	// behind it the rotated-out events are counted.
+	if got, dropped := tr.Since(9); len(got) != 3 || got[0].Detail != "e9" || dropped != 0 {
+		t.Fatalf("Since(9) = %d events starting %q, %d dropped", len(got), got[0].Detail, dropped)
+	}
+	if got, dropped := tr.Since(2); len(got) != 8 || got[0].Detail != "e4" || dropped != 2 {
+		t.Fatalf("Since(2) = %d events starting %q, %d dropped", len(got), got[0].Detail, dropped)
+	}
 }
 
 func TestSpanTracerTail(t *testing.T) {

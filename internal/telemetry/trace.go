@@ -66,9 +66,7 @@ type Sink interface {
 // security events), never per instruction, so a mutex is cheap enough.
 type Tracer struct {
 	mu    sync.Mutex
-	ring  []Event
-	cap   int
-	seq   uint64
+	ring  ring[Event]
 	sinks []Sink
 }
 
@@ -81,11 +79,11 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{cap: capacity}
+	return &Tracer{ring: ring[Event]{cap: capacity}}
 }
 
 // Cap returns the ring capacity.
-func (t *Tracer) Cap() int { return t.cap }
+func (t *Tracer) Cap() int { return t.ring.cap }
 
 // AddSink attaches a sink; it receives events emitted from now on.
 func (t *Tracer) AddSink(s Sink) {
@@ -97,13 +95,8 @@ func (t *Tracer) AddSink(s Sink) {
 // Emit records e, assigning its sequence number.
 func (t *Tracer) Emit(e Event) {
 	t.mu.Lock()
-	t.seq++
-	e.Seq = t.seq
-	if len(t.ring) < t.cap {
-		t.ring = append(t.ring, e)
-	} else {
-		t.ring[int((t.seq-1)%uint64(t.cap))] = e
-	}
+	e.Seq = t.ring.total + 1
+	t.ring.push(e)
 	sinks := t.sinks
 	t.mu.Unlock()
 	for _, s := range sinks {
@@ -112,11 +105,11 @@ func (t *Tracer) Emit(e Event) {
 }
 
 // Emitted returns the total number of events emitted (including any that
-// have rotated out of the ring).
+// have rotated out of the ring), which is also the newest event's Seq.
 func (t *Tracer) Emitted() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.seq
+	return t.ring.total
 }
 
 // Tail returns the most recent n buffered events in emission order (all
@@ -124,27 +117,25 @@ func (t *Tracer) Emitted() uint64 {
 // tap: an incident bundle wants the last few dozen events, not a copy of
 // the whole ring.
 func (t *Tracer) Tail(n int) []Event {
-	evs := t.Events()
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
-// Events returns the buffered events in emission order.
-func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if len(t.ring) < t.cap {
-		return append(out, t.ring...)
-	}
-	start := int(t.seq % uint64(t.cap))
-	out = append(out, t.ring[start:]...)
-	return append(out, t.ring[:start]...)
+	return t.ring.tail(n)
 }
 
-// JSONLSink writes each event as one JSON object per line.
+// Since returns the buffered events whose Seq exceeds seq, in emission
+// order, and how many such events have already rotated out of the ring.
+// A reader that passes the last Seq it saw follows the stream and learns
+// of every gap; /events streams read the ring this way.
+func (t *Tracer) Since(seq uint64) (events []Event, dropped uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ring.since(seq)
+}
+
+// JSONLSink writes each event, and each completed span, as one JSON
+// object per line. It is both a Sink and a SpanSink: one sink attached to
+// both tracers interleaves the two record kinds in emission order under
+// one mutex, and span lines carry "kind":"span" to tell them apart.
 type JSONLSink struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -158,19 +149,26 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 }
 
 // Emit implements Sink.
-func (s *JSONLSink) Emit(e Event) {
+func (s *JSONLSink) Emit(e Event) { s.write(e) }
+
+// EmitSpan implements SpanSink.
+func (s *JSONLSink) EmitSpan(ev SpanEvent) { s.write(ev) }
+
+// write encodes one record; after the first write error the sink writes
+// nothing more, and Err reports that error.
+func (s *JSONLSink) write(v any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(e)
+	s.err = s.enc.Encode(v)
 	if s.err == nil {
 		s.n++
 	}
 }
 
-// Written returns the number of events successfully written.
+// Written returns the number of records successfully written.
 func (s *JSONLSink) Written() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

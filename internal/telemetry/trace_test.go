@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestTracerRingOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{Type: EvSecurity, Addr: uint32(i)})
 	}
-	evs := tr.Events()
+	evs := tr.Tail(0)
 	if len(evs) != 4 {
 		t.Fatalf("ring holds %d, want 4", len(evs))
 	}
@@ -50,6 +51,62 @@ func TestJSONLSink(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("JSONL has %d lines, want 2", n)
+	}
+}
+
+// failingWriter accepts its first budget bytes, then fails every write.
+type failingWriter struct {
+	budget int
+	writes int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if len(p) > w.budget {
+		n := w.budget
+		w.budget = 0
+		return n, errors.New("disk full")
+	}
+	w.budget -= len(p)
+	return len(p), nil
+}
+
+// TestJSONLSinkStopsAtWriteError: the first failed write sticks in Err and
+// the sink writes nothing after it, for events and spans alike.
+func TestJSONLSinkStopsAtWriteError(t *testing.T) {
+	for _, kind := range []string{"events", "spans"} {
+		t.Run(kind, func(t *testing.T) {
+			w := &failingWriter{budget: 200}
+			sink := NewJSONLSink(w)
+			tr := NewTracer(0)
+			tr.AddSink(sink)
+			st := NewSpanTracer(0)
+			st.AddSink(sink)
+			emit := func() {
+				if kind == "events" {
+					tr.Emit(Event{Type: EvTranslate, ISA: "x86", Cost: 1})
+				} else {
+					st.StartSpan("dbt", "translate").End()
+				}
+			}
+			for i := 0; i < 100 && sink.Err() == nil; i++ {
+				emit()
+			}
+			if sink.Err() == nil {
+				t.Fatal("a 200-byte writer never failed")
+			}
+			written, writes := sink.Written(), w.writes
+			if written == 0 {
+				t.Fatal("no record written before the failure")
+			}
+			for i := 0; i < 5; i++ {
+				emit()
+			}
+			if sink.Written() != written || w.writes != writes {
+				t.Fatalf("sink kept writing after its error: %d records, %d writes (was %d, %d)",
+					sink.Written(), w.writes, written, writes)
+			}
+		})
 	}
 }
 
