@@ -16,12 +16,12 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
-	"time"
+	"syscall"
 
 	"hipstr"
+	"hipstr/internal/obsrv"
 )
 
 func main() {
@@ -73,9 +73,9 @@ func main() {
 		spans = tel.EnableSpans(0)
 	}
 
-	// Ctrl-C cancels mid-sweep: in-flight cells finish, the rest are
-	// skipped, and the run reports the cancellation.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// Ctrl-C or SIGTERM cancels mid-sweep: in-flight cells finish, the
+	// rest are skipped, and the run reports the cancellation.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// The suite registry carries no collectors (experiments publish series
@@ -83,7 +83,7 @@ func main() {
 	// goroutine, unlike hipstr-run, which serves its health monitor's
 	// latest observed snapshot.
 	if *listen != "" {
-		srv, err := hipstr.NewObservabilityServer(*listen, hipstr.ObservabilityOptions{
+		srv, err := obsrv.Start(*listen, obsrv.Options{
 			Snapshot: func() (hipstr.MetricsSnapshot, bool) { return tel.Snapshot(), true },
 			Tracer:   tel.Trace,
 			Spans:    spans,
@@ -92,16 +92,9 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("observability: serving http://%s/\n", srv.Addr())
-		go func() {
-			if err := srv.Serve(); err != nil && err != http.ErrServerClosed {
-				log.Fatal(err)
-			}
-		}()
 		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				log.Printf("observability shutdown: %v", err)
+			if err := srv.Close(); err != nil {
+				log.Printf("observability: %v", err)
 			}
 		}()
 	}
@@ -119,28 +112,17 @@ func main() {
 	}
 
 	if *timelineOut != "" {
-		f, err := os.Create(*timelineOut)
+		err := obsrv.WriteFile(*timelineOut, func(f io.Writer) error {
+			return hipstr.WriteChromeTrace(f, spans.Spans(), nil)
+		})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := hipstr.WriteChromeTrace(f, spans.Spans(), nil); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(w, "timeline written to %s (%d spans; open in ui.perfetto.dev)\n",
 			*timelineOut, spans.Completed())
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.Snapshot().WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := obsrv.WriteFile(*metricsOut, tel.Snapshot().WriteJSON); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(w, "metrics artifact written to %s\n", *metricsOut)

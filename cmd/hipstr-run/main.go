@@ -11,15 +11,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"hipstr"
 	"hipstr/internal/health"
@@ -32,23 +32,40 @@ import (
 )
 
 func main() {
-	name := flag.String("workload", "libquantum", "benchmark to run")
-	mode := flag.String("mode", "hipstr", "native | psr | hipstr")
-	isaName := flag.String("isa", "x86", "ISA to run on (native) or start on (psr/hipstr): x86 | arm")
-	steps := flag.Uint64("steps", 50_000_000, "instruction budget")
-	seed := flag.Int64("seed", 1, "randomization seed")
-	metricsOut := flag.String("metrics-out", "", "write the final metrics snapshot as JSON to this file")
-	traceOut := flag.String("trace-out", "", "stream trace events to this file as JSON lines")
-	timelineOut := flag.String("timeline-out", "", "write the span timeline as Chrome trace JSON (open in ui.perfetto.dev)")
-	interval := flag.Uint64("report-interval", 10_000_000, "print live stats every N instructions (0 = only at exit)")
-	listen := flag.String("listen", "", "serve live observability endpoints on this address (e.g. 127.0.0.1:9120)")
-	linger := flag.Bool("linger", true, "with -listen, keep serving after the run until Ctrl-C (use -linger=false for scripted runs)")
-	profileOut := flag.String("profile-out", "", "write folded flamegraph stacks of the guest-cycle profile to this file")
-	profileInterval := flag.Uint64("profile-interval", profiler.DefaultInterval, "guest-cycle sampling period in instructions")
-	flag.Parse()
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command: it parses args, executes the workload until
+// the budget is spent, the guest exits or ctx is canceled, prints to
+// stdout, writes the requested artifacts, and returns once the
+// observability server (if any) has stopped.
+func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("hipstr-run", flag.ContinueOnError)
+	name := fs.String("workload", "libquantum", "benchmark to run")
+	mode := fs.String("mode", "hipstr", "native | psr | hipstr")
+	isaName := fs.String("isa", "x86", "ISA to run on (native) or start on (psr/hipstr): x86 | arm")
+	steps := fs.Uint64("steps", 50_000_000, "instruction budget")
+	seed := fs.Int64("seed", 1, "randomization seed")
+	metricsOut := fs.String("metrics-out", "", "write the final metrics snapshot as JSON to this file")
+	traceOut := fs.String("trace-out", "", "stream trace events to this file as JSON lines")
+	timelineOut := fs.String("timeline-out", "", "write the span timeline as Chrome trace JSON (open in ui.perfetto.dev)")
+	interval := fs.Uint64("report-interval", 10_000_000, "print live stats every N instructions (0 = only at exit)")
+	listen := fs.String("listen", "", "serve live observability endpoints on this address (e.g. 127.0.0.1:9120)")
+	linger := fs.Bool("linger", true, "with -listen, keep serving after the run until Ctrl-C (use -linger=false for scripted runs)")
+	profileOut := fs.String("profile-out", "", "write folded flamegraph stacks of the guest-cycle profile to this file")
+	profileInterval := fs.Uint64("profile-interval", profiler.DefaultInterval, "guest-cycle sampling period in instructions")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	startISA, err := parseISA(*isaName)
+	if err != nil {
+		return err
+	}
 
 	tel := hipstr.NewTelemetry()
 	// Span tracing is strictly opt-in: without -timeline-out or -listen the
@@ -61,7 +78,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		// One sink takes both tracers' records; tracestat tells the line
@@ -75,12 +92,7 @@ func main() {
 
 	bin, err := hipstr.CompileWorkload(*name)
 	if err != nil {
-		log.Fatal(err)
-	}
-
-	startISA, err := parseISA(*isaName)
-	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The profiler is strictly opt-in: without -profile-out or -listen no
@@ -100,7 +112,7 @@ func main() {
 	case "native":
 		p, err := hipstr.RunNative(bin, startISA)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// One timing model per ISA of the heterogeneous CMP; the core the
 		// process boots on drives the dispatch loop, the sibling registers
@@ -128,16 +140,16 @@ func main() {
 			return ran, p.Exited, err
 		}
 		finish = func() {
-			fmt.Printf("native: %d instructions, exited=%v code=%d writes=%d\n",
+			fmt.Fprintf(stdout, "native: %d instructions, exited=%v code=%d writes=%d\n",
 				model.Counts.Instrs, p.Exited, p.ExitCode, len(p.Trace))
-			fmt.Printf("  cycles=%.0f cpi=%.3f est=%.3fms on %s\n",
+			fmt.Fprintf(stdout, "  cycles=%.0f cpi=%.3f est=%.3fms on %s\n",
 				model.Cycles, model.CPI(), model.Seconds()*1e3, model.Core.Name)
-			fmt.Printf("  icache miss=%s dcache miss=%s bpred mispredict=%s\n",
+			fmt.Fprintf(stdout, "  icache miss=%s dcache miss=%s bpred mispredict=%s\n",
 				ratio(model.ICache.Misses, model.ICache.Hits()+model.ICache.Misses),
 				ratio(model.DCache.Misses, model.DCache.Hits()+model.DCache.Misses),
 				ratio(model.Bpred.Mispredicts, model.Bpred.Lookups))
-			printBlockStats(p.M.BlockStats())
-			printFusionStats(p.M.FusionStats())
+			printBlockStats(stdout, p.M.BlockStats())
+			printFusionStats(stdout, p.M.FusionStats())
 		}
 	case "psr", "hipstr":
 		cfg := hipstr.Defaults()
@@ -149,7 +161,7 @@ func main() {
 		}
 		s, err := hipstr.Protect(bin, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if spans != nil {
 			// Guest-cycle span domain: no timing model is attached under the
@@ -174,23 +186,23 @@ func main() {
 		}
 		finish = func() {
 			st := s.VM.Stats
-			fmt.Printf("%s: exited=%v code=%d\n", *mode, s.Exited(), s.ExitCode())
-			fmt.Printf("  translations x86=%d arm=%d, indirect dispatches=%d\n",
+			fmt.Fprintf(stdout, "%s: exited=%v code=%d\n", *mode, s.Exited(), s.ExitCode())
+			fmt.Fprintf(stdout, "  translations x86=%d arm=%d, indirect dispatches=%d\n",
 				st.Translations[hipstr.X86], st.Translations[hipstr.ARM], st.IndirectDispatch)
-			fmt.Printf("  security events=%d, migrations=%d, kills=%d, flushes=%d\n",
+			fmt.Fprintf(stdout, "  security events=%d, migrations=%d, kills=%d, flushes=%d\n",
 				st.SecurityEvents, st.Migrations, st.Kills, st.Flushes)
-			fmt.Printf("  shared units: %d hits, %d misses, %d installs, %d bytes saved\n",
+			fmt.Fprintf(stdout, "  shared units: %d hits, %d misses, %d installs, %d bytes saved\n",
 				st.SharedHits, st.SharedMisses, st.SharedInstalls, st.SharedBytesSaved)
-			fmt.Printf("  cow: %d pages still shared, %d pages broken\n",
+			fmt.Fprintf(stdout, "  cow: %d pages still shared, %d pages broken\n",
 				s.VM.P.Mem.SharedPages(), s.VM.P.Mem.CowBroken())
 			rat := s.VM.RATOf(s.Active())
-			fmt.Printf("  RAT: %d lookups, %d misses (active core: %s)\n",
+			fmt.Fprintf(stdout, "  RAT: %d lookups, %d misses (active core: %s)\n",
 				rat.Lookups, rat.Misses, s.Active())
-			printBlockStats(s.VM.P.M.BlockStats())
-			printFusionStats(s.VM.P.M.FusionStats())
+			printBlockStats(stdout, s.VM.P.M.BlockStats())
+			printFusionStats(stdout, s.VM.P.M.FusionStats())
 		}
 	default:
-		log.Fatalf("unknown mode %q", *mode)
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
 	// The observability server never touches VM state: this goroutine
@@ -234,16 +246,16 @@ func main() {
 		if prof != nil {
 			opts.Profile = func() (profiler.Report, bool) { return prof.Report(), true }
 		}
-		srv, err = obsrv.New(*listen, opts)
+		srv, err = obsrv.Start(*listen, opts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("observability: serving http://%s/ (metrics, stats.json, events, profile, debug/pprof)\n", srv.Addr())
-		go func() {
-			if err := srv.Serve(); err != nil && err != http.ErrServerClosed {
-				log.Fatal(err)
+		defer func() {
+			if cerr := srv.Close(); err == nil {
+				err = cerr
 			}
 		}()
+		fmt.Fprintf(stdout, "observability: serving http://%s/ (metrics, stats.json, events, profile, debug/pprof)\n", srv.Addr())
 		mon.ObserveNow(tel.Snapshot())
 	}
 
@@ -269,13 +281,13 @@ func main() {
 				mon.ObserveNow(snap)
 			}
 			if due {
-				reportLive(*mode, startISA.String(), total, snap, snap.Delta(prev))
+				reportLive(stdout, *mode, startISA.String(), total, snap, snap.Delta(prev))
 				prev = snap
 				lastReport = total
 			}
 		}
 		if err != nil {
-			fmt.Printf("stopped after %d instructions: %v\n", total, err)
+			fmt.Fprintf(stdout, "stopped after %d instructions: %v\n", total, err)
 			break
 		}
 		if exited || ran == 0 {
@@ -283,94 +295,70 @@ func main() {
 		}
 	}
 	if ctx.Err() != nil {
-		fmt.Printf("interrupted after %d instructions\n", total)
+		fmt.Fprintf(stdout, "interrupted after %d instructions\n", total)
 	}
 	finish()
 	if mon != nil {
 		mon.ObserveNow(tel.Snapshot())
 		if opened, resolved, _ := mon.Recorder.Counts(); opened > 0 {
-			fmt.Printf("health: %d incidents opened, %d resolved (see /incidents)\n",
+			fmt.Fprintf(stdout, "health: %d incidents opened, %d resolved (see /incidents)\n",
 				opened, resolved)
 		}
 	}
 
 	if prof != nil {
 		rep := prof.Report()
-		fmt.Printf("profile: %d samples, %.1f%% of %.3e cycles attributed to guest functions\n",
+		fmt.Fprintf(stdout, "profile: %d samples, %.1f%% of %.3e cycles attributed to guest functions\n",
 			rep.Samples, 100*rep.AttributedRatio, rep.TotalCycles)
 		if *profileOut != "" {
-			f, err := os.Create(*profileOut)
-			if err != nil {
-				log.Fatal(err)
+			if err := obsrv.WriteFile(*profileOut, rep.WriteFolded); err != nil {
+				return err
 			}
-			if err := rep.WriteFolded(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("folded profile written to %s\n", *profileOut)
+			fmt.Fprintf(stdout, "folded profile written to %s\n", *profileOut)
 		}
 	}
 	if *timelineOut != "" {
-		f, err := os.Create(*timelineOut)
+		err := obsrv.WriteFile(*timelineOut, func(w io.Writer) error {
+			return hipstr.WriteChromeTrace(w, spans.Spans(), tel.Trace.Tail(0))
+		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := hipstr.WriteChromeTrace(f, spans.Spans(), tel.Trace.Tail(0)); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("timeline written to %s (%d spans; open in ui.perfetto.dev)\n",
+		fmt.Fprintf(stdout, "timeline written to %s (%d spans; open in ui.perfetto.dev)\n",
 			*timelineOut, spans.Completed())
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
+		if err := obsrv.WriteFile(*metricsOut, tel.Snapshot().WriteJSON); err != nil {
+			return err
 		}
-		if err := tel.Snapshot().WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
+		fmt.Fprintf(stdout, "metrics snapshot written to %s\n", *metricsOut)
 	}
 	if traceSink != nil {
 		if err := traceSink.Err(); err != nil {
-			log.Fatalf("trace-out %s: %v", *traceOut, err)
+			return fmt.Errorf("trace-out %s: %w", *traceOut, err)
 		}
-		fmt.Printf("trace written to %s (%d events emitted)\n", *traceOut, tel.Trace.Emitted())
+		fmt.Fprintf(stdout, "trace written to %s (%d events emitted)\n", *traceOut, tel.Trace.Emitted())
 	}
 
 	// Linger so late scrapers (dashboards, CI curl loops) can read the
 	// final state; Ctrl-C / SIGTERM exits gracefully, and -linger=false
 	// skips the wait entirely for scripted runs.
-	if srv != nil {
-		if *linger && ctx.Err() == nil {
-			fmt.Printf("run complete; observability server still on http://%s/ (Ctrl-C to exit)\n", srv.Addr())
-			<-ctx.Done()
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("observability shutdown: %v", err)
-		}
+	if srv != nil && *linger && ctx.Err() == nil {
+		fmt.Fprintf(stdout, "run complete; observability server still on http://%s/ (Ctrl-C to exit)\n", srv.Addr())
+		<-ctx.Done()
 	}
+	return nil
 }
 
 // reportLive prints one compact live-stats line from the current snapshot
 // and the delta since the previous report. core names the ISA whose perf
 // series native mode reads (the core the process runs on).
-func reportLive(mode, core string, total uint64, snap, delta hipstr.MetricsSnapshot) {
+func reportLive(w io.Writer, mode, core string, total uint64, snap, delta hipstr.MetricsSnapshot) {
 	blkHit := ratio(snap.Counters["machine.blockcache.hits"],
 		snap.Counters["machine.blockcache.hits"]+snap.Counters["machine.blockcache.misses"])
 	if mode == "native" {
 		pfx := "perf." + core
-		fmt.Printf("[%12d] cycles=%.3e cpi=%.3f icache-miss=%s dcache-miss=%s bpred-mis=%s blk-hit=%s\n",
+		fmt.Fprintf(w, "[%12d] cycles=%.3e cpi=%.3f icache-miss=%s dcache-miss=%s bpred-mis=%s blk-hit=%s\n",
 			total,
 			snap.Gauges[pfx+".cycles"], snap.Gauges[pfx+".cpi"],
 			ratio(snap.Counters[pfx+".icache.misses"],
@@ -383,7 +371,7 @@ func reportLive(mode, core string, total uint64, snap, delta hipstr.MetricsSnaps
 	}
 	ratLookups := snap.Counters["dbt.rat.x86.lookups"] + snap.Counters["dbt.rat.arm.lookups"]
 	ratMisses := snap.Counters["dbt.rat.x86.misses"] + snap.Counters["dbt.rat.arm.misses"]
-	fmt.Printf("[%12d] translations=%d(+%d) sec-events=%d(+%d) migrations=%d(+%d) rat-hit=%s blk-hit=%s cache-occ=%.1f%%/%.1f%%\n",
+	fmt.Fprintf(w, "[%12d] translations=%d(+%d) sec-events=%d(+%d) migrations=%d(+%d) rat-hit=%s blk-hit=%s cache-occ=%.1f%%/%.1f%%\n",
 		total,
 		snap.Counters["dbt.translations.x86"]+snap.Counters["dbt.translations.arm"],
 		delta.Counters["dbt.translations.x86"]+delta.Counters["dbt.translations.arm"],
@@ -395,8 +383,8 @@ func reportLive(mode, core string, total uint64, snap, delta hipstr.MetricsSnaps
 
 // printBlockStats prints the final block-cache line, splitting invalidations
 // into partial (page/range-scoped) and full (whole-cache) reconciles.
-func printBlockStats(bs machine.BlockCacheStats) {
-	fmt.Printf("  block cache: %d blocks, hit=%s, %d invalidations (%d partial, %d full), %d blocks evicted\n",
+func printBlockStats(w io.Writer, bs machine.BlockCacheStats) {
+	fmt.Fprintf(w, "  block cache: %d blocks, hit=%s, %d invalidations (%d partial, %d full), %d blocks evicted\n",
 		bs.Blocks, ratio(bs.Hits, bs.Hits+bs.Misses),
 		bs.Invalidations, bs.PartialInvalidations, bs.FullInvalidations, bs.BlocksEvicted)
 }
@@ -404,8 +392,8 @@ func printBlockStats(bs machine.BlockCacheStats) {
 // printFusionStats prints the superinstruction/batched-timing summary: how
 // many instruction pairs were fused at predecode, and how block dispatches
 // split between fused dispatch and budget tails single-stepped through Step.
-func printFusionStats(fs machine.FusionStats) {
-	fmt.Printf("  fusion: %d pairs fused, blocks batched=%s (%d batched, %d exact), %d batched commits\n",
+func printFusionStats(w io.Writer, fs machine.FusionStats) {
+	fmt.Fprintf(w, "  fusion: %d pairs fused, blocks batched=%s (%d batched, %d exact), %d batched commits\n",
 		fs.PairsFused, ratio(fs.BatchedBlocks, fs.BatchedBlocks+fs.ExactBlocks),
 		fs.BatchedBlocks, fs.ExactBlocks, fs.Commits)
 }

@@ -45,7 +45,6 @@ import (
 	"hipstr/internal/gadget"
 	"hipstr/internal/isa"
 	"hipstr/internal/migrate"
-	"hipstr/internal/obsrv"
 	"hipstr/internal/perf"
 	"hipstr/internal/proc"
 	"hipstr/internal/profiler"
@@ -234,21 +233,6 @@ type ProfileReport = profiler.Report
 // (timing-model cycles), and SetClassResolver (code-cache PC mapping,
 // e.g. dbt.VM.ResolvePCClass).
 func NewProfiler(bin *Binary, interval uint64) *Profiler { return profiler.New(bin, interval) }
-
-// ObservabilityOptions configures the embedded observability server's
-// endpoints (/metrics, /stats.json, /events, /profile, /healthz,
-// /debug/pprof/).
-type ObservabilityOptions = obsrv.Options
-
-// ObservabilityServer serves live telemetry over HTTP while a simulation
-// runs.
-type ObservabilityServer = obsrv.Server
-
-// NewObservabilityServer listens on addr and serves the configured
-// observability endpoints (call Serve to start, Shutdown to stop).
-func NewObservabilityServer(addr string, o ObservabilityOptions) (*ObservabilityServer, error) {
-	return obsrv.New(addr, o)
-}
 
 // Fleet is a multi-tenant host: it admits guest VMs forked from
 // per-workload prototype snapshots (warm admission) and executes them on

@@ -12,11 +12,6 @@ import (
 // zero, uncontended latency) trips none of them, which the no-storm
 // incident tests pin — and every rule carries open/resolve hysteresis so
 // a single-sample spike cannot flap an incident.
-//
-// Rules over machine.* series are inert on the fleet registry (those
-// series live in per-VM registries) but fire when the same rule set runs
-// under hipstr-run's single-VM monitor; a rule whose series is absent
-// simply never evaluates true.
 func DefaultHealthRules() []health.Rule {
 	return []health.Rule{
 		{
@@ -55,30 +50,6 @@ func DefaultHealthRules() []health.Rule {
 			Severity:    "warn",
 			OffenderKey: "latency_us",
 			Description: "tenant latency p99 above the 2s objective for most of the window: the error budget is burning, not blipping",
-		},
-		{
-			Name:        "code-cache-thrash",
-			Series:      "machine.blockcache.invalidations.full",
-			Kind:        health.KindRate,
-			Threshold:   50, // whole-cache reconciles/sec
-			Window:      5 * time.Second,
-			For:         time.Second,
-			Cooldown:    2 * time.Second,
-			Severity:    "warn",
-			OffenderKey: "respawns",
-			Description: "full block-cache invalidations sustained: the code cache is being rebuilt wholesale instead of patched",
-		},
-		{
-			Name:        "code-cache-evict-churn",
-			Series:      "machine.blockcache.evicted",
-			Kind:        health.KindRate,
-			Threshold:   5000, // evicted blocks/sec
-			Window:      5 * time.Second,
-			For:         time.Second,
-			Cooldown:    2 * time.Second,
-			Severity:    "warn",
-			OffenderKey: "respawns",
-			Description: "block eviction churn: translations are being thrown away about as fast as they are made (undersized cache)",
 		},
 		{
 			Name:        "injector-starvation",

@@ -61,6 +61,20 @@ func monitorHost(t *testing.T, cfg Config, n int, interval time.Duration,
 	return h, mon
 }
 
+// TestDefaultHealthRulesSeriesExist: every built-in fleet rule reads a
+// series the aggregate registry actually carries. A rule over a series
+// that lives only in per-VM registries would evaluate healthy forever.
+func TestDefaultHealthRulesSeriesExist(t *testing.T) {
+	snap := runFleet(t, quotaConfig(2), 8).Telemetry().Snapshot()
+	for _, r := range DefaultHealthRules() {
+		_, counter := snap.Counters[r.Series]
+		_, gauge := snap.Gauges[r.Series]
+		if !counter && !gauge {
+			t.Errorf("rule %s reads %s, which the fleet registry does not carry", r.Name, r.Series)
+		}
+	}
+}
+
 // TestFleetRespawnStormIncident is the health engine's end-to-end
 // acceptance: a fleet under heavy attack injection must open the built-in
 // respawn-storm incident with offender tenants and the triggering series

@@ -24,10 +24,10 @@ import (
 	"hipstr/internal/telemetry"
 )
 
-// Defaults bounding the history ring's memory: WindowSamples rows of up
-// to MaxSeries float64 columns (plus one shared name index), so the worst
-// case is WindowSamples*MaxSeries*8 bytes regardless of how long the
-// process runs or how many series the registry grows.
+// Bounds on a Monitor's history ring: DefaultWindowSamples rows of up to
+// DefaultMaxSeries float64 columns (plus one shared name index), so the
+// worst case is DefaultWindowSamples*DefaultMaxSeries*8 bytes regardless
+// of how long the process runs or how many series the registry grows.
 const (
 	DefaultWindowSamples = 512
 	DefaultMaxSeries     = 4096
@@ -60,15 +60,8 @@ type History struct {
 }
 
 // NewHistory returns a history ring keeping the last windowSamples
-// snapshots across at most maxSeries distinct series (<= 0 selects the
-// defaults).
+// snapshots across at most maxSeries distinct series.
 func NewHistory(windowSamples, maxSeries int) *History {
-	if windowSamples <= 0 {
-		windowSamples = DefaultWindowSamples
-	}
-	if maxSeries <= 0 {
-		maxSeries = DefaultMaxSeries
-	}
 	return &History{
 		capacity:  windowSamples,
 		maxSeries: maxSeries,

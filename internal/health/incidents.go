@@ -13,7 +13,8 @@ import (
 	"hipstr/internal/telemetry"
 )
 
-// Defaults bounding the incident store and per-bundle forensic captures.
+// Bounds on the incident store (oldest resolved incidents are evicted
+// first) and on each bundle's trace captures and offender list.
 const (
 	DefaultMaxIncidents = 64
 	DefaultTailEvents   = 128
@@ -75,14 +76,6 @@ func (inc *Incident) Duration(nowNS int64) time.Duration {
 // RecorderConfig wires the flight recorder's forensic sources. Every
 // field is optional: a nil source just leaves its bundle section empty.
 type RecorderConfig struct {
-	// MaxIncidents bounds the in-memory incident store (0 = default);
-	// the oldest resolved incidents are evicted first.
-	MaxIncidents int
-	// TailEvents / TailSpans bound the per-bundle trace captures.
-	TailEvents int
-	TailSpans  int
-	// OffenderK bounds the per-bundle offender list.
-	OffenderK int
 	// Events taps the most recent n trace events (telemetry.Tracer.Tail).
 	Events func(n int) []telemetry.Event
 	// Spans taps the most recent n completed spans (SpanTracer.Tail).
@@ -118,18 +111,6 @@ type Recorder struct {
 
 // NewRecorder returns a recorder with cfg's sources wired.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.MaxIncidents <= 0 {
-		cfg.MaxIncidents = DefaultMaxIncidents
-	}
-	if cfg.TailEvents <= 0 {
-		cfg.TailEvents = DefaultTailEvents
-	}
-	if cfg.TailSpans <= 0 {
-		cfg.TailSpans = DefaultTailSpans
-	}
-	if cfg.OffenderK <= 0 {
-		cfg.OffenderK = DefaultOffenderK
-	}
 	return &Recorder{cfg: cfg}
 }
 
@@ -154,13 +135,13 @@ func (r *Recorder) Open(rule Rule, value float64, h *History, nowNS int64) *Inci
 		inc.Window = pts
 	}
 	if r.cfg.Events != nil {
-		inc.Events = r.cfg.Events(r.cfg.TailEvents)
+		inc.Events = r.cfg.Events(DefaultTailEvents)
 	}
 	if r.cfg.Spans != nil {
-		inc.Spans = r.cfg.Spans(r.cfg.TailSpans)
+		inc.Spans = r.cfg.Spans(DefaultTailSpans)
 	}
 	if r.cfg.Tenants != nil {
-		inc.Offenders = topOffenders(r.cfg.Tenants, rule.OffenderKey, r.cfg.OffenderK)
+		inc.Offenders = topOffenders(r.cfg.Tenants, rule.OffenderKey, DefaultOffenderK)
 	}
 	if r.cfg.Profile != nil {
 		if top, ok := r.cfg.Profile(); ok {
@@ -224,7 +205,7 @@ func (r *Recorder) Resolve(inc *Incident, nowNS int64) {
 // evictLocked enforces the store bound, dropping oldest resolved
 // incidents first, then oldest open ones. Caller holds mu.
 func (r *Recorder) evictLocked() {
-	for len(r.incidents) > r.cfg.MaxIncidents {
+	for len(r.incidents) > DefaultMaxIncidents {
 		at := -1
 		for i, inc := range r.incidents {
 			if !inc.Open() {

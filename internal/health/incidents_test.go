@@ -43,7 +43,6 @@ func TestIncidentBundleCapture(t *testing.T) {
 	rec := NewRecorder(RecorderConfig{
 		Events:     tel.Trace.Tail,
 		Tenants:    testTenants(),
-		OffenderK:  3,
 		Profile:    func() (string, bool) { return "top table", true },
 		HostConfig: map[string]any{"guests": 4},
 	})
@@ -62,7 +61,7 @@ func TestIncidentBundleCapture(t *testing.T) {
 	if len(inc.Events) != 5 {
 		t.Fatalf("captured %d events, want 5", len(inc.Events))
 	}
-	// Offenders: respawns desc, zero-score t3 excluded, K=3 keeps all
+	// Offenders: respawns desc, zero-score t3 excluded, K keeps all three
 	// nonzero; ties (t1/t4 at 2) break by steps desc.
 	if len(inc.Offenders) != 3 {
 		t.Fatalf("offenders: %+v", inc.Offenders)
@@ -80,20 +79,21 @@ func TestIncidentBundleCapture(t *testing.T) {
 }
 
 func TestRecorderBounded(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{MaxIncidents: 4})
+	rec := NewRecorder(RecorderConfig{})
 	h := NewHistory(4, 4)
 	rule := Rule{Name: "r", Series: "g", Kind: KindThreshold, Threshold: 1}
+	const n = DefaultMaxIncidents + 6
 	var open *Incident
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		inc := rec.Open(rule, float64(i), h, int64(i))
-		if i == 7 {
-			open = inc // leave #8 open
+		if i == n-3 {
+			open = inc // leave one open, with two more opened after it
 		} else {
 			rec.Resolve(inc, int64(i)+1)
 		}
 	}
 	opened, resolved, stored := rec.Counts()
-	if opened != 10 || resolved != 9 || stored != 4 {
+	if opened != n || resolved != n-1 || stored != DefaultMaxIncidents {
 		t.Fatalf("counts: opened=%d resolved=%d stored=%d", opened, resolved, stored)
 	}
 	// Eviction drops oldest resolved first: the open incident survives even
@@ -146,6 +146,28 @@ func TestRecorderArtifacts(t *testing.T) {
 	}
 	if first.ResolvedNS != 0 || last.ResolvedNS != 3*secNS {
 		t.Fatalf("jsonl transitions: open=%+v resolve=%+v", first, last)
+	}
+}
+
+// TestRecorderDumpErr: a Dir that cannot be created (its parent is a
+// regular file) leaves the incident in memory and surfaces the failure
+// through DumpErr, which hosts turn into a failing exit.
+func TestRecorderDumpErr(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(RecorderConfig{Dir: filepath.Join(file, "incidents")})
+	if err := rec.DumpErr(); err != nil {
+		t.Fatalf("DumpErr before any incident = %v", err)
+	}
+	rule := Rule{Name: "r", Series: "g", Kind: KindThreshold, Threshold: 1}
+	inc := rec.Open(rule, 5, NewHistory(4, 4), secNS)
+	if rec.DumpErr() == nil {
+		t.Fatal("DumpErr = nil after Open under a regular file")
+	}
+	if _, ok := rec.Incident(inc.ID); !ok {
+		t.Fatal("incident dropped from the store after a failed dump")
 	}
 }
 

@@ -7,12 +7,9 @@ import (
 	"hipstr/internal/telemetry"
 )
 
-// Config assembles a Monitor: history bounds, the rule set, and the
-// flight recorder's forensic sources.
+// Config assembles a Monitor: the rule set and the flight recorder's
+// forensic sources. The history ring keeps the default bounds.
 type Config struct {
-	// WindowSamples / MaxSeries bound the history ring (0 = defaults).
-	WindowSamples int
-	MaxSeries     int
 	// Rules is the declarative SLO/anomaly rule set.
 	Rules []Rule
 	// Recorder wires the forensic sources and artifact dir.
@@ -43,7 +40,7 @@ func NewMonitor(cfg Config) *Monitor {
 		tel := cfg.Telemetry
 		cfg.Recorder.Emit = func(e telemetry.Event) { tel.Emit(e) }
 	}
-	h := NewHistory(cfg.WindowSamples, cfg.MaxSeries)
+	h := NewHistory(DefaultWindowSamples, DefaultMaxSeries)
 	rec := NewRecorder(cfg.Recorder)
 	m := &Monitor{
 		History:  h,

@@ -15,9 +15,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -88,6 +90,8 @@ type Server struct {
 	srv    *http.Server
 	ln     net.Listener
 	cancel context.CancelFunc
+	done   chan struct{} // closed when the serve goroutine exits
+	err    error         // why serving stopped, unless Close stopped it
 }
 
 // NewHandler builds the route mux, attaching the /events wake hub to
@@ -144,14 +148,14 @@ func NewHandler(o Options) http.Handler {
 	})
 	mux.HandleFunc("/history", func(w http.ResponseWriter, r *http.Request) {
 		if o.History == nil {
-			http.Error(w, "health engine not attached (hipstr-fleet -health-interval 0 disables it)", http.StatusNotFound)
+			http.Error(w, "health engine not attached", http.StatusNotFound)
 			return
 		}
 		o.History.ServeHTTP(w, r)
 	})
 	incidents := func(w http.ResponseWriter, r *http.Request) {
 		if o.Incidents == nil {
-			http.Error(w, "health engine not attached (hipstr-fleet -health-interval 0 disables it)", http.StatusNotFound)
+			http.Error(w, "health engine not attached", http.StatusNotFound)
 			return
 		}
 		o.Incidents.ServeHTTP(w, r)
@@ -258,39 +262,72 @@ func latest(o Options) (telemetry.Snapshot, bool) {
 	return o.Snapshot()
 }
 
-// New listens on addr and returns a server ready to Serve. Pass an
-// explicit port 0 to let the OS choose (Addr reports the result).
-func New(addr string, o Options) (*Server, error) {
+// shutdownGrace bounds how long Close lets in-flight requests finish.
+const shutdownGrace = 3 * time.Second
+
+// Start listens on addr and serves the endpoints on the server's own
+// goroutine until Close. Pass an explicit port 0 to let the OS choose
+// (Addr reports the result).
+func Start(addr string, o Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obsrv: listen %s: %w", addr, err)
 	}
-	h := NewHandler(o)
-	// Request contexts derive from this base context so Shutdown can end
+	// Request contexts derive from this base context so Close can end
 	// otherwise-unbounded SSE streams.
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		srv: &http.Server{
-			Handler:           h,
+			Handler:           NewHandler(o),
 			ReadHeaderTimeout: 5 * time.Second,
 			BaseContext:       func(net.Listener) context.Context { return ctx },
 		},
 		ln:     ln,
 		cancel: cancel,
-	}, nil
+		done:   make(chan struct{}),
+	}
+	go func() {
+		defer close(s.done)
+		if err := s.srv.Serve(ln); err != http.ErrServerClosed {
+			s.err = fmt.Errorf("obsrv: serve %s: %w", s.Addr(), err)
+		}
+	}()
+	return s, nil
 }
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Serve blocks serving requests until Shutdown; it returns
-// http.ErrServerClosed after a graceful shutdown.
-func (s *Server) Serve() error { return s.srv.Serve(s.ln) }
-
-// Shutdown gracefully drains in-flight requests. SSE streams hold their
-// connections open, so Shutdown first cancels the base context to unblock
-// them.
-func (s *Server) Shutdown(ctx context.Context) error {
+// Close ends open /events streams, gives in-flight requests shutdownGrace
+// to finish, and returns once the serve goroutine has exited. It reports
+// the error that stopped serving early, if any, else the shutdown's.
+func (s *Server) Close() error {
 	s.cancel()
-	return s.srv.Shutdown(ctx)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := s.srv.Shutdown(ctx)
+	<-s.done
+	if s.err != nil {
+		return s.err
+	}
+	return err
+}
+
+// WriteFile creates path, fills it through write, and closes it,
+// returning the first error with the path in it. The host commands write
+// every exit artifact (metrics snapshot, timeline, folded profile)
+// through it.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return nil
 }

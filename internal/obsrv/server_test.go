@@ -3,10 +3,14 @@ package obsrv_test
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -237,17 +241,14 @@ func TestSSEStream(t *testing.T) {
 	}
 }
 
-// TestServerShutdown checks New/Serve/Shutdown round-trips and that an
-// open SSE stream does not wedge graceful shutdown.
+// TestServerShutdown checks that Start serves, and that Close returns nil
+// with an SSE stream still open, after which the port refuses connections.
 func TestServerShutdown(t *testing.T) {
 	tel := telemetry.New()
-	srv, err := obsrv.New("127.0.0.1:0", testOptions(tel))
+	srv, err := obsrv.Start("127.0.0.1:0", testOptions(tel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve() }()
-
 	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -261,17 +262,43 @@ func TestServerShutdown(t *testing.T) {
 	}
 	defer sseResp.Body.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
 	select {
-	case err := <-done:
-		if err != http.ErrServerClosed {
-			t.Fatalf("Serve returned %v", err)
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after Shutdown")
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return with an SSE stream open")
+	}
+	if conn, err := net.Dial("tcp", srv.Addr()); err == nil {
+		conn.Close()
+		t.Fatalf("%s still accepts connections after Close", srv.Addr())
+	}
+}
+
+// TestWriteFile checks that WriteFile leaves the written bytes behind and
+// names the path in every error it returns.
+func TestWriteFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if err := obsrv.WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "artifact\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "artifact\n" {
+		t.Fatalf("read back %q, %v", b, err)
+	}
+	boom := errors.New("boom")
+	err := obsrv.WriteFile(path, func(io.Writer) error { return boom })
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("write error = %v, want boom naming %s", err, path)
+	}
+	missing := filepath.Join(path, "sub", "out.txt")
+	err = obsrv.WriteFile(missing, func(io.Writer) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("create error = %v, want one naming %s", err, missing)
 	}
 }
