@@ -1,5 +1,7 @@
 package isa
 
+import "math/bits"
+
 // This file implements the superinstruction layer of the predecoded block
 // cache: FuseBlock collapses a decoded instruction sequence into fused
 // entries — specialized single-instruction forms plus common adjacent
@@ -355,4 +357,120 @@ func (o Op) StackAccess() bool {
 		return true
 	}
 	return false
+}
+
+// ChargeKind classifies one entry of a block's data-cache charge program.
+type ChargeKind uint8
+
+const (
+	ChargeLoad      ChargeKind = iota // load from eas[Slot]
+	ChargeStore                       // store to eas[Slot]
+	ChargeLoadStore                   // read-modify-write of eas[Slot]: load, then store
+	ChargePush                        // store to eas[Slot]-4 (eas[Slot] is push's pre-exec SP)
+	ChargeMulti                       // pushm/popm of Regs registers at eas[Slot]
+)
+
+// DataCharge is one data-cache charge of a block: which effective-address
+// log slot it reads and how the timing model charges the access.
+type DataCharge struct {
+	Slot uint8
+	Kind ChargeKind
+	Regs uint8 // ChargeMulti only
+}
+
+// BlockTiming is the model-independent timing summary of one decoded
+// block: everything a cycle model needs to charge the whole block at
+// once except the dynamic outcomes (cache hits, branch direction). The
+// counts follow the timing model's per-instruction classification; the
+// charge program lists the block's data-cache accesses in the order the
+// per-instruction path charges them, with slots in the effective-address
+// log layout of Op.StackAccess. It knows nothing of any core.
+type BlockTiming struct {
+	Instrs, Loads, Stores, Branches, Calls, Returns, Muls, Divs uint32
+
+	MultiRegs uint32 // registers moved by all pushm/popm
+
+	Charges []DataCharge // the data-cache charge program
+}
+
+// SummarizeBlock builds the timing summary of a decoded block, appending
+// its charge program to dst (which may be a recycled slice).
+func SummarizeBlock(insts []Inst, dst []DataCharge) BlockTiming {
+	bt := BlockTiming{Instrs: uint32(len(insts))}
+	charge := func(slot int, k ChargeKind, regs int) {
+		dst = append(dst, DataCharge{Slot: uint8(slot), Kind: k, Regs: uint8(regs)})
+		switch k {
+		case ChargeLoad:
+			bt.Loads++
+		case ChargeStore, ChargePush:
+			bt.Stores++
+		case ChargeLoadStore:
+			bt.Loads++
+			bt.Stores++
+		}
+	}
+	slot := 0
+	for i := range insts {
+		in := &insts[i]
+		srcSlot, dstSlot, spSlot := -1, -1, -1
+		if in.Src.Kind == OpdMem {
+			srcSlot = slot
+			slot++
+		}
+		if in.Dst.Kind == OpdMem {
+			dstSlot = slot
+			slot++
+		}
+		if in.Op.StackAccess() {
+			spSlot = slot
+			slot++
+		}
+		switch in.Op {
+		case OpMul:
+			bt.Muls++
+		case OpDiv:
+			bt.Divs++
+		case OpJcc:
+			bt.Branches++
+		case OpCall, OpCallI:
+			bt.Calls++
+		case OpRet:
+			bt.Returns++
+		case OpBx:
+			if in.Dst.IsReg(LR) {
+				bt.Returns++
+			}
+		}
+		switch in.Op {
+		case OpMov, OpLoad, OpAdd, OpSub, OpAnd, OpOr, OpXor, OpCmp, OpTest,
+			OpMul, OpDiv, OpShl, OpShr, OpNeg, OpNot, OpInc, OpDec:
+			if srcSlot >= 0 {
+				charge(srcSlot, ChargeLoad, 0)
+			}
+			switch {
+			case dstSlot < 0:
+			case in.Op == OpMov || in.Op == OpLoad:
+				charge(dstSlot, ChargeStore, 0)
+			default:
+				charge(dstSlot, ChargeLoadStore, 0)
+			}
+		case OpStore:
+			if dstSlot >= 0 {
+				charge(dstSlot, ChargeStore, 0)
+			}
+		case OpPush:
+			if srcSlot >= 0 {
+				charge(srcSlot, ChargeLoad, 0)
+			}
+			charge(spSlot, ChargePush, 0)
+		case OpPop, OpRet, OpLeave:
+			charge(spSlot, ChargeLoad, 0)
+		case OpPushM, OpPopM:
+			n := bits.OnesCount16(in.RegMask)
+			bt.MultiRegs += uint32(n)
+			charge(spSlot, ChargeMulti, n)
+		}
+	}
+	bt.Charges = dst
+	return bt
 }

@@ -31,6 +31,11 @@ type Block struct {
 	// Insts for hooks, fault reporting, and timing commits.
 	Fused []isa.FusedInst
 
+	// timing is the block's timing summary (see isa.SummarizeBlock),
+	// built on the first whole-block commit with a Timing attached. It is
+	// a pointer so blocks that never run observed carry one word for it.
+	timing *isa.BlockTiming
+
 	// [lo, hi) is the byte span the block decoded from (at most BlockCap ×
 	// MaxInstLen ≤ PageSize bytes, so at most two pages). The cache's
 	// per-page index uses the page span to find candidate blocks and the
@@ -115,13 +120,14 @@ type blockCache struct {
 	gen    uint64 // mem.CodeGen value the cache is synced to
 	win    []byte // reusable fetch window for refills
 	// free recycles evicted blocks' instruction storage into refills
-	// (freeFused does the same for their fused lowerings). Hooks receive
-	// *isa.Inst only for the duration of a call and must not retain them
-	// (see Run), so storage of a dropped block cannot be observed again.
-	// Under DBT churn this keeps steady-state refills from hitting the
-	// allocator at all.
-	free      [][]isa.Inst
-	freeFused [][]isa.FusedInst
+	// (freeFused and freeTiming do the same for their fused lowerings and
+	// timing summaries). Hooks receive *isa.Inst only for the duration of
+	// a call and must not retain them (see Run), so storage of a dropped
+	// block cannot be observed again. Under DBT churn this keeps
+	// steady-state refills from hitting the allocator at all.
+	free       [][]isa.Inst
+	freeFused  [][]isa.FusedInst
+	freeTiming []*isa.BlockTiming
 
 	hits, misses              uint64
 	partialInvals, fullInvals uint64
@@ -151,6 +157,24 @@ func (bc *blockCache) recycle(b *Block) {
 		bc.freeFused = append(bc.freeFused, b.Fused[:0])
 		b.Fused = nil
 	}
+	if b.timing != nil && len(bc.freeTiming) < maxFreeInsts {
+		bc.freeTiming = append(bc.freeTiming, b.timing)
+		b.timing = nil
+	}
+}
+
+// summarize builds the timing summary of insts, reusing a recycled
+// summary and its charge storage when the pool has one.
+func (bc *blockCache) summarize(insts []isa.Inst) *isa.BlockTiming {
+	var bt *isa.BlockTiming
+	if l := len(bc.freeTiming); l > 0 {
+		bt = bc.freeTiming[l-1]
+		bc.freeTiming = bc.freeTiming[:l-1]
+	} else {
+		bt = new(isa.BlockTiming)
+	}
+	*bt = isa.SummarizeBlock(insts, bt.Charges[:0])
+	return bt
 }
 
 // FusionStats is a snapshot of the superinstruction fusion and batched

@@ -176,8 +176,16 @@ func TestBatchedTimingBitIdentical(t *testing.T) {
 
 // checkTimingBitIdentical runs bin on ISA k under Step with a perf model
 // and under fused Run with another (wrapped by a profiler when profiled),
-// and requires identical state, cycles, counts, and cache/predictor stats.
+// and requires identical state, memory, cycles, counts, and
+// cache/predictor stats.
 func checkTimingBitIdentical(t *testing.T, bin *fatbin.Binary, k isa.Kind, profiled bool) {
+	checkTimingBitIdenticalFrom(t, bin, k, profiled, 1009, 0)
+}
+
+// checkTimingBitIdenticalFrom is checkTimingBitIdentical with Run budgets
+// of chunk steps and both models' cycle totals starting at cycles0.
+func checkTimingBitIdenticalFrom(t *testing.T, bin *fatbin.Binary, k isa.Kind, profiled bool, chunk uint64, cycles0 float64) {
+	t.Helper()
 	ref, err := proc.New(bin, k)
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +198,7 @@ func checkTimingBitIdentical(t *testing.T, bin *fatbin.Binary, k isa.Kind, profi
 	mRef.Attach(ref.M)
 	mFus := perf.NewModel(perf.CoreFor(k))
 	mFus.Attach(fus.M)
+	mRef.Cycles, mFus.Cycles = cycles0, cycles0
 	var prof *profiler.Profiler
 	if profiled {
 		prof = profiler.New(bin, 8)
@@ -197,7 +206,7 @@ func checkTimingBitIdentical(t *testing.T, bin *fatbin.Binary, k isa.Kind, profi
 		prof.Attach(fus.M)
 	}
 	for !fus.M.Halted && fus.M.Steps < diffMaxSteps {
-		n, err := fus.Run(1009)
+		n, err := fus.Run(chunk)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -207,6 +216,7 @@ func checkTimingBitIdentical(t *testing.T, bin *fatbin.Binary, k isa.Kind, profi
 		}
 	}
 	requireSameState(t, "at halt", ref.M, fus.M)
+	requireSameMemory(t, "at halt", ref.Mem, fus.Mem)
 	if mRef.Cycles != mFus.Cycles {
 		t.Fatalf("cycles diverged: step=%v run=%v (delta %v)",
 			mRef.Cycles, mFus.Cycles, mRef.Cycles-mFus.Cycles)

@@ -24,7 +24,9 @@ import (
 //
 // Timing protocol: while a Timing model is attached, body arms log each
 // instruction's dynamic effective addresses (layout defined by
-// isa.Op.StackAccess). The whole block's accounting is committed in one
+// isa.Op.StackAccess), and the final instruction's are logged from
+// pre-execution state just before the commit, so every CommitBlock covers
+// a fully logged range. The whole block's accounting is committed in one
 // CommitBlock immediately before the final architectural instruction
 // executes, so anything a terminator's hooks read from the model —
 // measurement snapshots taken inside syscall handlers, span cycle
@@ -64,8 +66,7 @@ func (m *Machine) runFused(blk *Block) error {
 	bc := &m.blocks
 	insts := blk.Insts
 	fused := blk.Fused
-	t := m.Timing
-	logOn := t != nil
+	logOn := m.Timing != nil
 	if logOn {
 		m.eaN = 0
 		m.logEA = true
@@ -81,8 +82,7 @@ func (m *Machine) runFused(blk *Block) error {
 		if err != nil {
 			if logOn {
 				m.logEA = false
-				bc.commits++
-				t.CommitBlock(m, insts[logBase:done], done-logBase, m.eaLog[:m.eaN])
+				m.commitTiming(blk, logBase, done)
 			}
 			return err
 		}
@@ -94,8 +94,7 @@ func (m *Machine) runFused(blk *Block) error {
 				// the PC at the next instruction — the same latency the
 				// per-instruction poll gave self-modifying code.
 				if logOn {
-					bc.commits++
-					t.CommitBlock(m, insts[logBase:done], done-logBase, m.eaLog[:m.eaN])
+					m.commitTiming(blk, logBase, done)
 					logBase = done
 					m.eaN = 0
 				}
@@ -114,9 +113,9 @@ func (m *Machine) runFused(blk *Block) error {
 	f := &fused[last]
 	switch f.Code {
 	case isa.FCmpJccRI, isa.FCmpJccRR:
-		// The compare executes first: it is register-only, so observing
-		// it after execution is still exact (its accounting depends only
-		// on static fields). The jcc is then live-observed pre-exec.
+		// The compare executes first: it is register-only and the jcc
+		// has no effective addresses, so committing after the compare is
+		// still exact (their accounting depends only on static fields).
 		b := uint32(f.Imm)
 		if f.Code == isa.FCmpJccRR {
 			b = m.Regs[f.R2&0xF]
@@ -125,8 +124,7 @@ func (m *Machine) runFused(blk *Block) error {
 		m.Steps += 2
 		if logOn {
 			m.logEA = false
-			bc.commits++
-			t.CommitBlock(m, insts[logBase:], done-logBase, m.eaLog[:m.eaN])
+			m.commitTiming(blk, logBase, len(insts))
 		}
 		if m.Flags.Eval(f.Cond) {
 			jin := &insts[f.B]
@@ -142,11 +140,29 @@ func (m *Machine) runFused(blk *Block) error {
 	}
 	if logOn {
 		m.logEA = false
-		bc.commits++
-		t.CommitBlock(m, insts[logBase:], done-logBase, m.eaLog[:m.eaN])
+		m.logInstEAs(&insts[f.A])
+		m.commitTiming(blk, logBase, len(insts))
 	}
 	_, _, err := m.execFusedBody(f, insts)
 	return err
+}
+
+// commitTiming commits the accounting of blk's instructions [from, to),
+// whose effective addresses are all in the log. A commit of the whole
+// block hands the model the block's timing summary, built on the first
+// such commit (raw dispatch never builds one); prefix and suffix commits
+// pass nil.
+func (m *Machine) commitTiming(blk *Block, from, to int) {
+	bc := &m.blocks
+	bc.commits++
+	var bt *isa.BlockTiming
+	if from == 0 && to == len(blk.Insts) {
+		if blk.timing == nil {
+			blk.timing = bc.summarize(blk.Insts)
+		}
+		bt = blk.timing
+	}
+	m.Timing.CommitBlock(m, blk.Insts[from:to], bt, m.eaLog[:m.eaN])
 }
 
 // execFusedBody executes one fused entry and reports how many

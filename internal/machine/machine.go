@@ -123,19 +123,20 @@ type SyscallHandler func(m *Machine, vector int32) error
 // cycle-accounting model (or a decorator around one, such as the sampling
 // profiler) is driven through. Step, and Run for the tail of a budget
 // that ends inside a block, call ObserveInst immediately before each
-// instruction executes. Run otherwise executes a fused block's body while
-// logging dynamic effective addresses, then calls CommitBlock once per
-// block: insts[:nLogged] have already executed and must be accounted from
-// the EA log (see isa.Op.StackAccess for the log layout), while
-// insts[nLogged:] are observed against live machine state exactly as
-// ObserveInst would see them — the machine guarantees that state is still
-// pre-execution for the first of them and that any remaining ones need no
-// dynamic state (a fused cmp+jcc tail). Both paths must charge
-// bit-identical cycles: batching changes when accounting runs, never what
-// it sums.
+// instruction executes, against live machine state. Run otherwise
+// executes a fused block while logging every instruction's dynamic
+// effective addresses (see isa.Op.StackAccess for the log layout) and
+// calls CommitBlock once per block, just before its final architectural
+// instruction executes, plus once for the executed prefix at a fault or
+// a mid-block code write. Every committed instruction's addresses are in
+// eas. bt is the block's timing summary (isa.SummarizeBlock) when insts
+// is the whole block, and nil for prefix and suffix commits; implementers
+// must not retain insts or bt past the call. Both methods must charge
+// bit-identical cycles: batching changes when accounting runs, never
+// what it sums.
 type Timing interface {
 	ObserveInst(m *Machine, in *isa.Inst)
-	CommitBlock(m *Machine, insts []isa.Inst, nLogged int, eas []uint32)
+	CommitBlock(m *Machine, insts []isa.Inst, bt *isa.BlockTiming, eas []uint32)
 }
 
 // Machine couples architectural state with memory and execution hooks.

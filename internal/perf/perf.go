@@ -12,6 +12,8 @@
 package perf
 
 import (
+	"math"
+
 	"hipstr/internal/isa"
 	"hipstr/internal/machine"
 	"hipstr/internal/telemetry"
@@ -158,6 +160,14 @@ func (c *cacheSim) access(addr uint32) float64 {
 	return c.accessSlow(addr)
 }
 
+// outcome touches addr like access and returns 0 for a hit, 1 for a miss.
+func (c *cacheSim) outcome(addr uint32) int {
+	if c.access(addr) == c.hitLat {
+		return 0
+	}
+	return 1
+}
+
 // accessSlow is the non-memoized set search and LRU fill for access.
 func (c *cacheSim) accessSlow(addr uint32) float64 {
 	line := addr >> c.lineBits
@@ -211,11 +221,6 @@ type predictor struct {
 
 func newPredictor(bits int) *predictor {
 	return &predictor{table: make([]uint8, 1<<bits)}
-}
-
-func (p *predictor) predict(pc uint32) bool {
-	idx := (pc ^ p.history) & uint32(len(p.table)-1)
-	return p.table[idx] >= 2
 }
 
 func (p *predictor) update(pc uint32, taken bool) bool {
@@ -282,12 +287,38 @@ type Model struct {
 	// bit-identical value of the original inline expression (same float
 	// operations in the same order), cached so the observe path performs
 	// no divisions.
-	exp       float64 // latencyExposure()
+	exp       float64 // 24 / ROBSize, at most 1: how little the ROB hides FU latency
 	issueCost float64 // 1.0 / IssueWidth
 	icHitCost float64 // ICache.HitLat / FetchWidth / 4
 	mulCost   float64 // 3 * exp / IntMulDiv
 	divCost   float64 // 12 * exp / IntMulDiv
 	callCost  float64 // 1 * exp
+
+	fix fixedCosts
+
+	// Whole-block commits, and how many of them took the summary path.
+	blockCommits, fastCommits uint64
+}
+
+// fixedCosts holds the per-event charges of summary commits in sixteenths
+// of a cycle. Every charge of the Table 1 cores except the non-integral
+// store charges is such a multiple, so a block's charges can be summed as
+// integers and added to the running total at once (see commitSummary).
+// ok is false when the core's constants break that; then every commit
+// takes the per-instruction path.
+type fixedCosts struct {
+	ok bool
+
+	issue, icHit, icMiss      int64
+	mul, div, call, rat, miss int64 // miss: branch mispredict
+	// Data-cache charges, indexed by access outcome (0 hit, 1 miss). A
+	// store charge that is a multiple of 1/16 lives in storeFix (and
+	// storeFlt is 0); otherwise it lives in storeFlt, folded in float64.
+	load, push, storeFix [2]int64
+	storeFlt             [2]float64
+
+	// Per-event maxima for the commit bound.
+	icMax, loadMax, pushMax, storeMax int64
 }
 
 // NewModel builds a timing model for the given core.
@@ -308,7 +339,66 @@ func NewModel(core CoreConfig) *Model {
 	mo.mulCost = 3 * exp / float64(core.IntMulDiv)
 	mo.divCost = 12 * exp / float64(core.IntMulDiv)
 	mo.callCost = 1 * exp
+	mo.fix = mo.fixedCosts()
 	return mo
+}
+
+// sixteenths returns x as a count of 1/16 cycles when it is exactly one.
+func sixteenths(x float64) (int64, bool) {
+	v := x * 16
+	if !(v >= 0 && v < 1<<30) || v != math.Trunc(v) {
+		return 0, false
+	}
+	return int64(v), true
+}
+
+// fixedCosts converts the model's charges to sixteenths and checks the
+// conditions under which summary commits are exact (see commitSummary):
+// every charge but the store charges is a multiple of 1/16; each store
+// charge is either such a multiple or has a set bit below 2^-43, half an
+// ulp of the smallest total the fast path accepts; and no instruction
+// (at most machine.MaxInstLen bytes) is wider than an I-cache line, so a
+// block's instruction starts touch every line from its first to its
+// last. Each charge is the value the per-instruction path computes, with
+// the same float operations in the same order.
+func (mo *Model) fixedCosts() fixedCosts {
+	c := &mo.Core
+	ok := true
+	get := func(x float64) int64 {
+		v, exact := sixteenths(x)
+		ok = ok && exact
+		return v
+	}
+	var fx fixedCosts
+	fx.issue = get(mo.issueCost)
+	fx.icHit = get(mo.icHitCost)
+	fx.icMiss = fx.icHit
+	if c.ICache.MissLat > c.ICache.HitLat {
+		fx.icMiss = get(c.ICache.MissLat)
+	}
+	fx.icMax = max(fx.icHit, fx.icMiss)
+	fx.mul, fx.div, fx.call = get(mo.mulCost), get(mo.divCost), get(mo.callCost)
+	fx.rat, fx.miss = get(c.RATLookup), get(c.MispredictPenalty)
+	for o, lat := range [2]float64{c.DCache.HitLat, c.DCache.MissLat} {
+		fx.load[o] = get(lat * mo.exp)
+		fx.push[o] = get(lat * mo.exp * 0.5)
+		for n := 0; n <= 16; n++ {
+			ok = ok && float64(n)*lat*mo.exp*0.5 == float64(int64(n)*fx.push[o])/16
+		}
+		st := lat * mo.exp * 0.3
+		if v, exact := sixteenths(st); exact {
+			fx.storeFix[o] = v
+		} else {
+			t := st * 0x1p43
+			ok = ok && st >= 0 && st < 1<<20 && t != math.Trunc(t)
+			fx.storeFlt[o] = st
+		}
+		fx.loadMax = max(fx.loadMax, fx.load[o])
+		fx.pushMax = max(fx.pushMax, fx.push[o])
+		fx.storeMax = max(fx.storeMax, int64(math.Ceil(st*16)))
+	}
+	fx.ok = ok && 1<<mo.ICache.lineBits >= machine.MaxInstLen
+	return fx
 }
 
 // BindTelemetry publishes the model's cycle accounting through t: a
@@ -352,50 +442,156 @@ func (mo *Model) Attach(m *machine.Machine) {
 	m.Timing = mo
 }
 
-// latencyExposure scales functional-unit latency by how little the ROB can
-// hide: deep out-of-order windows overlap long-latency operations.
-func (mo *Model) latencyExposure() float64 {
-	return mo.exp
-}
-
-// ObserveInst implements machine.Timing's per-instruction observation.
+// ObserveInst implements machine.Timing's per-instruction observation: it
+// charges one instruction against live machine state.
 func (mo *Model) ObserveInst(m *machine.Machine, in *isa.Inst) {
-	mo.Observe(m, in)
+	mo.Cycles = mo.observeMem(m, in, mo.observeFront(in, mo.Cycles))
 }
 
 // CommitBlock implements machine.Timing's batched commit: it charges a
-// whole block's instructions in one call at block exit. The first nLogged
-// instructions already executed, so their dynamic addresses come from the
-// machine's effective-address log; the remainder (the block's final
-// instruction, plus an already-executed register-only compare when the
-// terminator is a fused cmp+jcc) observe live machine state. The charge
-// sequence — every float operation, cache access, and predictor update in
-// order — is identical to per-instruction observation, so cycle totals
-// match bit for bit.
-func (mo *Model) CommitBlock(m *machine.Machine, insts []isa.Inst, nLogged int, eas []uint32) {
+// run of already-logged instructions in one call. A whole block (bt
+// non-nil) is charged from its summary by commitSummary when the running
+// total allows an exact fast commit; every other commit replays the
+// per-instruction path against the effective-address log — the charge
+// sequence (every float operation, cache access and predictor update, in
+// order) that per-instruction observation performs. Either way cycle
+// totals, counts and cache and predictor statistics match ObserveInst bit
+// for bit.
+func (mo *Model) CommitBlock(m *machine.Machine, insts []isa.Inst, bt *isa.BlockTiming, eas []uint32) {
+	if bt != nil {
+		mo.blockCommits++
+		if mo.commitSummary(insts, bt, eas) {
+			mo.fastCommits++
+			return
+		}
+	}
 	// The running cycle total stays in a local for the whole block: the
 	// additions happen in the identical order with identical operands, so
 	// the result is bit-equal to accumulating in the field, without the
 	// per-charge load/store traffic.
 	cy := mo.Cycles
 	c := 0
-	for i := 0; i < nLogged; i++ {
+	for i := range insts {
 		in := &insts[i]
 		cy = mo.observeFront(in, cy)
 		c, cy = mo.observeMemLogged(in, eas, c, cy)
 	}
-	for i := nLogged; i < len(insts); i++ {
-		in := &insts[i]
-		cy = mo.observeFront(in, cy)
-		cy = mo.observeMem(m, in, cy)
-	}
 	mo.Cycles = cy
 }
 
-// Observe charges cycles for one executed instruction against live
-// machine state.
-func (mo *Model) Observe(m *machine.Machine, in *isa.Inst) {
-	mo.Cycles = mo.observeMem(m, in, mo.observeFront(in, mo.Cycles))
+// commitSummary charges a whole block from its timing summary and
+// reports whether it did; it declines, touching nothing, unless the
+// result is provably bit-identical to the per-instruction path.
+//
+// The argument: let cy, the total before the commit, lie in [2^e,
+// 2^(e+1)) with 2^10 ≤ cy < 2^40, and let the block's worst-case charge
+// keep every partial total below 2^(e+1). The ulp of every partial total
+// is then 2^(e-52) ≤ 2^-12, so adding any multiple of 1/16 is exact, and
+// adding such a multiple commutes with the rounding of a store addition
+// (round-to-nearest is shift-invariant by multiples of the ulp within
+// one binade, and a store charge's set bit below half an ulp rules out
+// ties). The in-order float64 sum therefore equals the in-order fold of
+// the store charges alone plus the integer sum of the rest, which is
+// what this computes.
+//
+// Cache and predictor state evolve exactly as under per-instruction
+// observation. The pending branch resolves against the block's first
+// address, and only a block's last instruction can be a jcc. Instruction
+// starts are contiguous and no instruction is wider than a line, so the
+// block fetches exactly the I-cache lines from its first start to its
+// last: the first through access (it may be the memoized line), each
+// further one through accessSlow, and the remaining same-line memo hits
+// are added to the tick at the end. Deferring those ticks lowers the LRU
+// stamps written inside the block without changing their order relative
+// to each other or to any stamp before or after the block, so every
+// future victim — and the hit and miss counts at every commit — is
+// unchanged. Data-cache accesses follow the summary's charge program,
+// which lists them in per-instruction order.
+func (mo *Model) commitSummary(insts []isa.Inst, bt *isa.BlockTiming, eas []uint32) bool {
+	fx := &mo.fix
+	cy := mo.Cycles
+	if !fx.ok || !(cy >= 0x1p10 && cy < 0x1p40) {
+		return false
+	}
+	ic := mo.ICache
+	n := int64(len(insts))
+	firstLine := insts[0].Addr >> ic.lineBits
+	lastLine := insts[n-1].Addr >> ic.lineBits
+	if lastLine < firstLine {
+		return false // the block wraps the address space
+	}
+	lines := int64(lastLine-firstLine) + 1
+	bound := n*(fx.issue+fx.icHit) + lines*(fx.icMax-fx.icHit) +
+		int64(bt.Muls)*fx.mul + int64(bt.Divs)*fx.div +
+		int64(bt.Calls)*fx.call + int64(bt.Returns)*fx.rat + fx.miss +
+		int64(bt.Loads)*fx.loadMax + int64(bt.Stores)*fx.storeMax +
+		int64(bt.MultiRegs)*fx.pushMax + 16 // a cycle of slack for store rounding
+	next := math.Float64frombits((math.Float64bits(cy)>>52 + 1) << 52)
+	if cy+float64(bound)/16 >= next {
+		return false
+	}
+
+	var sum int64
+	if mo.lastJccValid {
+		if mo.Bpred.update(mo.lastJccAddr, insts[0].Addr == mo.lastJccTarget) {
+			sum += fx.miss
+		}
+		mo.lastJccValid = false
+	}
+	if last := &insts[n-1]; last.Op == isa.OpJcc {
+		mo.lastJccValid = true
+		mo.lastJccTarget = last.Target
+		mo.lastJccAddr = last.Addr
+	}
+
+	misses := ic.Misses
+	ic.access(insts[0].Addr)
+	for l := firstLine + 1; l <= lastLine; l++ {
+		ic.accessSlow(l << ic.lineBits)
+	}
+	ic.tick += uint64(n - lines)
+	icMisses := int64(ic.Misses - misses)
+	sum += n*fx.issue + (n-icMisses)*fx.icHit + icMisses*fx.icMiss
+	sum += int64(bt.Muls)*fx.mul + int64(bt.Divs)*fx.div + int64(bt.Calls)*fx.call
+	if mo.RATEnabled {
+		sum += int64(bt.Returns) * fx.rat
+	}
+
+	dc := mo.DCache
+	f := cy
+	for _, ch := range bt.Charges {
+		ea := eas[ch.Slot]
+		switch ch.Kind {
+		case isa.ChargeLoad:
+			sum += fx.load[dc.outcome(ea)]
+		case isa.ChargeStore:
+			o := dc.outcome(ea)
+			sum += fx.storeFix[o]
+			f += fx.storeFlt[o]
+		case isa.ChargeLoadStore:
+			sum += fx.load[dc.outcome(ea)]
+			o := dc.outcome(ea)
+			sum += fx.storeFix[o]
+			f += fx.storeFlt[o]
+		case isa.ChargePush:
+			o := dc.outcome(ea - 4)
+			sum += fx.storeFix[o]
+			f += fx.storeFlt[o]
+		case isa.ChargeMulti:
+			sum += int64(ch.Regs) * fx.push[dc.outcome(ea)]
+		}
+	}
+
+	c := &mo.Counts
+	c.Instrs += uint64(bt.Instrs)
+	c.Loads += uint64(bt.Loads)
+	c.Stores += uint64(bt.Stores)
+	c.Branches += uint64(bt.Branches)
+	c.Calls += uint64(bt.Calls)
+	c.Returns += uint64(bt.Returns)
+	c.MulDiv += uint64(bt.Muls + bt.Divs)
+	mo.Cycles = f + float64(sum)/16
+	return true
 }
 
 // observeFront charges the state-independent part of one instruction:
@@ -437,7 +633,6 @@ func (mo *Model) observeFront(in *isa.Inst, cy float64) float64 {
 		cy += mo.divCost
 	case isa.OpJcc:
 		mo.Counts.Branches++
-		mo.Bpred.predict(in.Addr)
 		mo.lastJccValid = true
 		mo.lastJccTarget = in.Target
 		mo.lastJccAddr = in.Addr

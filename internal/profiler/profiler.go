@@ -162,9 +162,9 @@ func (s *sampler) ObserveInst(m *machine.Machine, in *isa.Inst) {
 	}
 }
 
-func (s *sampler) CommitBlock(m *machine.Machine, insts []isa.Inst, nLogged int, eas []uint32) {
+func (s *sampler) CommitBlock(m *machine.Machine, insts []isa.Inst, bt *isa.BlockTiming, eas []uint32) {
 	if s.next != nil {
-		s.next.CommitBlock(m, insts, nLogged, eas)
+		s.next.CommitBlock(m, insts, bt, eas)
 	}
 	p := s.p
 	before := p.pending
