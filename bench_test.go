@@ -18,6 +18,7 @@ import (
 	"hipstr/internal/attack"
 	"hipstr/internal/dbt"
 	"hipstr/internal/fleet"
+	"hipstr/internal/gadget"
 	"hipstr/internal/isa"
 	"hipstr/internal/machine"
 	"hipstr/internal/mem"
@@ -34,9 +35,23 @@ func quickSuite() *hipstr.ExperimentSuite {
 	return hipstr.NewQuickExperiments(io.Discard)
 }
 
-func BenchmarkFig3ClassicROPSurface(b *testing.B) {
+// freshSuite gives one benchmark iteration a quick Suite of its own,
+// compiled through Fig6 as the paper-suite benchmark's set-up does, with
+// the timer stopped. A Suite computes each simulation once, so iterations
+// on a shared Suite would time only memo hits after the first.
+func freshSuite(b *testing.B) *hipstr.ExperimentSuite {
+	b.StopTimer()
 	s := quickSuite()
+	if _, err := s.Fig6(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+	return s
+}
+
+func BenchmarkFig3ClassicROPSurface(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		rows, err := s.Fig3(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -52,8 +67,8 @@ func BenchmarkFig3ClassicROPSurface(b *testing.B) {
 }
 
 func BenchmarkFig4BruteForceSurface(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		rows, err := s.Fig4(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -67,8 +82,8 @@ func BenchmarkFig4BruteForceSurface(b *testing.B) {
 }
 
 func BenchmarkTable2BruteForce(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		rows, err := s.Table2(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -82,8 +97,8 @@ func BenchmarkTable2BruteForce(b *testing.B) {
 }
 
 func BenchmarkFig5JITROPSurface(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		rows, err := s.Fig5(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -120,8 +135,8 @@ func BenchmarkFig7Entropy(b *testing.B) {
 }
 
 func BenchmarkFig8Tailored(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		curves, err := s.Fig8(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -135,8 +150,8 @@ func BenchmarkFig8Tailored(b *testing.B) {
 }
 
 func BenchmarkFig9OptLevels(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		rows, err := s.Fig9(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -150,8 +165,8 @@ func BenchmarkFig9OptLevels(b *testing.B) {
 }
 
 func BenchmarkFig10StackEntropy(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		rows, err := s.Fig10(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -165,8 +180,8 @@ func BenchmarkFig10StackEntropy(b *testing.B) {
 }
 
 func BenchmarkFig11RATSize(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		pts, err := s.Fig11(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -176,8 +191,8 @@ func BenchmarkFig11RATSize(b *testing.B) {
 }
 
 func BenchmarkFig12Migration(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		rows, err := s.Fig12(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -193,8 +208,8 @@ func BenchmarkFig12Migration(b *testing.B) {
 }
 
 func BenchmarkFig13CodeCache(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		pts, err := s.Fig13(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -204,8 +219,8 @@ func BenchmarkFig13CodeCache(b *testing.B) {
 }
 
 func BenchmarkFig14VsIsomeron(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		curves, err := s.Fig14(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -225,8 +240,8 @@ func BenchmarkFig14VsIsomeron(b *testing.B) {
 }
 
 func BenchmarkHTTPDCaseStudy(b *testing.B) {
-	s := quickSuite()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		res, err := s.HTTPD(ctx)
 		if err != nil {
 			b.Fatal(err)
@@ -573,7 +588,7 @@ func BenchmarkAblationRegisterBias(b *testing.B) {
 		for _, bias := range []bool{false, true} {
 			cfg := psr.DefaultConfig()
 			cfg.RegisterBias = bias
-			res := attack.SimulateBruteForce(bin, cfg, 1)
+			res := attack.SimulateBruteForce(gadget.TakeCensus(bin, isa.X86), cfg, 1)
 			if bias {
 				b.ReportMetric(res.AttemptsBias, "attempts-bias")
 			} else {

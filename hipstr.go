@@ -323,7 +323,7 @@ type BruteForceResult = attack.BruteForceResult
 
 // SimulateBruteForce runs the paper's Algorithm 1 against bin.
 func SimulateBruteForce(bin *Binary, seed int64) BruteForceResult {
-	return attack.SimulateBruteForce(bin, psr.DefaultConfig(), seed)
+	return attack.SimulateBruteForce(gadget.TakeCensus(bin, isa.X86), psr.DefaultConfig(), seed)
 }
 
 // MigrationSafety is the Figure 6 analysis.
@@ -354,6 +354,9 @@ func MeasureNative(bin *Binary, k ISA, warm, measure int) (Measurement, error) {
 // ExperimentSuite regenerates the paper's tables and figures. Set
 // Parallel to bound the per-driver worker pool (0 = GOMAXPROCS, 1 =
 // serial) and Telemetry to export every figure's raw series as metrics.
+// A suite is one evaluation: it computes each distinct simulation and
+// gadget census once, so running an experiment again on the same suite
+// reuses the first run's results. Re-measuring needs a fresh suite.
 type ExperimentSuite = experiments.Suite
 
 // NewExperiments returns the full-suite experiment driver writing

@@ -8,6 +8,8 @@ import (
 	"hipstr/internal/compiler"
 	"hipstr/internal/core"
 	"hipstr/internal/dbt"
+	"hipstr/internal/gadget"
+	"hipstr/internal/isa"
 	"hipstr/internal/psr"
 	"hipstr/internal/workload"
 )
@@ -18,7 +20,7 @@ func TestBruteForceTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := attack.SimulateBruteForce(bin, psr.DefaultConfig(), 1)
+	res := attack.SimulateBruteForce(gadget.TakeCensus(bin, isa.X86), psr.DefaultConfig(), 1)
 	if res.ViableGadgets == 0 || res.ViableGadgets > res.TotalGadgets {
 		t.Fatalf("viable %d of %d", res.ViableGadgets, res.TotalGadgets)
 	}
@@ -50,7 +52,7 @@ func TestJITROPSurfaceCollapses(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := dbt.DefaultConfig()
-	res, err := attack.SimulateJITROP(bin, cfg, 400_000)
+	res, err := attack.SimulateJITROP(gadget.TakeCensus(bin, isa.X86), cfg, 400_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestTailoredSurface(t *testing.T) {
 	}
 	// Use a plausible PSR-surviving count (measured elsewhere); here the
 	// shape of the curves is under test.
-	res, err := attack.AnalyzeTailored(mod, bin, 40, 7)
+	res, err := attack.AnalyzeTailored(mod, gadget.TakeCensus(bin, isa.X86), 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"hipstr/internal/fatbin"
 	"hipstr/internal/gadget"
 	"hipstr/internal/isa"
 	"hipstr/internal/psr"
@@ -32,11 +31,11 @@ type BruteForceResult struct {
 // execve(2) system call (Figure 1).
 var execveRegs = []isa.Reg{isa.EAX, isa.EBX, isa.ECX, isa.EDX}
 
-// SimulateBruteForce runs Algorithm 1 of the paper against bin: mine every
-// gadget, evaluate its concrete effect, greedily assemble the four-gadget
-// shellcode chain (register by register, never clobbering established
-// state, preferring gadgets whose randomized return-address offset is
-// lowest), and compute the expected attempt count.
+// SimulateBruteForce runs Algorithm 1 of the paper against the census's
+// binary: from every viable gadget of the x86 census, greedily assemble
+// the four-gadget shellcode chain (register by register, never clobbering
+// established state, preferring gadgets whose randomized return-address
+// offset is lowest), and compute the expected attempt count.
 //
 // The attempt model follows §6: the attacker must brute force three
 // independent unknowns per gadget — which gadget transforms usefully under
@@ -46,11 +45,9 @@ var execveRegs = []isa.Reg{isa.EAX, isa.EBX, isa.ECX, isa.EDX}
 // frame (contributing the n = f compounding factor between stages):
 //
 //	B = Y[0] + f·X[0] + n·f·Y[1] + n·f²·X[1] + ... + n³·f⁴·X[3]
-func SimulateBruteForce(bin *fatbin.Binary, cfg psr.Config, seed int64) BruteForceResult {
-	res := BruteForceResult{Benchmark: bin.Module}
-	gs := gadget.Mine(bin, isa.X86, 0)
-	res.TotalGadgets = len(gs)
-	an := gadget.NewAnalyzer(bin)
+func SimulateBruteForce(c *gadget.Census, cfg psr.Config, seed int64) BruteForceResult {
+	bin := c.Bin
+	res := BruteForceResult{Benchmark: bin.Module, TotalGadgets: len(c.Gadgets)}
 	rnd := psr.NewRandomizer(seed, cfg)
 
 	type viable struct {
@@ -61,9 +58,8 @@ func SimulateBruteForce(bin *fatbin.Binary, cfg psr.Config, seed int64) BruteFor
 	var pool []viable
 	var paramSum float64
 	maps := map[int]*psr.Map{}
-	for i := range gs {
-		g := &gs[i]
-		e := an.NativeEffect(g)
+	for i := range c.Gadgets {
+		g, e := &c.Gadgets[i], c.Effects[i]
 		if !e.Viable() {
 			continue
 		}

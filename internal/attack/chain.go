@@ -38,21 +38,20 @@ type ChainStep struct {
 	Sets   map[isa.Reg]uint32
 }
 
-// BuildClassicChain constructs a Figure 1-style ROP chain: pop gadgets
-// establish register state, then control returns into the execve stub with
-// attacker arguments. It returns the payload and the chain description.
+// BuildClassicChain constructs a Figure 1-style ROP chain from the
+// victim's x86 gadget census: pop gadgets establish register state, then
+// control returns into the execve stub with attacker arguments. It returns
+// the payload and the chain description.
 func (v *Victim) BuildClassicChain() ([]uint32, []ChainStep, error) {
-	gs := gadget.Mine(v.Bin, isa.X86, 0)
-	an := gadget.NewAnalyzer(v.Bin)
+	census := gadget.TakeCensus(v.Bin, isa.X86)
 	type cand struct {
 		g *gadget.Gadget
 		e gadget.Effect
 	}
 	var cands []cand
-	for i := range gs {
-		e := an.NativeEffect(&gs[i])
+	for i, e := range census.Effects {
 		if e.Viable() && e.SPDelta > 0 && e.SPDelta%4 == 0 && e.SPDelta < 4*200 {
-			cands = append(cands, cand{&gs[i], e})
+			cands = append(cands, cand{&census.Gadgets[i], e})
 		}
 	}
 	// Shortest gadgets first: fewer side effects.

@@ -30,10 +30,11 @@ type JITROPResult struct {
 	SufficientForExploit bool
 }
 
-// SimulateJITROP runs the workload under a PSR VM for warmupSteps to reach
-// steady state, then evaluates the code-reuse surface the cache leak
-// exposes.
-func SimulateJITROP(bin *fatbin.Binary, cfg dbt.Config, warmupSteps uint64) (JITROPResult, error) {
+// SimulateJITROP runs the census's binary under a PSR VM for warmupSteps
+// to reach steady state, then evaluates the code-reuse surface the cache
+// leak exposes among the viable gadgets of the x86 census.
+func SimulateJITROP(c *gadget.Census, cfg dbt.Config, warmupSteps uint64) (JITROPResult, error) {
+	bin := c.Bin
 	res := JITROPResult{Benchmark: bin.Module}
 	cfg.MigrateProb = 0 // measurement run; migration is modeled analytically
 	vm, err := dbt.New(bin, isa.X86, cfg)
@@ -45,12 +46,9 @@ func SimulateJITROP(bin *fatbin.Binary, cfg dbt.Config, warmupSteps uint64) (JIT
 	}
 	cache := vm.Cache(isa.X86)
 
-	gs := gadget.Mine(bin, isa.X86, 0)
-	an := gadget.NewAnalyzer(bin)
 	popRegs := map[isa.Reg]bool{}
-	for i := range gs {
-		g := &gs[i]
-		e := an.NativeEffect(g)
+	for i := range c.Gadgets {
+		g, e := &c.Gadgets[i], c.Effects[i]
 		if !e.Viable() {
 			continue
 		}

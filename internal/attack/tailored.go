@@ -103,26 +103,25 @@ func (r TailoredResult) Surviving(t Technique, p float64) float64 {
 	return 0
 }
 
-// AnalyzeTailored measures the immunity populations for mod's binary. The
-// Isomeron variant is a diversified compilation of the same program
-// (intra-function block layout shuffled, nops inserted); a gadget is
-// same-ISA immune when the corresponding function-relative address in the
-// variant performs the same attacker-visible computation — Isomeron's
-// diversifier maps control transfers between variants at function
-// granularity, so that is exactly the code a diversified chain executes.
-func AnalyzeTailored(mod *prog.Module, bin *fatbin.Binary, psrSurvivors int, seed int64) (TailoredResult, error) {
+// AnalyzeTailored measures the immunity populations over the viable
+// gadgets of c, the x86 census of mod's binary. The Isomeron variant is a
+// diversified compilation of the same program (intra-function block
+// layout shuffled, nops inserted); a gadget is same-ISA immune when the
+// corresponding function-relative address in the variant performs the
+// same attacker-visible computation — Isomeron's diversifier maps control
+// transfers between variants at function granularity, so that is exactly
+// the code a diversified chain executes.
+func AnalyzeTailored(mod *prog.Module, c *gadget.Census, psrSurvivors int, seed int64) (TailoredResult, error) {
+	bin := c.Bin
 	res := TailoredResult{Benchmark: bin.Module, PSRSurface: psrSurvivors}
 	variant, err := compiler.CompileDiversified(mod, seed)
 	if err != nil {
 		return res, err
 	}
-	gs := gadget.Mine(bin, isa.X86, 0)
-	an := gadget.NewAnalyzer(bin)
 	anVar := gadget.NewAnalyzer(variant)
 	sameFrac := 0.0
-	for i := range gs {
-		g := &gs[i]
-		e := an.NativeEffect(g)
+	for i := range c.Gadgets {
+		g, e := &c.Gadgets[i], c.Effects[i]
 		if !e.Viable() {
 			continue
 		}

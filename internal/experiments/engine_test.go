@@ -131,8 +131,8 @@ func TestBinCacheSingleflight(t *testing.T) {
 		}
 	}
 	for _, p := range s.Profiles {
-		if s.module(p.Name) == nil {
-			t.Fatalf("module %s not cached", p.Name)
+		if c, err := s.compile(p); err != nil || c.mod == nil {
+			t.Fatalf("module %s not cached (%v)", p.Name, err)
 		}
 	}
 }

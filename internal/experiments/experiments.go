@@ -16,12 +16,18 @@ import (
 	"hipstr/internal/compiler"
 	"hipstr/internal/fatbin"
 	"hipstr/internal/gadget"
+	"hipstr/internal/isa"
 	"hipstr/internal/prog"
 	"hipstr/internal/telemetry"
 	"hipstr/internal/workload"
 )
 
-// Suite configures a run of the experiment drivers.
+// Suite configures a run of the experiment drivers. A Suite is one
+// evaluation: it computes each distinct compilation, gadget census and
+// window simulation once and serves every later request for it from
+// memory, identifying a profile by its name. Running an experiment twice
+// on one Suite therefore reuses the first run's simulations; re-measuring
+// needs a fresh Suite.
 type Suite struct {
 	// Profiles is the benchmark list (defaults to the paper's eight).
 	Profiles []workload.Profile
@@ -38,8 +44,14 @@ type Suite struct {
 	// gauges plus the engine's run counters and timings.
 	Telemetry *telemetry.Telemetry
 
+	// The memos compute each distinct result once per Suite: compiled
+	// binaries and gadget censuses keyed by profile name, window
+	// simulations by runKey.
+	bins     memo[string, compiled]
+	censuses memo[string, *gadget.Census]
+	runs     memo[runKey, windowRun]
+
 	mu          sync.Mutex
-	bins        map[string]*binEntry
 	entropyBits float64 // measured PSR entropy (set by Table2, read by Fig7)
 
 	// expSpan is the currently running experiment's parent span; cell
@@ -71,49 +83,41 @@ func (s *Suite) printf(format string, args ...interface{}) {
 	}
 }
 
-// binEntry is one singleflight slot of the compile cache: concurrent cells
-// requesting the same benchmark share one compilation.
-type binEntry struct {
-	once sync.Once
-	bin  *fatbin.Binary
-	mod  *prog.Module
-	err  error
+// compiled is one benchmark's compile-cache entry.
+type compiled struct {
+	bin *fatbin.Binary
+	mod *prog.Module
 }
 
-// bin compiles (and caches) a benchmark. It is safe for concurrent use:
-// the per-benchmark sync.Once guarantees a single compile no matter how
-// many cells race on the same profile.
-func (s *Suite) bin(p workload.Profile) (*fatbin.Binary, error) {
-	s.mu.Lock()
-	if s.bins == nil {
-		s.bins = make(map[string]*binEntry)
-	}
-	e, ok := s.bins[p.Name]
-	if !ok {
-		e = &binEntry{}
-		s.bins[p.Name] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
+// compile compiles (and caches) a benchmark. It is safe for concurrent
+// use: cells racing on the same profile share one compilation.
+func (s *Suite) compile(p workload.Profile) (compiled, error) {
+	return s.bins.get(p.Name, func() (compiled, error) {
 		mod := workload.Generate(p)
 		b, err := compiler.Compile(mod)
 		if err != nil {
-			e.err = fmt.Errorf("experiments: compile %s: %w", p.Name, err)
-			return
+			return compiled{}, fmt.Errorf("experiments: compile %s: %w", p.Name, err)
 		}
-		e.bin, e.mod = b, mod
+		return compiled{bin: b, mod: mod}, nil
 	})
-	return e.bin, e.err
 }
 
-func (s *Suite) module(name string) *prog.Module {
-	s.mu.Lock()
-	e := s.bins[name]
-	s.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	return e.mod
+// bin returns a benchmark's compiled binary.
+func (s *Suite) bin(p workload.Profile) (*fatbin.Binary, error) {
+	c, err := s.compile(p)
+	return c.bin, err
+}
+
+// census returns a benchmark's x86 gadget census, taken once per Suite
+// and shared by Figs 3, 4, 5 and 8, Table 2 and the httpd study.
+func (s *Suite) census(p workload.Profile) (*gadget.Census, error) {
+	return s.censuses.get(p.Name, func() (*gadget.Census, error) {
+		bin, err := s.bin(p)
+		if err != nil {
+			return nil, err
+		}
+		return gadget.TakeCensus(bin, isa.X86), nil
+	})
 }
 
 // setEntropyBits records the Table 2 measurement for Fig7.
@@ -134,31 +138,22 @@ func (s *Suite) PSREntropyBits() float64 {
 	return s.entropyBits
 }
 
-// sampleGadgets bounds a gadget population in Quick mode.
-func (s *Suite) sampleGadgets(gs []gadget.Gadget) []gadget.Gadget {
+// sample returns how many of c's gadgets a figure evaluates (all of
+// them, or in Quick mode an even stride of about 400) and the census
+// indices of the viable ones among those.
+func (s *Suite) sample(c *gadget.Census) (total int, viable []int) {
 	const maxSample = 400
-	if !s.Quick || len(gs) <= maxSample {
-		return gs
+	step := 1
+	if s.Quick && len(c.Gadgets) > maxSample {
+		step = len(c.Gadgets) / maxSample
 	}
-	step := len(gs) / maxSample
-	out := make([]gadget.Gadget, 0, maxSample)
-	for i := 0; i < len(gs); i += step {
-		out = append(out, gs[i])
-	}
-	return out
-}
-
-// viableGadgets mines and evaluates the viable population of a binary.
-func viableGadgets(bin *fatbin.Binary, gs []gadget.Gadget) (viable []int, effects []gadget.Effect) {
-	an := gadget.NewAnalyzer(bin)
-	effects = make([]gadget.Effect, len(gs))
-	for i := range gs {
-		effects[i] = an.NativeEffect(&gs[i])
-		if effects[i].Viable() {
+	for i := 0; i < len(c.Gadgets); i += step {
+		total++
+		if c.Effects[i].Viable() {
 			viable = append(viable, i)
 		}
 	}
-	return viable, effects
+	return total, viable
 }
 
 // header prints a section banner.

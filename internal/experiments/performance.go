@@ -21,6 +21,65 @@ func (s *Suite) window() (warm, measure int) {
 	return 1, 2
 }
 
+// runKey identifies one window simulation. dbt.Config is compared whole,
+// so a field added to it later joins the key by itself (and a field that
+// is not comparable fails to compile).
+type runKey struct {
+	profile    string
+	k          isa.Kind
+	native     bool
+	cfg        dbt.Config
+	warm, meas int
+}
+
+// windowRun is what a window simulation leaves behind: numbers only,
+// never the VM.
+type windowRun struct {
+	m perf.Measurement
+	// stats are the VM's whole-run counters, window its counters over the
+	// measured window only (zero for native runs).
+	stats, window dbt.Stats
+	// ratLookups and ratMisses count ISA k's return address table.
+	ratLookups, ratMisses uint64
+}
+
+// run measures p on ISA k over the suite's window, natively when cfg is
+// nil and under a PSR VM with *cfg otherwise. Each distinct simulation
+// runs once per Suite.
+func (s *Suite) run(p workload.Profile, k isa.Kind, cfg *dbt.Config) (windowRun, error) {
+	warm, meas := s.window()
+	key := runKey{profile: p.Name, k: k, native: cfg == nil, warm: warm, meas: meas}
+	if cfg != nil {
+		key.cfg = *cfg
+	}
+	return s.runs.get(key, func() (windowRun, error) {
+		bin, err := s.bin(p)
+		if err != nil {
+			return windowRun{}, err
+		}
+		if key.native {
+			m, err := perf.MeasureNative(bin, k, warm, meas)
+			return windowRun{m: m}, err
+		}
+		m, window, vm, err := perf.MeasureVMStats(bin, k, key.cfg, warm, meas)
+		if err != nil {
+			return windowRun{}, err
+		}
+		rat := vm.RATOf(k)
+		return windowRun{m: m, stats: vm.Stats, window: window,
+			ratLookups: rat.Lookups, ratMisses: rat.Misses}, nil
+	})
+}
+
+// psrConfig is the suite's PSR baseline for p: the paper's default
+// configuration, seeded per benchmark, with migration off.
+func psrConfig(p workload.Profile) dbt.Config {
+	cfg := dbt.DefaultConfig()
+	cfg.Seed = p.Seed
+	cfg.MigrateProb = 0
+	return cfg
+}
+
 // forEachProfile fans one cell per benchmark out on the worker pool.
 func (s *Suite) forEachProfile(ctx context.Context, fn func(i int, p workload.Profile) error) error {
 	return s.forEach(ctx, len(s.Profiles), func(i int) error {
@@ -39,28 +98,21 @@ type Fig9Row struct {
 // Fig9 measures steady-state performance at each optimization level.
 func (s *Suite) Fig9(ctx context.Context) ([]Fig9Row, error) {
 	s.header("Figure 9: Performance at PSR optimization levels (relative to native)")
-	warm, meas := s.window()
 	rows := make([]Fig9Row, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		native, err := s.run(p, isa.X86, nil)
 		if err != nil {
 			return err
 		}
-		native, err := perf.MeasureNative(bin, isa.X86, warm, meas)
-		if err != nil {
-			return err
-		}
-		row := Fig9Row{Benchmark: p.Name, NativeCPI: native.CPI}
+		row := Fig9Row{Benchmark: p.Name, NativeCPI: native.m.CPI}
 		for _, o := range []dbt.OptLevel{dbt.O1, dbt.O2, dbt.O3} {
-			cfg := dbt.DefaultConfig()
+			cfg := psrConfig(p)
 			cfg.Opt = o
-			cfg.Seed = p.Seed
-			cfg.MigrateProb = 0
-			m, _, err := perf.MeasureVM(bin, isa.X86, cfg, warm, meas)
+			r, err := s.run(p, isa.X86, &cfg)
 			if err != nil {
 				return err
 			}
-			rel := perf.Relative(native, m)
+			rel := perf.Relative(native.m, r.m)
 			switch o {
 			case dbt.O1:
 				row.O1 = rel
@@ -96,29 +148,22 @@ type Fig10Row struct {
 // Fig10 sweeps the frame randomization space (S8..S64 KiB).
 func (s *Suite) Fig10(ctx context.Context) ([]Fig10Row, error) {
 	s.header("Figure 10: Effect of additional stack memory (relative to native)")
-	warm, meas := s.window()
 	sizes := []int{2, 4, 8, 16} // pages: 8,16,32,64 KiB
 	rows := make([]Fig10Row, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
-		if err != nil {
-			return err
-		}
-		native, err := perf.MeasureNative(bin, isa.X86, warm, meas)
+		native, err := s.run(p, isa.X86, nil)
 		if err != nil {
 			return err
 		}
 		row := Fig10Row{Benchmark: p.Name}
 		for si, pages := range sizes {
-			cfg := dbt.DefaultConfig()
+			cfg := psrConfig(p)
 			cfg.RandPages = pages
-			cfg.Seed = p.Seed
-			cfg.MigrateProb = 0
-			m, _, err := perf.MeasureVM(bin, isa.X86, cfg, warm, meas)
+			r, err := s.run(p, isa.X86, &cfg)
 			if err != nil {
 				return err
 			}
-			rel := perf.Relative(native, m)
+			rel := perf.Relative(native.m, r.m)
 			switch si {
 			case 0:
 				row.S8 = rel
@@ -154,7 +199,6 @@ type Fig11Point struct {
 // Fig11 sweeps the hardware return address table size.
 func (s *Suite) Fig11(ctx context.Context) ([]Fig11Point, error) {
 	s.header("Figure 11: Effect of RAT size on performance")
-	warm, meas := s.window()
 	sizes := []int{32, 64, 128, 256, 512, 1024, 2048}
 	if s.Quick {
 		sizes = []int{32, 256, 2048}
@@ -169,22 +213,15 @@ func (s *Suite) Fig11(ctx context.Context) ([]Fig11Point, error) {
 	cells := make([]cell, len(sizes)*np)
 	err := s.forEach(ctx, len(cells), func(ci int) error {
 		size, p := sizes[ci/np], s.Profiles[ci%np]
-		bin, err := s.bin(p)
-		if err != nil {
-			return err
-		}
-		cfg := dbt.DefaultConfig()
+		cfg := psrConfig(p)
 		cfg.RATSize = size
-		cfg.Seed = p.Seed
-		cfg.MigrateProb = 0
-		m, vm, err := perf.MeasureVM(bin, isa.X86, cfg, warm, meas)
+		r, err := s.run(p, isa.X86, &cfg)
 		if err != nil {
 			return err
 		}
-		c := cell{cycles: m.Cycles}
-		rat := vm.RATOf(isa.X86)
-		if rat.Lookups > 0 {
-			c.missRate = float64(rat.Misses) / float64(rat.Lookups)
+		c := cell{cycles: r.m.Cycles}
+		if r.ratLookups > 0 {
+			c.missRate = float64(r.ratMisses) / float64(r.ratLookups)
 			c.hasMiss = true
 		}
 		cells[ci] = c
@@ -343,7 +380,6 @@ type Fig13Point struct {
 // Fig13 sweeps the code cache size.
 func (s *Suite) Fig13(ctx context.Context) ([]Fig13Point, error) {
 	s.header("Figure 13: Effect of code cache size on security migrations")
-	warm, meas := s.window()
 	sizes := []int{16, 32, 64, 128, 256, 768, 1536}
 	if s.Quick {
 		sizes = []int{16, 64, 1536}
@@ -356,22 +392,16 @@ func (s *Suite) Fig13(ctx context.Context) ([]Fig13Point, error) {
 	cells := make([]cell, len(sizes)*np)
 	err := s.forEach(ctx, len(cells), func(ci int) error {
 		kb, p := sizes[ci/np], s.Profiles[ci%np]
-		bin, err := s.bin(p)
-		if err != nil {
-			return err
-		}
-		cfg := dbt.DefaultConfig()
+		cfg := psrConfig(p)
 		cfg.CodeCacheSize = uint32(kb) * 1024
-		cfg.Seed = p.Seed
-		cfg.MigrateProb = 0
-		m, vm, err := perf.MeasureVM(bin, isa.X86, cfg, warm, meas)
+		r, err := s.run(p, isa.X86, &cfg)
 		if err != nil {
 			return err
 		}
 		cells[ci] = cell{
-			events:  vm.Stats.CodeCacheMisses,
-			flushes: vm.Stats.Flushes,
-			cycles:  m.Cycles,
+			events:  r.stats.CodeCacheMisses,
+			flushes: r.stats.Flushes,
+			cycles:  r.m.Cycles,
 		}
 		return nil
 	})
@@ -418,7 +448,6 @@ type Fig14Curve struct {
 // PSR+Isomeron.
 func (s *Suite) Fig14(ctx context.Context) ([]Fig14Curve, error) {
 	s.header("Figure 14: Performance comparison with Isomeron (relative to native)")
-	warm, meas := s.window()
 	ps := []float64{0, 0.25, 0.5, 0.75, 1.0}
 	if s.Quick {
 		ps = []float64{0, 0.5, 1.0}
@@ -428,81 +457,68 @@ func (s *Suite) Fig14(ctx context.Context) ([]Fig14Curve, error) {
 	for i, name := range systems {
 		curves[i] = Fig14Curve{System: name, P: ps}
 	}
-	// One cell per (diversification probability, benchmark) pair — the
-	// paper's slowest sweep and the one that gains most from fan-out.
+	// One cell per benchmark fetches its window runs. None of them
+	// depends on the diversification probability, which is applied to
+	// their numbers afterwards.
 	type cell struct {
-		iso, combo, hip256, hip2m float64
+		native, psr windowRun
+		hip         [2]windowRun // 256 KB and 2 MB code caches
 	}
-	np := len(s.Profiles)
-	cells := make([]cell, len(ps)*np)
-	err := s.forEach(ctx, len(cells), func(ci int) error {
-		pv, p := ps[ci/np], s.Profiles[ci%np]
-		bin, err := s.bin(p)
-		if err != nil {
+	cacheKBs := [2]int{256, 2048}
+	cells := make([]cell, len(s.Profiles))
+	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
+		var r cell
+		var err error
+		if r.native, err = s.run(p, isa.X86, nil); err != nil {
 			return err
 		}
-		native, err := perf.MeasureNative(bin, isa.X86, warm, meas)
-		if err != nil {
+		psrCfg := psrConfig(p)
+		if r.psr, err = s.run(p, isa.X86, &psrCfg); err != nil {
 			return err
 		}
-		var c cell
-		// Isomeron: modeled from the native run's call structure.
-		isoCfg := isomeron.DefaultConfig()
-		isoCfg.DiversifyProb = pv
-		c.iso = isoCfg.Apply(native).Relative
-		// PSR+Isomeron: PSR measured, Isomeron shepherding on top.
-		psrCfg := dbt.DefaultConfig()
-		psrCfg.Seed = p.Seed
-		psrCfg.MigrateProb = 0
-		psrRun, _, err := perf.MeasureVM(bin, isa.X86, psrCfg, warm, meas)
-		if err != nil {
-			return err
-		}
-		c.combo = isoCfg.CombineWithPSR(native, psrRun).Relative
-		// HIPStR: PSR plus probabilistic migration on steady-state
-		// security events. Warm caches make those events rare, so
-		// raising the diversification probability costs almost
-		// nothing — the paper's core performance argument. The
-		// event rate is measured over the steady-state window and
-		// each event charged the modeled migration cost.
-		for _, cacheKB := range []int{256, 2048} {
-			cfg := dbt.DefaultConfig()
-			cfg.Seed = p.Seed
-			cfg.CodeCacheSize = uint32(cacheKB) * 1024
-			cfg.MigrateProb = 0 // measure events; migration modeled below
-			m, delta, _, err := perf.MeasureVMStats(bin, isa.X86, cfg, warm, meas)
-			if err != nil {
+		// HIPStR runs measure security events with migration off; the
+		// migrations are modeled below.
+		for ci, kb := range cacheKBs {
+			cfg := psrConfig(p)
+			cfg.CodeCacheSize = uint32(kb) * 1024
+			if r.hip[ci], err = s.run(p, isa.X86, &cfg); err != nil {
 				return err
 			}
-			coreCfg := perf.CoreFor(isa.X86)
-			migCycles := migrate.CostMicros(isa.ARM, 4, 120) * coreCfg.FreqGHz * 1e3
-			extra := pv * float64(delta.CodeCacheMisses) * migCycles
-			rel := native.Cycles / (m.Cycles + extra)
-			if cacheKB == 256 {
-				c.hip256 = rel
-			} else {
-				c.hip2m = rel
-			}
 		}
-		cells[ci] = c
+		cells[i] = r
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for pi := range ps {
-		var iso, combo, hip256, hip2m []float64
-		for bi := range s.Profiles {
-			c := cells[pi*np+bi]
-			iso = append(iso, c.iso)
-			combo = append(combo, c.combo)
-			hip256 = append(hip256, c.hip256)
-			hip2m = append(hip2m, c.hip2m)
+	coreCfg := perf.CoreFor(isa.X86)
+	migCycles := migrate.CostMicros(isa.ARM, 4, 120) * coreCfg.FreqGHz * 1e3
+	for _, pv := range ps {
+		isoCfg := isomeron.DefaultConfig()
+		isoCfg.DiversifyProb = pv
+		var iso, combo []float64
+		var hip [2][]float64
+		for _, r := range cells {
+			native := r.native.m
+			// Isomeron: modeled from the native run's call structure.
+			iso = append(iso, isoCfg.Apply(native).Relative)
+			// PSR+Isomeron: PSR measured, Isomeron shepherding on top.
+			combo = append(combo, isoCfg.CombineWithPSR(native, r.psr.m).Relative)
+			// HIPStR: PSR plus probabilistic migration on steady-state
+			// security events. Warm caches make those events rare, so
+			// raising the diversification probability costs almost
+			// nothing — the paper's core performance argument. The
+			// event rate is measured over the steady-state window and
+			// each event charged the modeled migration cost.
+			for ci, h := range r.hip {
+				extra := pv * float64(h.window.CodeCacheMisses) * migCycles
+				hip[ci] = append(hip[ci], native.Cycles/(h.m.Cycles+extra))
+			}
 		}
 		curves[0].Relative = append(curves[0].Relative, stats.Mean(iso))
 		curves[1].Relative = append(curves[1].Relative, stats.Mean(combo))
-		curves[2].Relative = append(curves[2].Relative, stats.Mean(hip256))
-		curves[3].Relative = append(curves[3].Relative, stats.Mean(hip2m))
+		curves[2].Relative = append(curves[2].Relative, stats.Mean(hip[0]))
+		curves[3].Relative = append(curves[3].Relative, stats.Mean(hip[1]))
 	}
 	s.printf("%5s", "p")
 	for _, c := range curves {

@@ -30,29 +30,17 @@ func (s *Suite) Fig3(ctx context.Context) ([]Fig3Row, error) {
 	s.header("Figure 3: Classic ROP attack surface (obfuscated vs unobfuscated)")
 	rows := make([]Fig3Row, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		c, err := s.census(p)
 		if err != nil {
 			return err
 		}
-		gs := s.sampleGadgets(gadget.Mine(bin, isa.X86, 0))
-		viable, effects := viableGadgets(bin, gs)
-		cfg := dbt.DefaultConfig()
-		cfg.MigrateProb = 0
-		cfg.Seed = p.Seed
-		vm, err := dbt.New(bin, isa.X86, cfg)
+		total, viable := s.sample(c)
+		unobf, err := unobfuscated(p, c, viable)
 		if err != nil {
 			return err
 		}
-		row := Fig3Row{Benchmark: p.Name, Total: len(gs), Viable: len(viable)}
-		for _, vi := range viable {
-			te := gadget.TranslatedEffect(vm, &gs[vi])
-			if effects[vi].SameOutcome(te) {
-				row.Unobfuscated++
-			} else {
-				row.Obfuscated++
-			}
-		}
-		rows[i] = row
+		rows[i] = Fig3Row{Benchmark: p.Name, Total: total, Viable: len(viable),
+			Obfuscated: len(viable) - unobf, Unobfuscated: unobf}
 		return nil
 	})
 	if err != nil {
@@ -71,6 +59,22 @@ func (s *Suite) Fig3(ctx context.Context) ([]Fig3Row, error) {
 	return rows, nil
 }
 
+// unobfuscated counts the viable census gadgets whose effect under p's
+// PSR translation is still the native one.
+func unobfuscated(p workload.Profile, c *gadget.Census, viable []int) (int, error) {
+	vm, err := dbt.New(c.Bin, isa.X86, psrConfig(p))
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, i := range viable {
+		if c.Effects[i].SameOutcome(gadget.TranslatedEffect(vm, &c.Gadgets[i])) {
+			n++
+		}
+	}
+	return n, nil
+}
+
 // Fig4Row is one bar of Figure 4: the brute-force surface split into
 // eliminated and surviving (viable) gadgets.
 type Fig4Row struct {
@@ -86,17 +90,16 @@ func (s *Suite) Fig4(ctx context.Context) ([]Fig4Row, error) {
 	s.header("Figure 4: Brute force attack surface (eliminated vs surviving)")
 	rows := make([]Fig4Row, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		c, err := s.census(p)
 		if err != nil {
 			return err
 		}
-		gs := s.sampleGadgets(gadget.Mine(bin, isa.X86, 0))
-		viable, _ := viableGadgets(bin, gs)
+		total, viable := s.sample(c)
 		rows[i] = Fig4Row{
 			Benchmark:  p.Name,
-			Total:      len(gs),
+			Total:      total,
 			Surviving:  len(viable),
-			Eliminated: len(gs) - len(viable),
+			Eliminated: total - len(viable),
 		}
 		return nil
 	})
@@ -121,11 +124,11 @@ func (s *Suite) Table2(ctx context.Context) ([]Table2Row, error) {
 	s.printf("%-12s %8s %8s %14s %14s\n", "benchmark", "params", "entropy", "attempts", "attempts(bias)")
 	rows := make([]Table2Row, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		c, err := s.census(p)
 		if err != nil {
 			return err
 		}
-		rows[i] = attack.SimulateBruteForce(bin, psr.DefaultConfig(), p.Seed)
+		rows[i] = attack.SimulateBruteForce(c, psr.DefaultConfig(), p.Seed)
 		return nil
 	})
 	if err != nil {
@@ -160,13 +163,13 @@ func (s *Suite) Fig5(ctx context.Context) ([]Fig5Row, error) {
 	}
 	rows := make([]Fig5Row, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		c, err := s.census(p)
 		if err != nil {
 			return err
 		}
 		cfg := dbt.DefaultConfig()
 		cfg.Seed = p.Seed
-		res, err := attack.SimulateJITROP(bin, cfg, warm)
+		res, err := attack.SimulateJITROP(c, cfg, warm)
 		if err != nil {
 			return err
 		}
@@ -269,21 +272,24 @@ func (s *Suite) Fig8(ctx context.Context) ([]Fig8Curve, error) {
 	// Per-benchmark immunity populations, aggregated over the suite.
 	results := make([]attack.TailoredResult, len(s.Profiles))
 	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		bin, err := s.bin(p)
+		comp, err := s.compile(p)
+		if err != nil {
+			return err
+		}
+		c, err := s.census(p)
 		if err != nil {
 			return err
 		}
 		// PSR-surviving population from the Fig 5 cache analysis stands
 		// in for the in-cache surface; use the viable count scaled by the
-		// measured unobfuscated rate when available. Here: recompute
-		// cheaply with the same sampling.
-		gs := s.sampleGadgets(gadget.Mine(bin, isa.X86, 0))
-		viable, _ := viableGadgets(bin, gs)
+		// measured unobfuscated rate when available. Here: the viable
+		// count of the sample Figs 3 and 4 evaluate.
+		_, viable := s.sample(c)
 		psrSurface := len(viable) / 20 // measured unobfuscated rate is a few percent
 		if psrSurface < 1 {
 			psrSurface = 1
 		}
-		res, err := attack.AnalyzeTailored(s.module(p.Name), bin, psrSurface, p.Seed)
+		res, err := attack.AnalyzeTailored(comp.mod, c, psrSurface, p.Seed)
 		if err != nil {
 			return err
 		}
@@ -343,33 +349,22 @@ func (s *Suite) HTTPD(ctx context.Context) (HTTPDResult, error) {
 	// through the pool keeps cancellation and panic containment uniform.
 	err := s.forEach(ctx, 1, func(int) error {
 		p := workload.HTTPD()
-		bin, err := s.bin(p)
+		c, err := s.census(p)
 		if err != nil {
 			return err
 		}
-		gs := s.sampleGadgets(gadget.Mine(bin, isa.X86, 0))
-		viable, effects := viableGadgets(bin, gs)
-		cfg := dbt.DefaultConfig()
-		cfg.MigrateProb = 0
-		cfg.Seed = p.Seed
-		vm, err := dbt.New(bin, isa.X86, cfg)
+		total, viable := s.sample(c)
+		unobf, err := unobfuscated(p, c, viable)
 		if err != nil {
 			return err
 		}
-		unobf := 0
-		for _, i := range viable {
-			te := gadget.TranslatedEffect(vm, &gs[i])
-			if effects[i].SameOutcome(te) {
-				unobf++
-			}
-		}
-		bf := attack.SimulateBruteForce(bin, psr.DefaultConfig(), p.Seed)
-		jit, err := attack.SimulateJITROP(bin, dbt.DefaultConfig(), 600_000)
+		bf := attack.SimulateBruteForce(c, psr.DefaultConfig(), p.Seed)
+		jit, err := attack.SimulateJITROP(c, dbt.DefaultConfig(), 600_000)
 		if err != nil {
 			return err
 		}
 		res = HTTPDResult{
-			Gadgets:    len(gs),
+			Gadgets:    total,
 			Obfuscated: 1 - float64(unobf)/max(1, float64(len(viable))),
 			BruteForce: bf.AttemptsNoBias,
 			JIT:        jit,
