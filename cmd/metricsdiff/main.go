@@ -8,8 +8,8 @@
 //   - a metrics snapshot (hipstr-run/hipstr-bench -metrics-out),
 //
 //   - one experiment result artifact (hipstr-bench -results-out), whose
-//     rows are flattened into experiments.<name>.<label>.<field> gauges —
-//     the same series names the live registry publishes,
+//     series are replayed into the experiments.<name>.<label>.<field>
+//     gauges the live registry publishes, plus bench.seconds.<name>,
 //
 //   - or a -results-out directory, merging every *.json artifact in it.
 //
@@ -20,12 +20,6 @@
 //     hipstr-bench -quick -results-out before/
 //     hipstr-bench -quick -results-out after/   # on the new revision
 //     metricsdiff before/ after/
-//
-// Result rows reach the artifact as JSON objects, which do not preserve
-// struct field order, so the per-row label is the first string-valued key
-// in sorted key order. Artifact-vs-artifact diffs therefore always align;
-// an artifact diffed against a live -metrics-out snapshot can disagree on
-// label choice for rows with several string columns.
 package main
 
 import (
@@ -36,9 +30,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"hipstr"
+	"hipstr/internal/telemetry"
 )
 
 func load(path string) (hipstr.MetricsSnapshot, error) {
@@ -57,7 +51,7 @@ func load(path string) (hipstr.MetricsSnapshot, error) {
 }
 
 // parseArtifact sniffs the JSON shape: a metrics snapshot carries a
-// "counters" object, a result artifact "name" + "rows".
+// "counters" object, a result artifact a "name".
 func parseArtifact(path string, data []byte) (hipstr.MetricsSnapshot, error) {
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
@@ -70,23 +64,19 @@ func parseArtifact(path string, data []byte) (hipstr.MetricsSnapshot, error) {
 		}
 		return s, nil
 	}
-	if _, hasName := probe["name"]; hasName {
-		if _, hasRows := probe["rows"]; hasRows {
-			var res resultArtifact
-			if err := json.Unmarshal(data, &res); err != nil {
-				return hipstr.MetricsSnapshot{}, fmt.Errorf("%s: %w", path, err)
-			}
-			s := emptySnapshot()
-			res.addTo(&s)
-			return s, nil
-		}
+	if _, ok := probe["name"]; !ok {
+		return hipstr.MetricsSnapshot{}, fmt.Errorf(
+			"%s: neither a metrics snapshot (-metrics-out) nor an experiment result artifact (-results-out)", path)
 	}
-	return hipstr.MetricsSnapshot{}, fmt.Errorf(
-		"%s: neither a metrics snapshot (-metrics-out) nor an experiment result artifact (-results-out)", path)
+	reg := telemetry.NewRegistry()
+	if err := addResult(reg, path, data); err != nil {
+		return hipstr.MetricsSnapshot{}, err
+	}
+	return reg.Snapshot(), nil
 }
 
 // loadResultsDir merges every *.json result artifact in dir into one
-// synthetic snapshot.
+// snapshot.
 func loadResultsDir(dir string) (hipstr.MetricsSnapshot, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -96,120 +86,44 @@ func loadResultsDir(dir string) (hipstr.MetricsSnapshot, error) {
 		return hipstr.MetricsSnapshot{}, fmt.Errorf("%s: no *.json result artifacts", dir)
 	}
 	sort.Strings(paths)
-	s := emptySnapshot()
+	reg := telemetry.NewRegistry()
 	for _, p := range paths {
 		data, err := os.ReadFile(p)
 		if err != nil {
-			return s, err
+			return hipstr.MetricsSnapshot{}, err
 		}
-		var res resultArtifact
-		if err := json.Unmarshal(data, &res); err != nil {
-			return s, fmt.Errorf("%s: %w", p, err)
+		if err := addResult(reg, p, data); err != nil {
+			return hipstr.MetricsSnapshot{}, err
 		}
-		if res.Name == "" {
-			return s, fmt.Errorf("%s: not an experiment result artifact (no name)", p)
-		}
-		res.addTo(&s)
 	}
-	return s, nil
+	return reg.Snapshot(), nil
 }
 
-func emptySnapshot() hipstr.MetricsSnapshot {
-	return hipstr.MetricsSnapshot{
-		Counters: map[string]uint64{},
-		Gauges:   map[string]float64{},
+// addResult replays one experiment result artifact into reg the way the
+// experiment engine published it live: its series under
+// experiments.<name>, and its runtime as bench.seconds.<name>.
+func addResult(reg *telemetry.Registry, path string, data []byte) error {
+	var res struct {
+		Name    string          `json:"name"`
+		Seconds float64         `json:"seconds"`
+		Series  json.RawMessage `json:"series"`
 	}
-}
-
-// resultArtifact is the hipstr-bench -results-out schema (the experiment
-// engine's Result struct).
-type resultArtifact struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-	Rows    any     `json:"rows"`
-}
-
-// addTo flattens the artifact's rows into the gauges the live registry
-// publishes for the same experiment: experiments.<name>.<label>.<field>,
-// plus the bench.seconds.<name> runtime gauge.
-func (r resultArtifact) addTo(s *hipstr.MetricsSnapshot) {
-	s.Gauges["bench.seconds."+r.Name] = r.Seconds
-	prefix := "experiments." + r.Name
-	rows, ok := r.Rows.([]any)
-	if !ok {
-		rows = []any{r.Rows}
+	if err := json.Unmarshal(data, &res); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	for _, row := range rows {
-		m, ok := row.(map[string]any)
-		if !ok {
-			continue
-		}
-		label, fields := flattenRow(m)
-		base := prefix
-		if label != "" {
-			base += "." + sanitizeLabel(label)
-		}
-		for f, v := range fields {
-			s.Gauges[base+"."+f] = v
-		}
+	if res.Name == "" {
+		return fmt.Errorf("%s: not an experiment result artifact (no name)", path)
 	}
-}
-
-// flattenRow mirrors the experiment engine's row flattening over decoded
-// JSON: the first string-valued key (sorted order) labels the point and
-// every numeric value — scalar, array element, or nested object field —
-// becomes a field under its lowercased, dot-joined path.
-func flattenRow(m map[string]any) (string, map[string]float64) {
-	var label string
-	fields := map[string]float64{}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	if res.Series == nil {
+		return fmt.Errorf("%s: result artifact has no series; regenerate it with hipstr-bench -results-out", path)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		name := sanitizeLabel(strings.ToLower(k))
-		switch v := m[k].(type) {
-		case string:
-			if label == "" {
-				label = v
-			}
-		case bool:
-			if v {
-				fields[name] = 1
-			} else {
-				fields[name] = 0
-			}
-		case float64:
-			fields[name] = v
-		case []any:
-			for i, e := range v {
-				if f, ok := e.(float64); ok {
-					fields[fmt.Sprintf("%s.%d", name, i)] = f
-				}
-			}
-		case map[string]any:
-			// Nested rows (structs or float-valued maps): their fields
-			// arrive already lowercased and sanitized.
-			_, nested := flattenRow(v)
-			for fn, fv := range nested {
-				fields[name+"."+fn] = fv
-			}
-		}
+	var series []telemetry.SeriesPoint
+	if err := json.Unmarshal(res.Series, &series); err != nil {
+		return fmt.Errorf("%s: series: %w", path, err)
 	}
-	return label, fields
-}
-
-// sanitizeLabel matches the engine's metric-name cleaning: spaces, '+',
-// '.', and '/' become '-'.
-func sanitizeLabel(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch r {
-		case ' ', '+', '.', '/':
-			return '-'
-		}
-		return r
-	}, s)
+	reg.Gauge("bench.seconds." + res.Name).Set(res.Seconds)
+	reg.PublishSeries("experiments."+res.Name, series)
+	return nil
 }
 
 // keys returns the sorted union of both maps' keys.

@@ -27,7 +27,8 @@ type CodeCache struct {
 	cur uint32
 	// srcToCache maps source block start addresses to their translation.
 	srcToCache map[uint32]uint32
-	// cacheToSrc is the reverse map, for diagnostics and JIT-ROP analysis.
+	// cacheToSrc is the reverse map; UnitAt reads it to attribute
+	// profiler samples in translated code back to guest functions.
 	cacheToSrc map[uint32]uint32
 	// indirectTargets records source addresses that became known indirect
 	// jump targets or call sites — the attacker's only migration-free
@@ -96,12 +97,6 @@ func (c *CodeCache) HitRatio() float64 {
 		return 0
 	}
 	return float64(c.Hits) / float64(c.Lookups)
-}
-
-// SourceOf returns the source address a translation unit was made from.
-func (c *CodeCache) SourceOf(cacheAddr uint32) (uint32, bool) {
-	s, ok := c.cacheToSrc[cacheAddr]
-	return s, ok
 }
 
 // UnitAt returns the source address of the translation unit whose code

@@ -180,12 +180,6 @@ func (s *VMSnapshot) newShell(cfg Config, fc ForkConfig) (*VM, *proc.Process) {
 	return vm, p
 }
 
-// Fork is Snapshot().Fork(fc) in one step — the warm-spawn path when the
-// caller does not need to keep the snapshot for further forks.
-func (vm *VM) Fork(fc ForkConfig) (*VM, error) {
-	return vm.Snapshot().Fork(fc)
-}
-
 // rebuildMaps replays a recorded map-build order against a fresh
 // randomizer seeded with layoutSeed. Because psr.Randomizer draws are
 // consumed strictly during Build, replaying the same builds in the same

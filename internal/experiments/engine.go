@@ -109,8 +109,9 @@ feed:
 	return ctx.Err()
 }
 
-// Result is one experiment's structured output: the rows/series the driver
-// returned, plus run metadata. It is the JSON result artifact schema.
+// Result is one experiment's structured output: the rows the driver
+// returned, the series the engine published from them, and run metadata.
+// It is the JSON result artifact schema.
 type Result struct {
 	Name        string  `json:"name"`
 	Description string  `json:"description"`
@@ -118,6 +119,10 @@ type Result struct {
 	Parallel    int     `json:"parallel"`
 	Seconds     float64 `json:"seconds"`
 	Rows        any     `json:"rows"`
+	// Series is Rows flattened by seriesOf: exactly the points published
+	// as experiments.<name>.* gauges, so a reader of the artifact can
+	// rebuild those gauges without re-deriving the naming.
+	Series []telemetry.SeriesPoint `json:"series"`
 }
 
 // Options configures an engine run.
@@ -176,12 +181,13 @@ func Run(ctx context.Context, s *Suite, exps []Experiment, opts Options) ([]Resu
 			Parallel:    s.workers(),
 			Seconds:     secs,
 			Rows:        rows,
+			Series:      seriesOf(rows),
 		}
 		results = append(results, res)
 		tel.Counter("bench.experiments.run").Inc()
 		tel.Gauge("bench.seconds." + e.Name()).Set(secs)
 		tel.Histogram("bench.experiment_seconds").Observe(secs)
-		tel.PublishSeries("experiments."+e.Name(), seriesOf(rows))
+		tel.PublishSeries("experiments."+e.Name(), res.Series)
 		if opts.ResultsDir != "" {
 			if werr := writeResult(opts.ResultsDir, res); werr != nil && firstErr == nil {
 				firstErr = werr

@@ -79,7 +79,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err := json.Unmarshal(data, &res); err != nil {
 			t.Fatalf("%s artifact: %v", name, err)
 		}
-		if res.Name != name || res.Rows == nil {
+		if res.Name != name || res.Rows == nil || len(res.Series) == 0 {
 			t.Fatalf("%s artifact malformed: %+v", name, res)
 		}
 	}
@@ -97,6 +97,103 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	if series == 0 {
 		t.Fatalf("no per-figure series gauges published: %v", snap.Gauges)
+	}
+}
+
+// seriesTech is a Stringer sweep key, like attack.Technique.
+type seriesTech int
+
+func (t seriesTech) String() string { return [...]string{"PSR+Isomeron", "HIPStR"}[t] }
+
+// publishedGauges flattens rows the way Run publishes them.
+func publishedGauges(rows any) map[string]float64 {
+	r := telemetry.NewRegistry()
+	r.PublishSeries("x", seriesOf(rows))
+	return r.Snapshot().Gauges
+}
+
+// TestSeriesOfNamesFields pins the engine's row flattening, the one naming
+// rule behind every experiments.* gauge and result-artifact series: rows
+// label by their first string field (sanitized), and every bool, number,
+// float slice, float-valued map and nested struct becomes a lowercased
+// field; rows without a string field label by their leading field's value.
+func TestSeriesOfNamesFields(t *testing.T) {
+	type perISA struct{ X86, ARM float64 }
+	type row struct {
+		Bench  string
+		O3     float64
+		Safe   bool
+		PerISA perISA
+		Curve  []float64
+		ByTech map[seriesTech]float64
+		Note   string
+		hidden float64
+	}
+	rows := []row{
+		{Bench: "libquantum", O3: 0.9, Safe: true, Note: "not a label"},
+		{Bench: "gcc+ref v1.2/x", O3: 0.8, PerISA: perISA{1, 2},
+			Curve: []float64{5, 6}, ByTech: map[seriesTech]float64{0: 3, 1: 4}, hidden: 9},
+	}
+	want := map[string]float64{
+		"x.libquantum.o3":                      0.9,
+		"x.libquantum.safe":                    1,
+		"x.libquantum.perisa.x86":              0,
+		"x.libquantum.perisa.arm":              0,
+		"x.gcc-ref-v1-2-x.o3":                  0.8,
+		"x.gcc-ref-v1-2-x.safe":                0,
+		"x.gcc-ref-v1-2-x.perisa.x86":          1,
+		"x.gcc-ref-v1-2-x.perisa.arm":          2,
+		"x.gcc-ref-v1-2-x.curve.0":             5,
+		"x.gcc-ref-v1-2-x.curve.1":             6,
+		"x.gcc-ref-v1-2-x.bytech.psr-isomeron": 3,
+		"x.gcc-ref-v1-2-x.bytech.hipstr":       4,
+	}
+	checkGauges(t, publishedGauges(rows), want)
+
+	// Sweep rows: an int, a uint and a Stringer leading field label the
+	// point; a single struct is one point; rows without numbers vanish.
+	type ratRow struct {
+		Entries int
+		CPI     float64
+	}
+	type cacheRow struct {
+		KB      uint32
+		Flushes float64
+	}
+	type curve struct {
+		Technique seriesTech
+		P         []float64
+	}
+	type single struct {
+		Gadgets int
+		Rate    float64
+	}
+	type textOnly struct{ Name string }
+	checkGauges(t, publishedGauges([]ratRow{{32, 1.5}, {2048, 1.25}}), map[string]float64{
+		"x.32.entries": 32, "x.32.cpi": 1.5, "x.2048.entries": 2048, "x.2048.cpi": 1.25,
+	})
+	checkGauges(t, publishedGauges([]cacheRow{{16, 66}}), map[string]float64{
+		"x.16.kb": 16, "x.16.flushes": 66,
+	})
+	checkGauges(t, publishedGauges([]curve{{0, []float64{0.5}}, {1, []float64{0.25}}}), map[string]float64{
+		"x.PSR-Isomeron.technique": 0, "x.PSR-Isomeron.p.0": 0.5,
+		"x.HIPStR.technique": 1, "x.HIPStR.p.0": 0.25,
+	})
+	checkGauges(t, publishedGauges(single{422, 0.5}), map[string]float64{
+		"x.422.gadgets": 422, "x.422.rate": 0.5,
+	})
+	checkGauges(t, publishedGauges([]textOnly{{"a"}}), map[string]float64{})
+}
+
+func checkGauges(t *testing.T, got, want map[string]float64) {
+	t.Helper()
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != v {
+			t.Errorf("%s = %v (present=%v), want %v", name, g, ok, v)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("got %d gauges, want %d: %v", len(got), len(want), got)
 	}
 }
 

@@ -11,23 +11,24 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
+	"hipstr/internal/attack"
 	"hipstr/internal/compiler"
 	"hipstr/internal/fatbin"
 	"hipstr/internal/gadget"
 	"hipstr/internal/isa"
 	"hipstr/internal/prog"
+	"hipstr/internal/psr"
 	"hipstr/internal/telemetry"
 	"hipstr/internal/workload"
 )
 
 // Suite configures a run of the experiment drivers. A Suite is one
-// evaluation: it computes each distinct compilation, gadget census and
-// window simulation once and serves every later request for it from
-// memory, identifying a profile by its name. Running an experiment twice
-// on one Suite therefore reuses the first run's simulations; re-measuring
-// needs a fresh Suite.
+// evaluation: it computes each distinct compilation, gadget census,
+// brute-force simulation and window simulation once and serves every
+// later request for it from memory, identifying a profile by its name.
+// Running an experiment twice on one Suite therefore reuses the first
+// run's simulations; re-measuring needs a fresh Suite.
 type Suite struct {
 	// Profiles is the benchmark list (defaults to the paper's eight).
 	Profiles []workload.Profile
@@ -45,14 +46,12 @@ type Suite struct {
 	Telemetry *telemetry.Telemetry
 
 	// The memos compute each distinct result once per Suite: compiled
-	// binaries and gadget censuses keyed by profile name, window
-	// simulations by runKey.
-	bins     memo[string, compiled]
-	censuses memo[string, *gadget.Census]
-	runs     memo[runKey, windowRun]
-
-	mu          sync.Mutex
-	entropyBits float64 // measured PSR entropy (set by Table2, read by Fig7)
+	// binaries, gadget censuses and brute-force simulations keyed by
+	// profile name, window simulations by runKey.
+	bins        memo[string, compiled]
+	censuses    memo[string, *gadget.Census]
+	bruteForces memo[string, attack.BruteForceResult]
+	runs        memo[runKey, windowRun]
 
 	// expSpan is the currently running experiment's parent span; cell
 	// spans in forEach attach under it. Set by the engine before an
@@ -120,22 +119,16 @@ func (s *Suite) census(p workload.Profile) (*gadget.Census, error) {
 	})
 }
 
-// setEntropyBits records the Table 2 measurement for Fig7.
-func (s *Suite) setEntropyBits(bits float64) {
-	s.mu.Lock()
-	s.entropyBits = bits
-	s.mu.Unlock()
-}
-
-// PSREntropyBits returns the per-gadget PSR entropy measured by Table2, or
-// the paper's ~30-bit ballpark before Table2 has run.
-func (s *Suite) PSREntropyBits() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.entropyBits == 0 {
-		return 30
-	}
-	return s.entropyBits
+// bruteForce returns a benchmark's Algorithm 1 brute-force simulation,
+// run once per Suite and shared by Table 2 and Fig 7.
+func (s *Suite) bruteForce(p workload.Profile) (attack.BruteForceResult, error) {
+	return s.bruteForces.get(p.Name, func() (attack.BruteForceResult, error) {
+		c, err := s.census(p)
+		if err != nil {
+			return attack.BruteForceResult{}, err
+		}
+		return attack.SimulateBruteForce(c, psr.DefaultConfig(), p.Seed), nil
+	})
 }
 
 // sample returns how many of c's gadgets a figure evaluates (all of

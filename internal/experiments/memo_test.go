@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// memoReaders are the experiments that read the census or window-run
-// memo, in registry order.
-var memoReaders = []string{"fig3", "fig4", "table2", "fig5", "fig8",
+// memoReaders are the experiments that read the census, brute-force or
+// window-run memo, in registry order.
+var memoReaders = []string{"fig3", "fig4", "table2", "fig5", "fig7", "fig8",
 	"fig9", "fig10", "fig11", "fig13", "fig14", "httpd"}
 
 // quickOutput is one experiment's printed text and JSON rows.
@@ -87,7 +87,8 @@ func TestSharedSuiteMatchesFreshSuites(t *testing.T) {
 }
 
 // TestSuiteSimulatesEachConfigOnce counts the memo's entries: the quick
-// registry runs 42 distinct window simulations and 4 gadget censuses, and
+// registry runs 42 distinct window simulations, 4 gadget censuses and 4
+// brute-force simulations (Table 2's three benchmarks plus httpd), and
 // Fig 14 alone runs 3 per benchmark (native, PSR = 2 MB, 256 KB).
 func TestSuiteSimulatesEachConfigOnce(t *testing.T) {
 	s, _ := sharedQuickRun(t)
@@ -96,6 +97,9 @@ func TestSuiteSimulatesEachConfigOnce(t *testing.T) {
 	}
 	if n := memoLen(&s.censuses); n != 4 {
 		t.Errorf("quick registry took %d censuses, want 4", n)
+	}
+	if n := memoLen(&s.bruteForces); n != 4 {
+		t.Errorf("quick registry ran %d brute-force simulations, want 4", n)
 	}
 
 	fig14, _ := ByName("fig14")

@@ -102,7 +102,13 @@ func init() {
 	register("fig6", "Figure 6: percentage of migration-safe basic blocks",
 		func(ctx context.Context, s *Suite) (any, error) { return s.Fig6(ctx) })
 	register("fig7", "Figure 7: entropy comparison across techniques",
-		func(ctx context.Context, s *Suite) (any, error) { return s.Fig7(s.PSREntropyBits()), nil })
+		func(ctx context.Context, s *Suite) (any, error) {
+			bits, err := s.psrEntropyBits(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return s.Fig7(bits), nil
+		})
 	register("fig8", "Figure 8: tailored-attack surface vs diversification probability",
 		func(ctx context.Context, s *Suite) (any, error) { return s.Fig8(ctx) })
 	register("fig9", "Figure 9: performance at PSR optimization levels",

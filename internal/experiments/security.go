@@ -8,7 +8,6 @@ import (
 	"hipstr/internal/gadget"
 	"hipstr/internal/isa"
 	"hipstr/internal/migrate"
-	"hipstr/internal/psr"
 	"hipstr/internal/stats"
 	"hipstr/internal/workload"
 )
@@ -117,34 +116,45 @@ func (s *Suite) Fig4(ctx context.Context) ([]Fig4Row, error) {
 // Table2Row mirrors Table 2.
 type Table2Row = attack.BruteForceResult
 
-// Table2 runs the Algorithm 1 brute-force simulation per benchmark. The
-// measured mean entropy feeds Fig7 when the engine runs the full sequence.
+// Table2 runs the Algorithm 1 brute-force simulation per benchmark.
 func (s *Suite) Table2(ctx context.Context) ([]Table2Row, error) {
 	s.header("Table 2: Brute force simulation")
 	s.printf("%-12s %8s %8s %14s %14s\n", "benchmark", "params", "entropy", "attempts", "attempts(bias)")
-	rows := make([]Table2Row, len(s.Profiles))
-	err := s.forEachProfile(ctx, func(i int, p workload.Profile) error {
-		c, err := s.census(p)
-		if err != nil {
-			return err
-		}
-		rows[i] = attack.SimulateBruteForce(c, psr.DefaultConfig(), p.Seed)
-		return nil
-	})
+	rows, err := s.bruteForceRows(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sum := 0.0
 	for i, r := range rows {
 		s.printf("%-12s %8.2f %7.0fb %14s %14s\n",
 			s.Profiles[i].Name, r.AvgParams, r.EntropyBits,
 			stats.Sci(r.AttemptsNoBias), stats.Sci(r.AttemptsBias))
-		sum += r.EntropyBits
-	}
-	if len(rows) > 0 {
-		s.setEntropyBits(sum / float64(len(rows)))
 	}
 	return rows, nil
+}
+
+// bruteForceRows returns every benchmark's brute-force simulation, in
+// profile order.
+func (s *Suite) bruteForceRows(ctx context.Context) ([]Table2Row, error) {
+	rows := make([]Table2Row, len(s.Profiles))
+	err := s.forEachProfile(ctx, func(i int, p workload.Profile) (err error) {
+		rows[i], err = s.bruteForce(p)
+		return err
+	})
+	return rows, err
+}
+
+// psrEntropyBits returns the per-gadget PSR entropy Table 2 measures: the
+// mean over benchmarks, summed in profile order.
+func (s *Suite) psrEntropyBits(ctx context.Context) (float64, error) {
+	rows, err := s.bruteForceRows(ctx)
+	if err != nil {
+		return 0, err
+	}
+	bits := make([]float64, len(rows))
+	for i, r := range rows {
+		bits[i] = r.EntropyBits
+	}
+	return stats.Mean(bits), nil
 }
 
 // Fig5Row is one pair of bars of Figure 5: the JIT-ROP surface under
@@ -238,7 +248,7 @@ type Fig7Point struct {
 }
 
 // Fig7 computes the entropy comparison using the measured per-gadget PSR
-// entropy.
+// entropy (the fig7 experiment passes Table 2's mean).
 func (s *Suite) Fig7(psrBits float64) []Fig7Point {
 	s.header("Figure 7: Entropy comparison (bits; paper plots 2^bits capped at 1024)")
 	techs := []attack.Technique{attack.TechIsomeron, attack.TechHetISA,
@@ -358,7 +368,10 @@ func (s *Suite) HTTPD(ctx context.Context) (HTTPDResult, error) {
 		if err != nil {
 			return err
 		}
-		bf := attack.SimulateBruteForce(c, psr.DefaultConfig(), p.Seed)
+		bf, err := s.bruteForce(p)
+		if err != nil {
+			return err
+		}
 		jit, err := attack.SimulateJITROP(c, dbt.DefaultConfig(), 600_000)
 		if err != nil {
 			return err

@@ -300,95 +300,3 @@ func (in *Inst) String() string {
 	}
 	return b.String()
 }
-
-// RegsRead returns the architectural registers the instruction reads,
-// excluding the stack pointer's implicit use by push/pop/call/ret.
-func (in *Inst) RegsRead() []Reg {
-	var out []Reg
-	add := func(r Reg) {
-		for _, e := range out {
-			if e == r {
-				return
-			}
-		}
-		out = append(out, r)
-	}
-	addOpd := func(o Operand, read bool) {
-		switch o.Kind {
-		case OpdReg:
-			if read {
-				add(o.Reg)
-			}
-		case OpdMem:
-			if o.Mem.HasBase {
-				add(o.Mem.Base)
-			}
-			if o.Mem.HasIndex {
-				add(o.Mem.Index)
-			}
-		}
-	}
-	switch in.Op {
-	case OpMov, OpLea, OpLoad, OpPop:
-		addOpd(in.Dst, false) // dst only read for address computation
-		addOpd(in.Src, true)
-	case OpStore:
-		addOpd(in.Dst, false)
-		addOpd(in.Src, true)
-		if in.Dst.Kind == OpdMem {
-			// address registers already added
-		}
-	case OpPush:
-		addOpd(in.Src, true)
-	case OpPushM:
-		for r := Reg(0); r < 16; r++ {
-			if in.RegMask&(1<<r) != 0 {
-				add(r)
-			}
-		}
-	case OpJmpI, OpCallI, OpBx:
-		addOpd(in.Dst, true)
-	case OpNeg, OpNot, OpInc, OpDec, OpMovT:
-		addOpd(in.Dst, true)
-	case OpAdd, OpSub, OpRsb, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv, OpCmp, OpTest:
-		if in.ThreeOperand() {
-			addOpd(in.Src2, true)
-			addOpd(in.Src, true)
-			addOpd(in.Dst, false)
-		} else {
-			addOpd(in.Dst, true)
-			addOpd(in.Src, true)
-		}
-	}
-	return out
-}
-
-// RegsWritten returns the architectural registers the instruction writes,
-// excluding implicit stack-pointer updates.
-func (in *Inst) RegsWritten() []Reg {
-	switch in.Op {
-	case OpMov, OpLea, OpLoad, OpPop, OpAdd, OpSub, OpRsb, OpAnd, OpOr,
-		OpXor, OpShl, OpShr, OpMul, OpNeg, OpNot, OpInc, OpDec, OpMovT:
-		if in.Dst.Kind == OpdReg {
-			return []Reg{in.Dst.Reg}
-		}
-	case OpDiv:
-		if in.ISA == X86 {
-			return []Reg{EAX, EDX}
-		}
-		if in.Dst.Kind == OpdReg {
-			return []Reg{in.Dst.Reg}
-		}
-	case OpPopM:
-		var out []Reg
-		for r := Reg(0); r < 16; r++ {
-			if in.RegMask&(1<<r) != 0 {
-				out = append(out, r)
-			}
-		}
-		return out
-	case OpLeave:
-		return []Reg{EBP}
-	}
-	return nil
-}

@@ -71,10 +71,14 @@ type BlockCacheStats struct {
 	// FullInvalidations, so dashboards and metricsdiff snapshots recorded
 	// before the partial/full split stay comparable.
 	Invalidations        uint64
-	PartialInvalidations uint64 // page-ranged evictions (some blocks survived)
-	FullInvalidations    uint64 // whole-cache drops (InvalidateCode fallback)
-	BlocksEvicted        uint64 // blocks dropped across all invalidations
-	Blocks               int    // blocks currently cached (both ISAs)
+	PartialInvalidations uint64 // write-log replays that evicted blocks
+	// FullInvalidations counts whole-cache drops: the memory's write log
+	// rotated past the cache's sync point (more than mem.CodeWriteLogSize
+	// code writes between two block dispatches), so every block was
+	// dropped and is rebuilt wholesale.
+	FullInvalidations uint64
+	BlocksEvicted     uint64 // blocks dropped across all invalidations
+	Blocks            int    // blocks currently cached (both ISAs)
 }
 
 // HitRatio returns Hits/(Hits+Misses), or 0 before any dispatch.
@@ -91,34 +95,25 @@ type blockRef struct {
 	k  isa.Kind
 }
 
-// pageIndex lists the cached blocks overlapping one page, together with
-// the page generation they observed at decode time.
-type pageIndex struct {
-	gen  uint64
-	refs []blockRef
-}
-
 // blockCache memoizes decoded basic blocks per ISA, keyed by start PC, and
-// guards them with the memory's code generations. The dispatch fast path
-// is one integer compare against the global generation; when that moves,
-// the cache reconciles at page granularity: it walks its per-page index
-// (only pages that actually hold blocks — a working set of tens, not the
-// whole address space) and evicts just the blocks overlapping pages whose
-// generation advanced. A whole-address-space InvalidateCode raises the
-// memory's generation floor past the cache's sync point and falls back to
-// the classic full drop. This keeps the block cache hot under DBT
-// translation churn: a translation commit or chain patch dirties one or
-// two code-cache pages, so predecodes of untouched regions — including
-// the other ISA's — survive.
+// guards them with the memory's code generation. The dispatch fast path
+// is one integer compare against that generation; when it moves, the
+// cache replays the memory's code-write log and evicts exactly the blocks
+// whose byte span a logged write overlapped, using its per-page index to
+// find candidates. If the log rotated past the cache's sync point, the
+// cache can no longer tell what changed and drops everything. This keeps
+// the block cache hot under DBT translation churn: a translation commit
+// or chain patch rewrites a few code-cache bytes, so predecodes of
+// untouched code — including the other ISA's — survive.
 //
 // Blocks are keyed per ISA because PSR migration retargets m.ISA mid-run
 // (always at a control transfer, hence always at a block boundary), and the
 // same address range decodes differently under each ISA's twin text.
 type blockCache struct {
-	blocks [2]map[uint32]*Block // indexed by isa.Kind
-	byPage map[uint32]*pageIndex
-	gen    uint64 // mem.CodeGen value the cache is synced to
-	win    []byte // reusable fetch window for refills
+	blocks [2]map[uint32]*Block  // indexed by isa.Kind
+	byPage map[uint32][]blockRef // cached blocks overlapping each page
+	gen    uint64                // mem.CodeGen value the cache is synced to
+	win    []byte                // reusable fetch window for refills
 	// free recycles evicted blocks' instruction storage into refills
 	// (freeFused and freeTiming do the same for their fused lowerings and
 	// timing summaries). Hooks receive *isa.Inst only for the duration of
@@ -234,16 +229,11 @@ func (m *Machine) BlockStats() BlockCacheStats {
 }
 
 // reconcile adopts generation g, evicting whatever the move invalidated.
-// Three tiers, cheapest-exact first:
-//
-//  1. Ranged: when the memory's write log still holds every generation in
-//     (bc.gen, g], evict only blocks whose byte span a logged write
-//     overlapped. A DBT translation commit appends fresh bytes past every
-//     decoded block, so this tier usually evicts nothing at all.
-//  2. Page walk: when the log rotated past us, compare each indexed
-//     page's generation and evict whole pages that moved.
-//  3. Full drop: a whole-address-space InvalidateCode raised the
-//     generation floor past our sync point; drop everything.
+// When the memory's write log still holds every generation in (bc.gen, g],
+// it evicts only the blocks whose byte span a logged write overlapped; a
+// DBT translation commit appends fresh bytes past every decoded block, so
+// this usually evicts nothing at all. Otherwise the log rotated past the
+// cache's sync point and every block is dropped.
 //
 // An empty cache adopting its first generation is not counted — only
 // actual drops of decoded blocks are invalidations.
@@ -252,26 +242,19 @@ func (bc *blockCache) reconcile(mm *mem.Memory, g uint64) {
 		bc.gen = g
 		return
 	}
-	if mm.CodeGenFloor() > bc.gen {
+	if evicted, ok := bc.reconcileRanged(mm, g); !ok {
 		bc.dropAll()
 		bc.fullInvals++
-	} else {
-		evicted, ok := bc.reconcileRanged(mm, g)
-		if !ok {
-			evicted += bc.reconcilePages(mm)
-		}
-		if evicted > 0 {
-			bc.partialInvals++
-		}
+	} else if evicted > 0 {
+		bc.partialInvals++
 	}
 	bc.gen = g
 }
 
 // reconcileRanged replays the memory's write log from bc.gen forward,
 // evicting blocks byte-overlapped by each logged mutation. It reports
-// false (and leaves page generations untouched) when any generation in
-// the window has rotated out of the log, in which case the caller must
-// fall back to the page walk.
+// false when any generation in the window has rotated out of the log, in
+// which case the caller must drop everything.
 func (bc *blockCache) reconcileRanged(mm *mem.Memory, g uint64) (int, bool) {
 	if g-bc.gen > mem.CodeWriteLogSize {
 		return 0, false
@@ -284,32 +267,7 @@ func (bc *blockCache) reconcileRanged(mm *mem.Memory, g uint64) (int, bool) {
 		}
 		n += bc.evictRange(w.Addr, w.Size)
 	}
-	// All mutations replayed: refresh the observed generation of every
-	// touched page that still holds blocks, restoring the invariant that
-	// indexed pages are current once the cache is synced.
-	for gg := bc.gen + 1; gg <= g; gg++ {
-		w, _ := mm.CodeWriteAt(gg)
-		first := w.Addr / mem.PageSize
-		last := (w.Addr + w.Size - 1) / mem.PageSize
-		for pn := first; pn <= last; pn++ {
-			if pi, ok := bc.byPage[pn]; ok {
-				pi.gen = mm.PageGen(pn)
-			}
-		}
-	}
 	return n, true
-}
-
-// reconcilePages is the coarse fallback: evict every indexed page whose
-// generation moved since the blocks on it were decoded.
-func (bc *blockCache) reconcilePages(mm *mem.Memory) int {
-	evicted := 0
-	for pn, pi := range bc.byPage {
-		if mm.PageGen(pn) != pi.gen {
-			evicted += bc.evictPage(pn)
-		}
-	}
-	return evicted
 }
 
 // evictRange drops every block whose byte span intersects [addr,
@@ -322,12 +280,13 @@ func (bc *blockCache) evictRange(addr, size uint32) int {
 	last := (addr + size - 1) / mem.PageSize
 	n := 0
 	for pn := first; pn <= last; pn++ {
-		pi, ok := bc.byPage[pn]
+		refs, ok := bc.byPage[pn]
 		if !ok {
 			continue
 		}
-		for i := 0; i < len(pi.refs); {
-			ref := pi.refs[i]
+		had := len(refs)
+		for i := 0; i < len(refs); {
+			ref := refs[i]
 			b := bc.blocks[ref.k][ref.pc]
 			if b == nil || !b.overlaps(addr, size) {
 				i++
@@ -340,15 +299,17 @@ func (bc *blockCache) evictRange(addr, size uint32) int {
 			// with the last ref and revisit index i.
 			for q := b.pageLo(); q <= b.pageHi(); q++ {
 				if q == pn {
-					pi.refs[i] = pi.refs[len(pi.refs)-1]
-					pi.refs = pi.refs[:len(pi.refs)-1]
+					refs[i] = refs[len(refs)-1]
+					refs = refs[:len(refs)-1]
 				} else {
 					bc.dropRef(q, ref)
 				}
 			}
 		}
-		if len(pi.refs) == 0 {
+		if len(refs) == 0 {
 			delete(bc.byPage, pn)
+		} else if len(refs) < had {
+			bc.byPage[pn] = refs
 		}
 	}
 	if n > 0 {
@@ -373,59 +334,27 @@ func (bc *blockCache) dropAll() {
 	bc.byPage = nil
 }
 
-// evictPage drops every block overlapping page pn and returns how many
-// were dropped. Blocks spanning a second page are unlinked from that
-// page's index entry too, so ref lists never accumulate stale entries.
-func (bc *blockCache) evictPage(pn uint32) int {
-	pi, ok := bc.byPage[pn]
-	if !ok {
-		return 0
-	}
-	delete(bc.byPage, pn)
-	n := 0
-	for _, ref := range pi.refs {
-		b, ok := bc.blocks[ref.k][ref.pc]
-		if !ok {
-			continue
-		}
-		delete(bc.blocks[ref.k], ref.pc)
-		for q := b.pageLo(); q <= b.pageHi(); q++ {
-			if q != pn {
-				bc.dropRef(q, ref)
-			}
-		}
-		bc.recycle(b)
-		n++
-	}
-	if n > 0 {
-		bc.epoch++
-	}
-	bc.evicted += uint64(n)
-	return n
-}
-
 // dropRef unlinks one block reference from page pn's index entry, removing
 // the entry when it empties.
 func (bc *blockCache) dropRef(pn uint32, ref blockRef) {
-	pi, ok := bc.byPage[pn]
-	if !ok {
-		return
-	}
-	for i, r := range pi.refs {
+	refs := bc.byPage[pn]
+	for i, r := range refs {
 		if r == ref {
-			pi.refs[i] = pi.refs[len(pi.refs)-1]
-			pi.refs = pi.refs[:len(pi.refs)-1]
+			refs[i] = refs[len(refs)-1]
+			refs = refs[:len(refs)-1]
 			break
 		}
 	}
-	if len(pi.refs) == 0 {
+	if len(refs) == 0 {
 		delete(bc.byPage, pn)
+	} else {
+		bc.byPage[pn] = refs
 	}
 }
 
 // alive reports whether blk is still the cached block for (k, pc) after a
-// reconcile — the dispatch loop uses it to keep executing a block whose
-// pages survived a generation move instead of breaking out to re-decode.
+// reconcile — the dispatch loop uses it to keep executing a block that
+// survived a generation move instead of breaking out to re-decode.
 func (bc *blockCache) alive(k isa.Kind, pc uint32, blk *Block) bool {
 	return bc.blocks[k][pc] == blk
 }
@@ -443,8 +372,8 @@ func (bc *blockCache) lookup(k isa.Kind, pc uint32) *Block {
 
 // refill fetches and decodes a new block at m.PC and caches it, indexing
 // it under every page it spans. The caller (Run) guarantees the cache is
-// synced to the current generation, so the page generations recorded here
-// are coherent with bc.gen. Fetch and decode failures are wrapped exactly
+// synced to the current generation, so the decoded bytes are exactly what
+// generation bc.gen holds. Fetch and decode failures are wrapped exactly
 // as the per-step slow path wraps them, so callers see identical errors
 // whether or not the cache is in play.
 func (bc *blockCache) refill(m *Machine) (*Block, error) {
@@ -491,16 +420,11 @@ func (bc *blockCache) refill(m *Machine) (*Block, error) {
 	}
 	tab[m.PC] = b
 	if bc.byPage == nil {
-		bc.byPage = make(map[uint32]*pageIndex)
+		bc.byPage = make(map[uint32][]blockRef)
 	}
 	ref := blockRef{pc: m.PC, k: m.ISA}
 	for pn := b.pageLo(); pn <= b.pageHi(); pn++ {
-		pi := bc.byPage[pn]
-		if pi == nil {
-			pi = &pageIndex{gen: m.Mem.PageGen(pn)}
-			bc.byPage[pn] = pi
-		}
-		pi.refs = append(pi.refs, ref)
+		bc.byPage[pn] = append(bc.byPage[pn], ref)
 	}
 	return b, nil
 }

@@ -76,7 +76,10 @@ func TestSelfModifyingCodeRedecodes(t *testing.T) {
 	}
 }
 
-func TestInvalidateCodeForcesRedecode(t *testing.T) {
+// TestLogOverflowDropsEverything: more code writes between two dispatches
+// than the memory's write log holds leave the cache unable to tell what
+// changed, so it drops every block — one full invalidation — and re-decodes.
+func TestLogOverflowDropsEverything(t *testing.T) {
 	m, _ := load(t, isa.X86, func(a *isa.Asm) {
 		a.Label("loop")
 		a.Emit(isa.Inst{Op: isa.OpInc, Dst: isa.R(isa.EAX)})
@@ -89,16 +92,25 @@ func TestInvalidateCodeForcesRedecode(t *testing.T) {
 	if before.Blocks == 0 {
 		t.Fatal("no blocks cached after first run")
 	}
-	m.Mem.InvalidateCode()
+	for i := 0; i < mem.CodeWriteLogSize+1; i++ {
+		m.Mem.InvalidateCodeRange(textBase, 1)
+	}
 	if _, err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	after := m.BlockStats()
-	if after.Invalidations != before.Invalidations+1 {
-		t.Fatalf("invalidations %d -> %d, want one more", before.Invalidations, after.Invalidations)
+	if after.Invalidations != before.Invalidations+1 ||
+		after.FullInvalidations != before.FullInvalidations+1 {
+		t.Fatalf("invalidations %d -> %d (full %d -> %d), want one more full",
+			before.Invalidations, after.Invalidations,
+			before.FullInvalidations, after.FullInvalidations)
+	}
+	if after.BlocksEvicted != before.BlocksEvicted+uint64(before.Blocks) {
+		t.Fatalf("evicted %d -> %d, want all %d cached blocks dropped",
+			before.BlocksEvicted, after.BlocksEvicted, before.Blocks)
 	}
 	if after.Misses <= before.Misses {
-		t.Fatal("no re-decode after explicit code invalidation")
+		t.Fatal("no re-decode after the write log overflowed")
 	}
 }
 

@@ -291,12 +291,12 @@ func (m *Machine) Step() error {
 //
 // Run dispatches predecoded basic blocks: each block is fetched, decoded,
 // and fused into superinstructions once, then re-executed from the cache
-// for as long as the memory's code generations hold. Every block runs
-// whole through the fused arms (runFused): the timing model's delta for
-// the block is committed once just before the final architectural
-// instruction executes, and the Mem.CodeGen poll runs only after
-// memory-writing instructions (the write barrier's dirty signal), so
-// self-modifying code still takes effect at the very next instruction.
+// until a code write overlaps it. Every block runs whole through the
+// fused arms (runFused): the timing model's delta for the block is
+// committed once just before the final architectural instruction
+// executes, and the Mem.CodeGen poll runs only after memory-writing
+// instructions (the write barrier's dirty signal), so self-modifying
+// code still takes effect at the very next instruction.
 // Control hooks and syscall handlers only fire at block terminators, so
 // no observer needs per-instruction dispatch.
 //

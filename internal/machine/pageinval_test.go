@@ -133,9 +133,10 @@ func TestRangedInvalidationKeepsOtherRegionBlocks(t *testing.T) {
 }
 
 // TestConcurrentMachinesCodeWriteHammer runs eight isolated machines under
-// continuous code mutation — ranged writes, ranged invalidations, and full
-// invalidations — to give the race detector a workout over the write-log
-// replay and block-storage recycling paths.
+// continuous code mutation — ranged writes, ranged invalidations, and
+// bursts that overflow the write log — to give the race detector a workout
+// over the write-log replay, whole-cache drop and block-storage recycling
+// paths.
 func TestConcurrentMachinesCodeWriteHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -167,11 +168,13 @@ func TestConcurrentMachinesCodeWriteHammer(t *testing.T) {
 				case 1:
 					ram.InvalidateCodeRange(textBase, uint32(len(code)))
 				case 2:
-					ram.InvalidateCode()
+					for i := 0; i < mem.CodeWriteLogSize+1; i++ {
+						ram.InvalidateCodeRange(textBase, 1)
+					}
 				}
 			}
 			bs := m.BlockStats()
-			if bs.Invalidations == 0 || bs.BlocksEvicted == 0 {
+			if bs.PartialInvalidations == 0 || bs.FullInvalidations == 0 || bs.BlocksEvicted == 0 {
 				errs <- errNoChurn
 			}
 		}(i)

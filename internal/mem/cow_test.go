@@ -72,38 +72,34 @@ func TestForkCowAccounting(t *testing.T) {
 	}
 }
 
-// TestForkCarriesCodeGens: per-page generations, the allGen floor, and the
-// write log must carry across Snapshot/Fork, and generation bumps after
-// the fork must stay private to the Memory that made them.
+// TestForkCarriesCodeGens: the code generation and the write log must
+// carry across Snapshot/Fork, and generation bumps after the fork must
+// stay private to the Memory that made them.
 func TestForkCarriesCodeGens(t *testing.T) {
 	m := New()
 	m.Map("text", 0x1000, 2*PageSize, PermRWX)
-	if err := m.Write(0x1000, []byte{0xAA}); err != nil { // bump page 1
+	if err := m.Write(0x1000, []byte{0xAA}); err != nil {
 		t.Fatal(err)
 	}
-	m.InvalidateCode()                                    // raise the floor
-	if err := m.Write(0x2000, []byte{0xBB}); err != nil { // bump page 2 past floor
+	if err := m.Write(0x2000, []byte{0xBB}); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
 	f := s.Fork()
 
-	if f.CodeGen() != m.CodeGen() || f.CodeGenFloor() != m.CodeGenFloor() {
-		t.Fatalf("gen state diverged at fork: %d/%d vs %d/%d",
-			f.CodeGen(), f.CodeGenFloor(), m.CodeGen(), m.CodeGenFloor())
+	if f.CodeGen() != m.CodeGen() {
+		t.Fatalf("code gen diverged at fork: %d vs %d", f.CodeGen(), m.CodeGen())
 	}
-	for pn := uint32(1); pn <= 2; pn++ {
-		if f.PageGen(pn) != m.PageGen(pn) {
-			t.Fatalf("page %d gen: fork %d vs source %d", pn, f.PageGen(pn), m.PageGen(pn))
-		}
+	// Both ranged writes must still be replayable from the fork's log.
+	if w, ok := f.CodeWriteAt(f.CodeGen() - 1); !ok || w.Addr != 0x1000 || w.Size != 1 {
+		t.Fatalf("fork write log (older): ok=%v w=%+v", ok, w)
 	}
-	// The last ranged write must still be replayable from the fork's log.
-	w, ok := f.CodeWriteAt(f.CodeGen())
-	if !ok || w.Addr != 0x2000 || w.Size != 1 {
-		t.Fatalf("fork write log: ok=%v w=%+v", ok, w)
+	if w, ok := f.CodeWriteAt(f.CodeGen()); !ok || w.Addr != 0x2000 || w.Size != 1 {
+		t.Fatalf("fork write log (latest): ok=%v w=%+v", ok, w)
 	}
 
-	// A code write in the fork bumps only the fork.
+	// A code write in the fork bumps only the fork; one in the source
+	// bumps only the source.
 	g0 := m.CodeGen()
 	if err := f.Write(0x1004, []byte{0xCC}); err != nil {
 		t.Fatal(err)
@@ -114,20 +110,26 @@ func TestForkCarriesCodeGens(t *testing.T) {
 	if m.CodeGen() != g0 {
 		t.Fatalf("source gen moved to %d on a fork write", m.CodeGen())
 	}
-	if f.PageGen(1) != f.CodeGen() || m.PageGen(1) == f.CodeGen() {
-		t.Fatalf("page gen leak: fork=%d source=%d", f.PageGen(1), m.PageGen(1))
+	if err := m.Write(0x2004, []byte{0xDD}); err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := f.CodeWriteAt(f.CodeGen()); !ok || w.Addr != 0x1004 {
+		t.Fatalf("source write leaked into the fork's log: ok=%v w=%+v", ok, w)
+	}
+	if w, ok := m.CodeWriteAt(m.CodeGen()); !ok || w.Addr != 0x2004 {
+		t.Fatalf("source write log: ok=%v w=%+v", ok, w)
 	}
 }
 
-// TestCloneIsCow: Clone still isolates both directions (the legacy deep-copy
-// contract) while sharing bytes until first write.
+// TestCloneIsCow: a fork of a fresh snapshot isolates both directions
+// while sharing bytes with its source until first write.
 func TestCloneIsCow(t *testing.T) {
 	m := New()
 	m.Map("data", 0, PageSize, PermRW)
 	if err := m.Write(0, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	c := m.Clone()
+	c := m.Snapshot().Fork()
 	if c.SharedPages() != 1 || m.SharedPages() != 1 {
 		t.Fatalf("clone not shared: %d/%d", c.SharedPages(), m.SharedPages())
 	}

@@ -61,13 +61,8 @@ func (f *Fault) Error() string {
 type page struct {
 	data []byte
 	perm Perm
-	// gen is the page's code generation: the codeGen value of the last
-	// mutation that could have changed executable bytes on this page. The
-	// effective generation reported by PageGen is max(gen, allGen), so
-	// whole-address-space invalidations stay O(1).
-	gen uint64
 	// shared marks data as aliased by a Snapshot or a sibling Memory
-	// (Fork/Clone): the bytes are immutable until this Memory copies them
+	// (Fork): the bytes are immutable until this Memory copies them
 	// (copy-on-write). The flag is per-Memory and flipped only by the
 	// owning goroutine, so the write barrier pays a plain bool check, not
 	// an atomic.
@@ -96,22 +91,17 @@ type Memory struct {
 	regions map[string]Region
 	// codeGen is the monotonic code-generation counter: it advances on
 	// every mutation that could change executable bytes (writes into
-	// pages with execute permission, permission changes that grant
-	// execute, and explicit InvalidateCode calls). Consumers that cache
+	// pages with execute permission, re-mappings that touch execute
+	// permission, and InvalidateCodeRange calls). Consumers that cache
 	// decoded instructions — the interpreter's basic-block cache — compare
 	// generations instead of re-fetching, so the hot path stays a single
 	// integer comparison. It is the "anything changed?" fast path; the
-	// per-page generations below say *what* changed.
+	// write log below says *what* changed.
 	codeGen uint64
-	// allGen is the whole-address-space invalidation floor: InvalidateCode
-	// raises it to codeGen, and every page's effective generation is
-	// clamped up to it (see PageGen). This keeps full invalidation O(1)
-	// while ranged mutations touch only the pages actually written.
-	allGen uint64
 	// writeLog is a ring of the byte ranges behind recent generation
-	// bumps, indexed by generation. Consumers that fall behind by more
-	// than CodeWriteLogSize generations (or that observe allGen moving)
-	// fall back to coarser page- or whole-cache invalidation.
+	// bumps, indexed by generation: every bump logs exactly one range.
+	// Consumers that fall behind by more than CodeWriteLogSize
+	// generations can no longer tell what changed and drop everything.
 	writeLog [CodeWriteLogSize]codeWrite
 	// cowBroken counts pages this Memory has privatized: shared page data
 	// copied because of a write (see ensureOwned).
@@ -147,8 +137,7 @@ type CodeWrite struct {
 }
 
 // CodeWriteAt returns the byte range whose mutation produced generation g,
-// if g is recent enough to still be in the write log. Whole-address-space
-// invalidations never appear here — CodeGenFloor reports those.
+// if g is recent enough to still be in the write log.
 func (m *Memory) CodeWriteAt(g uint64) (CodeWrite, bool) {
 	e := &m.writeLog[g%CodeWriteLogSize]
 	if e.gen != g {
@@ -173,52 +162,20 @@ func New() *Memory {
 }
 
 // CodeGen returns the current code generation. Some cached decode of
-// executable bytes may be stale once the value changes; PageGen narrows
-// the staleness to individual pages.
+// executable bytes may be stale once the value changes; CodeWriteAt names
+// the byte range behind each recent step.
 func (m *Memory) CodeGen() uint64 { return m.codeGen }
 
-// PageGen returns the effective code generation of page number pn
-// (addr/PageSize). A cached decode of bytes on that page is stale once
-// the value moves past the generation observed at decode time. Unmapped
-// pages report the whole-space floor: nothing decodable lives there.
-func (m *Memory) PageGen(pn uint32) uint64 {
-	if pg, ok := m.pages[pn]; ok && pg.gen > m.allGen {
-		return pg.gen
-	}
-	return m.allGen
-}
-
-// CodeGenFloor returns the whole-address-space invalidation floor: the
-// generation every page is clamped up to. Block caches compare it against
-// their sync point to detect a full invalidation without walking pages.
-func (m *Memory) CodeGenFloor() uint64 { return m.allGen }
-
-// InvalidateCode advances the code generation for the entire address
-// space without touching memory — the coarse fallback when the caller
-// cannot name the affected range. Every page's effective generation moves,
-// so consumers drop all cached decodes.
-func (m *Memory) InvalidateCode() {
-	m.codeGen++
-	m.allGen = m.codeGen
-}
-
-// InvalidateCodeRange advances the code generation of the pages covering
-// [addr, addr+size) without touching memory. The DBT wires code-cache
-// flushes here so block caches drop decodes of evicted translations —
-// and only those — even before their bytes are overwritten.
+// InvalidateCodeRange advances the code generation and logs [addr,
+// addr+size) without touching memory. The DBT wires code-cache flushes
+// here so block caches drop decodes of evicted translations — and only
+// those — even before their bytes are overwritten.
 func (m *Memory) InvalidateCodeRange(addr, size uint32) {
 	if size == 0 {
 		return
 	}
 	m.codeGen++
 	m.logCodeWrite(addr, size)
-	first := addr / PageSize
-	last := (addr + size - 1) / PageSize
-	for pn := first; pn <= last; pn++ {
-		if pg, ok := m.pages[pn]; ok {
-			pg.gen = m.codeGen
-		}
-	}
 }
 
 // Map creates (or re-permissions) pages covering [addr, addr+size) with the
@@ -230,13 +187,10 @@ func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
 	bumped := false
 	for pn := first; pn <= last; pn++ {
 		if pg, ok := m.pages[pn]; ok {
-			if (pg.perm|perm)&PermX != 0 {
-				if !bumped {
-					m.codeGen++
-					m.logCodeWrite(first*PageSize, (last-first+1)*PageSize)
-					bumped = true
-				}
-				pg.gen = m.codeGen
+			if (pg.perm|perm)&PermX != 0 && !bumped {
+				m.codeGen++
+				m.logCodeWrite(first*PageSize, (last-first+1)*PageSize)
+				bumped = true
 			}
 			pg.perm = perm
 		} else {
@@ -249,27 +203,6 @@ func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
 		m.regions[name] = r
 	}
 	return r
-}
-
-// Protect changes the permissions of all pages covering [addr, addr+size).
-// Unmapped pages in the range are ignored.
-func (m *Memory) Protect(addr, size uint32, perm Perm) {
-	first := addr / PageSize
-	last := (addr + size - 1) / PageSize
-	bumped := false
-	for pn := first; pn <= last; pn++ {
-		if pg, ok := m.pages[pn]; ok {
-			if (pg.perm|perm)&PermX != 0 {
-				if !bumped {
-					m.codeGen++
-					m.logCodeWrite(first*PageSize, (last-first+1)*PageSize)
-					bumped = true
-				}
-				pg.gen = m.codeGen
-			}
-			pg.perm = perm
-		}
-	}
 }
 
 // Region returns the named region.
@@ -377,13 +310,10 @@ func (m *Memory) Write(addr uint32, buf []byte) error {
 			return err
 		}
 		m.ensureOwned(pg)
-		if pg.perm&PermX != 0 {
-			if !bumped {
-				m.codeGen++
-				m.logCodeWrite(addr, n0)
-				bumped = true
-			}
-			pg.gen = m.codeGen
+		if pg.perm&PermX != 0 && !bumped {
+			m.codeGen++
+			m.logCodeWrite(addr, n0)
+			bumped = true
 		}
 		po := off % PageSize
 		n := copy(pg.data[po:], buf)
@@ -407,13 +337,10 @@ func (m *Memory) WriteForce(addr uint32, buf []byte) {
 			m.pages[pn] = pg
 		}
 		m.ensureOwned(pg)
-		if pg.perm&PermX != 0 {
-			if !bumped {
-				m.codeGen++
-				m.logCodeWrite(addr, n0)
-				bumped = true
-			}
-			pg.gen = m.codeGen
+		if pg.perm&PermX != 0 && !bumped {
+			m.codeGen++
+			m.logCodeWrite(addr, n0)
+			bumped = true
 		}
 		po := off % PageSize
 		n := copy(pg.data[po:], buf)
@@ -441,7 +368,6 @@ func (m *Memory) StoreByte(addr uint32, v byte) error {
 	if pg.perm&PermX != 0 {
 		m.codeGen++
 		m.logCodeWrite(addr, 1)
-		pg.gen = m.codeGen
 	}
 	pg.data[addr%PageSize] = v
 	return nil
@@ -475,7 +401,6 @@ func (m *Memory) WriteWord(addr uint32, v uint32) error {
 		if pg.perm&PermX != 0 {
 			m.codeGen++
 			m.logCodeWrite(addr, 4)
-			pg.gen = m.codeGen
 		}
 		d := pg.data[po : po+4 : po+4]
 		d[0], d[1], d[2], d[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
@@ -532,22 +457,20 @@ func (m *Memory) FetchInto(addr uint32, buf []byte) (int, error) {
 }
 
 // Snapshot is a frozen image of a Memory: page data aliased copy-on-write,
-// plus the region table and the full code-generation state (codeGen,
-// allGen floor, write log) at the moment of the snapshot. Snapshots are
-// immutable and safe to Fork from many goroutines concurrently; the
-// source Memory keeps running and privatizes pages as it writes.
+// plus the region table and the code-generation state (codeGen and the
+// write log) at the moment of the snapshot. Snapshots are immutable and
+// safe to Fork from many goroutines concurrently; the source Memory keeps
+// running and privatizes pages as it writes.
 type Snapshot struct {
 	pages    map[uint32]snapPage
 	regions  map[string]Region
 	codeGen  uint64
-	allGen   uint64
 	writeLog [CodeWriteLogSize]codeWrite
 }
 
 type snapPage struct {
 	data []byte // immutable: every aliasing Memory carries shared=true
 	perm Perm
-	gen  uint64
 }
 
 // Snapshot freezes the current image. Every live page is marked shared, so
@@ -558,12 +481,11 @@ func (m *Memory) Snapshot() *Snapshot {
 		pages:    make(map[uint32]snapPage, len(m.pages)),
 		regions:  make(map[string]Region, len(m.regions)),
 		codeGen:  m.codeGen,
-		allGen:   m.allGen,
 		writeLog: m.writeLog,
 	}
 	for pn, pg := range m.pages {
 		pg.shared = true
-		s.pages[pn] = snapPage{data: pg.data, perm: pg.perm, gen: pg.gen}
+		s.pages[pn] = snapPage{data: pg.data, perm: pg.perm}
 	}
 	for n, r := range m.regions {
 		s.regions[n] = r
@@ -571,34 +493,21 @@ func (m *Memory) Snapshot() *Snapshot {
 	return s
 }
 
-// Pages returns how many pages the snapshot holds.
-func (s *Snapshot) Pages() int { return len(s.pages) }
-
 // Fork materializes a new Memory from the snapshot. Every page aliases the
 // snapshot's bytes until the new Memory first writes it (the write barrier
 // copies on demand), so forking costs O(page-table) regardless of image
-// size. Code generations, the allGen floor, and the write log carry over,
-// keeping block caches built against the source image exactly as valid as
-// they were at snapshot time.
+// size. The code generation and the write log carry over, keeping block
+// caches built against the source image exactly as valid as they were at
+// snapshot time.
 func (s *Snapshot) Fork() *Memory {
 	c := New()
 	for pn, sp := range s.pages {
-		c.pages[pn] = &page{data: sp.data, perm: sp.perm, gen: sp.gen, shared: true}
+		c.pages[pn] = &page{data: sp.data, perm: sp.perm, shared: true}
 	}
 	for n, r := range s.regions {
 		c.regions[n] = r
 	}
 	c.codeGen = s.codeGen
-	c.allGen = s.allGen
 	c.writeLog = s.writeLog
 	return c
-}
-
-// Clone copies the address space, including regions and generation state.
-// The copy is lazy: both the original and the clone keep aliasing the same
-// page bytes until either side writes (copy-on-write), so Clone is
-// O(page-table) rather than O(image). Respawn-based brute-force
-// simulations use it to restore pristine process images.
-func (m *Memory) Clone() *Memory {
-	return m.Snapshot().Fork()
 }

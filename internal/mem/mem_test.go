@@ -54,19 +54,6 @@ func TestFetchStopsAtBoundary(t *testing.T) {
 	}
 }
 
-func TestProtect(t *testing.T) {
-	m := New()
-	m.Map("cc", 0x1000, 0x1000, PermRW)
-	m.Write(0x1000, []byte{1, 2, 3, 4})
-	m.Protect(0x1000, 0x1000, PermRX)
-	if err := m.WriteWord(0x1000, 9); err == nil {
-		t.Fatal("write after protect succeeded")
-	}
-	if _, err := m.Fetch(0x1000, 4); err != nil {
-		t.Fatalf("fetch after protect: %v", err)
-	}
-}
-
 func TestRegions(t *testing.T) {
 	m := New()
 	m.Map("text", 0x8000, 0x1000, PermRX)
@@ -91,7 +78,7 @@ func TestCloneIsDeep(t *testing.T) {
 	m := New()
 	m.Map("data", 0x1000, 0x1000, PermRW)
 	m.WriteWord(0x1000, 42)
-	c := m.Clone()
+	c := m.Snapshot().Fork()
 	c.WriteWord(0x1000, 99)
 	v, _ := m.ReadWord(0x1000)
 	if v != 42 {
@@ -113,7 +100,7 @@ func TestWriteForceMapsPages(t *testing.T) {
 	if _, err := m.ReadWord(0x7000); err == nil {
 		t.Fatal("WriteForce should not grant read permission")
 	}
-	m.Protect(0x7000, 4, PermR)
+	m.Map("", 0x7000, 4, PermR)
 	b := make([]byte, 3)
 	if err := m.Read(0x7000, b); err != nil || !bytes.Equal(b, []byte{9, 9, 9}) {
 		t.Fatalf("read back %v, %v", b, err)

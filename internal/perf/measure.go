@@ -55,16 +55,6 @@ func MeasureVM(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measu
 	return m, vm, err
 }
 
-// MeasureVMWith measures an already-constructed VM (e.g. with a migration
-// engine installed).
-func MeasureVMWith(vm *dbt.VM, warmWrites, measureWrites int) (Measurement, error) {
-	model := NewModel(CoreFor(vm.Active()))
-	model.RATEnabled = true
-	model.BindTelemetry(vm.Telemetry())
-	model.Attach(vm.P.M)
-	return measure(vm.P, model, warmWrites, measureWrites)
-}
-
 // MeasureVMStats is MeasureVM plus the VM event-counter delta across the
 // measured window only (warmup events — compulsory translation — are
 // excluded), for steady-state security-event rates.

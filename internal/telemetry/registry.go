@@ -358,8 +358,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 // SeriesPoint is one labeled point of an experiment series: a row of a
 // figure/table whose numeric columns should be exported as metrics.
 type SeriesPoint struct {
-	Label  string
-	Fields map[string]float64
+	Label  string             `json:"label"`
+	Fields map[string]float64 `json:"fields"`
 }
 
 // PublishSeries flattens an ordered series into gauges under prefix: each
