@@ -533,7 +533,7 @@ func BenchmarkAblationRegCacheSize(b *testing.B) {
 			if size == 0 {
 				cfg.Opt = dbt.O1
 			}
-			m, _, err := perf.MeasureVM(bin, isa.X86, cfg, 1, 1)
+			m, _, _, err := perf.MeasureVM(bin, isa.X86, cfg, 1, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,38 +26,57 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "reduced sweeps on the three smallest benchmarks")
-	outPath := flag.String("out", "", "also write the report to this file")
-	only := flag.String("only", "", "run a comma-separated subset (e.g. fig9,fig12,httpd)")
-	list := flag.Bool("list", false, "list registered experiments and exit")
-	parallel := flag.Int("parallel", 0, "worker pool per experiment (0 = GOMAXPROCS, 1 = serial)")
-	metricsOut := flag.String("metrics-out", "", "write a metrics JSON artifact (durations, run counters, per-figure series)")
-	resultsOut := flag.String("results-out", "", "write one <experiment>.json result artifact per experiment into this directory")
-	keepGoing := flag.Bool("keep-going", false, "continue with remaining experiments after a failure")
-	listen := flag.String("listen", "", "serve live observability endpoints on this address (e.g. 127.0.0.1:9121)")
-	timelineOut := flag.String("timeline-out", "", "write the experiment/cell span timeline as Chrome trace JSON (open in ui.perfetto.dev)")
-	flag.Parse()
+	// Ctrl-C or SIGTERM cancels mid-sweep: in-flight cells finish, the
+	// rest are skipped, and the run reports the cancellation.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command: it parses args, runs the selected experiments
+// until they finish or ctx is canceled, prints the report to stdout (and
+// -out), writes the requested artifacts, and returns once the
+// observability server (if any) has stopped.
+func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("hipstr-bench", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "reduced sweeps on the three smallest benchmarks")
+	outPath := fs.String("out", "", "also write the report to this file")
+	only := fs.String("only", "", "run a comma-separated subset (e.g. fig9,fig12,httpd)")
+	list := fs.Bool("list", false, "list registered experiments and exit")
+	parallel := fs.Int("parallel", 0, "worker pool per experiment (0 = GOMAXPROCS, 1 = serial)")
+	metricsOut := fs.String("metrics-out", "", "write a metrics JSON artifact (durations, run counters, per-figure series)")
+	resultsOut := fs.String("results-out", "", "write one <experiment>.json result artifact per experiment into this directory")
+	keepGoing := fs.Bool("keep-going", false, "continue with remaining experiments after a failure")
+	listen := fs.String("listen", "", "serve live observability endpoints on this address (e.g. 127.0.0.1:9121)")
+	timelineOut := fs.String("timeline-out", "", "write the experiment/cell span timeline as Chrome trace JSON (open in ui.perfetto.dev)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range hipstr.Experiments() {
-			fmt.Printf("%-8s %s\n", e.Name(), e.Description())
+			fmt.Fprintf(stdout, "%-8s %s\n", e.Name(), e.Description())
 		}
-		return
+		return nil
 	}
 
 	exps, err := hipstr.SelectExperiments(*only)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			log.Fatal(err)
+		f, cerr := os.Create(*outPath)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		out := &reportFile{f: f}
+		defer func() { err = errors.Join(err, out.Close()) }()
+		w = io.MultiWriter(stdout, out)
 	}
 
 	var s *hipstr.ExperimentSuite
@@ -73,30 +93,21 @@ func main() {
 		spans = tel.EnableSpans(0)
 	}
 
-	// Ctrl-C or SIGTERM cancels mid-sweep: in-flight cells finish, the
-	// rest are skipped, and the run reports the cancellation.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// The suite registry carries no collectors (experiments publish series
 	// with atomic writes), so handlers can snapshot it live from any
 	// goroutine, unlike hipstr-run, which serves its health monitor's
 	// latest observed snapshot.
 	if *listen != "" {
-		srv, err := obsrv.Start(*listen, obsrv.Options{
+		srv, serr := obsrv.Start(*listen, obsrv.Options{
 			Snapshot: func() (hipstr.MetricsSnapshot, bool) { return tel.Snapshot(), true },
 			Tracer:   tel.Trace,
 			Spans:    spans,
 		})
-		if err != nil {
-			log.Fatal(err)
+		if serr != nil {
+			return serr
 		}
-		fmt.Printf("observability: serving http://%s/\n", srv.Addr())
-		defer func() {
-			if err := srv.Close(); err != nil {
-				log.Printf("observability: %v", err)
-			}
-		}()
+		fmt.Fprintf(stdout, "observability: serving http://%s/\n", srv.Addr())
+		defer func() { err = errors.Join(err, srv.Close()) }()
 	}
 
 	results, err := hipstr.RunExperiments(ctx, s, exps, hipstr.ExperimentOptions{
@@ -104,7 +115,7 @@ func main() {
 		ContinueOnError: *keepGoing,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintln(w, "\ndone.")
 	if *resultsOut != "" {
@@ -116,15 +127,41 @@ func main() {
 			return hipstr.WriteChromeTrace(f, spans.Spans(), nil)
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(w, "timeline written to %s (%d spans; open in ui.perfetto.dev)\n",
 			*timelineOut, spans.Completed())
 	}
 	if *metricsOut != "" {
 		if err := obsrv.WriteFile(*metricsOut, tel.Snapshot().WriteJSON); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(w, "metrics artifact written to %s\n", *metricsOut)
 	}
+	return nil
+}
+
+// reportFile is the -out copy of the report. It keeps the first write
+// error instead of returning it, so the report still reaches stdout, and
+// Close reports that error (else the close error) once the run is over.
+type reportFile struct {
+	f   *os.File
+	err error
+}
+
+func (r *reportFile) Write(p []byte) (int, error) {
+	if r.err == nil {
+		_, r.err = r.f.Write(p)
+	}
+	return len(p), nil
+}
+
+func (r *reportFile) Close() error {
+	if err := r.f.Close(); r.err == nil {
+		r.err = err
+	}
+	if r.err != nil {
+		return fmt.Errorf("out: %w", r.err)
+	}
+	return nil
 }

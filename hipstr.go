@@ -145,10 +145,11 @@ type System = core.System
 func Protect(bin *Binary, cfg Config) (*System, error) { return core.New(bin, cfg) }
 
 // SystemSnapshot is a frozen copy-on-write image of a protected process:
-// memory, registers, translated code, and PSR layout lineage. Snapshot a
-// booted prototype once, then materialize guests from it with Fork (warm
-// spawn: same translations, O(dirty pages)) or Respawn (kill+respawn with
-// a fresh PSR seed — the paper's §5.3 breach response made cheap).
+// memory, registers, translated code, and relocation-map build order.
+// Snapshot a booted prototype once, then materialize guests from it with
+// Fork (warm spawn: same translations, O(dirty pages)) or Respawn
+// (kill+respawn with a fresh PSR seed — the paper's §5.3 breach response
+// made cheap).
 //
 //	proto, _ := hipstr.Protect(bin, hipstr.Defaults())
 //	snap := proto.Snapshot()
@@ -157,7 +158,8 @@ func Protect(bin *Binary, cfg Config) (*System, error) { return core.New(bin, cf
 type SystemSnapshot = core.Snapshot
 
 // ForkConfig parameterizes one fork of a SystemSnapshot (per-fork
-// telemetry; nil means a private instance).
+// telemetry; nil means a private instance whose event ring keeps the
+// snapshot's Config.DBT.TraceCap events).
 type ForkConfig = dbt.ForkConfig
 
 // SharedUnitCacheStats reports the process-wide content-addressed
@@ -342,7 +344,7 @@ type Measurement = perf.Measurement
 func MeasurePSR(bin *Binary, k ISA, warm, measure int) (Measurement, error) {
 	cfg := dbt.DefaultConfig()
 	cfg.MigrateProb = 0
-	m, _, err := perf.MeasureVM(bin, k, cfg, warm, measure)
+	m, _, _, err := perf.MeasureVM(bin, k, cfg, warm, measure)
 	return m, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"hipstr/internal/core"
+	"hipstr/internal/dbt"
 )
 
 // BlindROPModel compares expected attack effort against load-time and
@@ -35,28 +36,31 @@ func (m BlindROPModel) RunTimeAttempts() float64 {
 }
 
 // RespawnProbe drives a real Blind-ROP-style campaign against a protected
-// victim: each attempt sprays the overflow budget with a gadget address,
-// and every crash re-spawns the worker with fresh randomization. It
-// returns the number of attempts that hijacked control (observed security
-// events) and how many spawned a shell. With an 8 KiB randomization space
-// and a bounded overflow, control hijack is rare and shells rarer still —
-// and, crucially, the hit rate does NOT improve across attempts.
+// victim: each attempt sprays the overflow budget with a gadget address
+// into a worker respawned from the booted victim's snapshot under fresh
+// randomization, as a forking server hands every connection a fresh
+// child of its parent's image. It returns the number of attempts that
+// hijacked control (observed security events) and how many spawned a
+// shell. With an 8 KiB randomization space and a bounded overflow,
+// control hijack is rare and shells rarer still — and, crucially, the
+// hit rate does NOT improve across attempts.
 func RespawnProbe(v *Victim, cfg core.Config, attempts int) (hijacks, shells int, err error) {
-	s, err := core.New(v.Bin, cfg)
+	parent, err := core.New(v.Bin, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
+	snap := parent.Snapshot()
 	payload := v.SprayPayload(NetBufWords - 1)
-	for i := 0; i < attempts; i++ {
-		if err := s.Respawn(); err != nil {
+	for i := 1; i <= attempts; i++ {
+		s, err := snap.Respawn(cfg.DBT.Seed+int64(i)*0x9E3779B9, dbt.ForkConfig{})
+		if err != nil {
 			return hijacks, shells, err
 		}
 		if err := inject(s.VM.P.Mem, v.NetBuf, payload); err != nil {
 			return hijacks, shells, err
 		}
-		before := s.SecurityEvents()
 		_, runErr := s.Run(attackMaxSteps)
-		if s.SecurityEvents() > before {
+		if s.SecurityEvents() > 0 {
 			hijacks++
 		}
 		if v.shellSpawned(s.VM.P) {

@@ -59,33 +59,37 @@ type System struct {
 	Engine *migrate.Engine
 	Cfg    Config
 
-	tel      *telemetry.Telemetry
-	respawns int
+	tel *telemetry.Telemetry
 }
 
 // New boots bin under the configured defense. All subsystems — the PSR
 // virtual machines, the migration engine, and (when attached) the timing
 // model — report into one shared telemetry instance, taken from
-// cfg.DBT.Telemetry or created fresh.
+// cfg.DBT.Telemetry or created fresh by the VM.
 func New(bin *fatbin.Binary, cfg Config) (*System, error) {
 	if cfg.Mode == ModePSR {
 		cfg.DBT.MigrateProb = 0
 	}
-	if cfg.DBT.Telemetry == nil {
-		cfg.DBT.Telemetry = telemetry.NewWithTraceCap(cfg.DBT.TraceCap)
-	}
-	tel := cfg.DBT.Telemetry
 	vm, err := dbt.New(bin, cfg.StartISA, cfg.DBT)
 	if err != nil {
 		return nil, fmt.Errorf("core: boot: %w", err)
 	}
-	s := &System{Bin: bin, VM: vm, Cfg: cfg, tel: tel}
+	return assemble(vm, cfg), nil
+}
+
+// assemble wraps a booted or forked VM into a full System: a fresh
+// migration engine (its cumulative stats belong to one guest's lifetime)
+// bound to the VM's telemetry, wired as the VM's migrator under cfg's
+// mode.
+func assemble(vm *dbt.VM, cfg Config) *System {
+	cfg.DBT = vm.Cfg
+	s := &System{Bin: vm.Bin, VM: vm, Cfg: cfg, tel: vm.Telemetry()}
 	if cfg.Mode == ModeHIPStR {
 		s.Engine = &migrate.Engine{Policy: cfg.Migration}
-		s.Engine.BindTelemetry(tel)
+		s.Engine.BindTelemetry(s.tel)
 		vm.Migrator = s.Engine
 	}
-	return s, nil
+	return s
 }
 
 // Telemetry returns the system-wide metrics registry and event tracer.
@@ -116,24 +120,6 @@ func (s *System) RequestPhaseMigration() {
 	}
 }
 
-// Respawn models the crash/reboot scenario of §5.3: the worker re-spawns
-// with freshly randomized relocation maps and empty code caches on both
-// ISAs. Memory mutations from the previous life persist (matching a
-// re-spawned worker thread sharing its parent's image is *not* modeled:
-// the paper's PSR re-randomizes, which is the property captured here).
-func (s *System) Respawn() error {
-	s.respawns++
-	s.tel.Emit(telemetry.Event{
-		Type: telemetry.EvRespawn, ISA: s.Cfg.StartISA.String(),
-		Detail: fmt.Sprintf("respawn %d", s.respawns),
-	})
-	s.tel.Gauge("core.respawns").Set(float64(s.respawns))
-	return s.VM.Respawn(s.Cfg.StartISA, s.Cfg.DBT.Seed+int64(s.respawns)*0x9E3779B9)
-}
-
-// Respawns reports how many times the process was re-spawned.
-func (s *System) Respawns() int { return s.respawns }
-
 // Snapshot freezes the system's VM state into a shareable image. The
 // system keeps running; forks materialize new Systems from the image at
 // O(dirty pages) instead of booting from scratch. Fleet hosts snapshot one
@@ -148,21 +134,6 @@ func (s *System) Snapshot() *Snapshot {
 	return &Snapshot{vm: s.VM.Snapshot(), cfg: s.Cfg}
 }
 
-// assemble wraps a forked VM into a full System: fresh migration engine
-// (its cumulative stats belong to one guest's lifetime) bound to the
-// fork's telemetry, wired as the VM's migrator under the original mode.
-func (sn *Snapshot) assemble(vm *dbt.VM) *System {
-	cfg := sn.cfg
-	cfg.DBT = vm.Cfg
-	sys := &System{Bin: vm.Bin, VM: vm, Cfg: cfg, tel: vm.Telemetry()}
-	if cfg.Mode == ModeHIPStR {
-		sys.Engine = &migrate.Engine{Policy: cfg.Migration}
-		sys.Engine.BindTelemetry(sys.tel)
-		vm.Migrator = sys.Engine
-	}
-	return sys
-}
-
 // Fork materializes a new System continuing exactly where the snapshot was
 // taken: registers, translated code, RAT contents, and relocation maps all
 // carry over (memory aliased copy-on-write). fc.Telemetry defaults to a
@@ -172,7 +143,7 @@ func (sn *Snapshot) Fork(fc dbt.ForkConfig) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: fork: %w", err)
 	}
-	return sn.assemble(vm), nil
+	return assemble(vm, sn.cfg), nil
 }
 
 // Respawn materializes a fresh guest from the snapshot under a new PSR
@@ -184,7 +155,7 @@ func (sn *Snapshot) Respawn(newSeed int64, fc dbt.ForkConfig) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: respawn fork: %w", err)
 	}
-	return sn.assemble(vm), nil
+	return assemble(vm, sn.cfg), nil
 }
 
 // SecurityEvents reports the number of code-cache-miss security events.

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"hipstr/internal/compiler"
 	"hipstr/internal/core"
+	"hipstr/internal/dbt"
 	"hipstr/internal/isa"
 	"hipstr/internal/testprogs"
 )
@@ -84,27 +86,35 @@ func TestPSRModeNeverMigrates(t *testing.T) {
 	}
 }
 
+// TestRespawnReRandomizesAndRuns: three lives respawned from one snapshot
+// under the §5.3 seed lineage each relocate main away from the
+// prototype's layout and still compute the program's result.
 func TestRespawnReRandomizesAndRuns(t *testing.T) {
 	bin, err := compiler.Compile(testprogs.SumLoop(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.New(bin, core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	proto, err := core.New(bin, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := s.Respawn(); err != nil {
+	snap := proto.Snapshot()
+	fn := bin.Func("main")
+	protoMap := proto.VM.MapOf(fn)[isa.X86].OffTo
+	for life := 1; life <= 3; life++ {
+		s, err := snap.Respawn(cfg.DBT.Seed+int64(life)*0x9E3779B9, dbt.ForkConfig{})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if reflect.DeepEqual(s.VM.MapOf(fn)[isa.X86].OffTo, protoMap) {
+			t.Fatalf("life %d kept the prototype's relocation map", life)
 		}
 		if _, err := s.Run(maxSteps); err != nil {
 			t.Fatal(err)
 		}
 		if s.ExitCode() != 45 {
-			t.Fatalf("respawn %d: exit %d", i, s.ExitCode())
+			t.Fatalf("life %d: exit %d", life, s.ExitCode())
 		}
-	}
-	if s.Respawns() != 3 {
-		t.Fatalf("respawn count %d", s.Respawns())
 	}
 }

@@ -63,31 +63,3 @@ func TestSystemTelemetry(t *testing.T) {
 		}
 	}
 }
-
-// TestRespawnEmitsEvent checks the §5.3 respawn path reports through
-// telemetry.
-func TestRespawnEmitsEvent(t *testing.T) {
-	bin, err := compiler.Compile(testprogs.Fib(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.New(bin, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Respawn(); err != nil {
-		t.Fatal(err)
-	}
-	var sawRespawn bool
-	for _, e := range s.Telemetry().Trace.Tail(0) {
-		if e.Type == telemetry.EvRespawn {
-			sawRespawn = true
-		}
-	}
-	if !sawRespawn {
-		t.Fatal("no respawn event traced")
-	}
-	if got := s.Telemetry().Snapshot().Gauges["core.respawns"]; got != 1 {
-		t.Fatalf("core.respawns gauge = %v, want 1", got)
-	}
-}

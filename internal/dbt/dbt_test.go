@@ -197,31 +197,6 @@ func TestTinyRATStillCorrect(t *testing.T) {
 	}
 }
 
-func TestRespawnReRandomizes(t *testing.T) {
-	bin, _ := compile(t, "sumloop")
-	cfg := dbt.DefaultConfig()
-	cfg.MigrateProb = 0
-	vm, err := dbt.New(bin, isa.X86, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := bin.Func("main")
-	m1 := vm.MapOf(fn)[isa.X86]
-	if err := vm.Respawn(isa.X86, 999); err != nil {
-		t.Fatal(err)
-	}
-	m2 := vm.MapOf(fn)[isa.X86]
-	if reflect.DeepEqual(m1.OffTo, m2.OffTo) {
-		t.Fatal("respawn did not re-randomize the relocation map")
-	}
-	if _, err := vm.Run(maxSteps); err != nil {
-		t.Fatal(err)
-	}
-	if vm.P.ExitCode != 4950 {
-		t.Fatalf("respawned run wrong result: %d", vm.P.ExitCode)
-	}
-}
-
 func TestIndirectJumpIntoCodeCacheIsKilled(t *testing.T) {
 	// Software fault isolation (§5.1): a function pointer pointing into
 	// the code cache must terminate the process. A global holds a

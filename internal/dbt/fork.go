@@ -1,22 +1,21 @@
 package dbt
 
 import (
-	"math/rand"
+	"maps"
 
 	"hipstr/internal/fatbin"
 	"hipstr/internal/isa"
 	"hipstr/internal/machine"
 	"hipstr/internal/mem"
 	"hipstr/internal/proc"
-	"hipstr/internal/psr"
 	"hipstr/internal/telemetry"
 )
 
 // VMSnapshot is an immutable point-in-time image of a running VM: the
 // guest address space frozen copy-on-write, the machine register state,
-// both code caches and RATs, trap/call registries, and the PSR layout
-// lineage (seed + map build order). Snapshots are cheap — O(page-table),
-// zero page copies — and safe to Fork from many goroutines concurrently.
+// both code caches and RATs, trap/call registries, and the PSR map build
+// order. Snapshots are cheap — O(page-table), zero page copies — and safe
+// to Fork from many goroutines concurrently.
 //
 // A fleet host keeps one booted "prototype" VM per binary and snapshots
 // it once: admitting the Nth tenant is then a Fork (alias every page,
@@ -36,8 +35,7 @@ type VMSnapshot struct {
 	calls  [2]map[uint32]callMeta
 	gen    [2]int
 
-	layoutSeed int64
-	mapOrder   []int
+	mapOrder []int
 
 	pendingMigration bool
 	lastEventTarget  uint32
@@ -50,11 +48,10 @@ type VMSnapshot struct {
 // ForkConfig parameterizes one fork of a snapshot.
 type ForkConfig struct {
 	// Telemetry receives the fork's metrics and traces. Leave nil for a
-	// private instance (forks never share the prototype's registry: its
-	// collector reads the prototype's live state).
+	// private instance whose ring keeps the snapshot's Config.TraceCap
+	// events (forks never share the prototype's registry: its collector
+	// reads the prototype's live state).
 	Telemetry *telemetry.Telemetry
-	// TraceCap bounds the private tracer ring when Telemetry is nil.
-	TraceCap int
 }
 
 // Snapshot freezes the VM's complete state. The VM keeps running
@@ -70,7 +67,6 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		state:            vm.P.M.State,
 		stats:            vm.Stats,
 		gen:              vm.gen,
-		layoutSeed:       vm.layoutSeed,
 		mapOrder:         append([]int(nil), vm.mapOrder...),
 		pendingMigration: vm.PendingMigration,
 		lastEventTarget:  vm.LastEventTarget,
@@ -82,8 +78,8 @@ func (vm *VM) Snapshot() *VMSnapshot {
 	for _, k := range isa.Kinds {
 		s.caches[k] = vm.caches[k].Clone()
 		s.rats[k] = vm.rats[k].Clone()
-		s.traps[k] = cloneTraps(vm.traps[k])
-		s.calls[k] = cloneCalls(vm.calls[k])
+		s.traps[k] = maps.Clone(vm.traps[k])
+		s.calls[k] = maps.Clone(vm.calls[k])
 	}
 	return s
 }
@@ -97,7 +93,8 @@ func (vm *VM) Snapshot() *VMSnapshot {
 // migration-policy RNG, which restarts from the seed (its state is not
 // extractable from math/rand).
 func (s *VMSnapshot) Fork(fc ForkConfig) (*VM, error) {
-	vm, p := s.newShell(s.cfg, fc)
+	vm := s.newShell(s.cfg, fc)
+	p := vm.P
 	p.M.State = s.state
 	p.Trace = append([]uint32(nil), s.trace...)
 	p.Exited = s.exited
@@ -107,17 +104,21 @@ func (s *VMSnapshot) Fork(fc ForkConfig) (*VM, error) {
 		vm.caches[k] = s.caches[k].Clone()
 		vm.caches[k].OnFlush = p.Mem.InvalidateCodeRange
 		vm.rats[k] = s.rats[k].Clone()
-		vm.traps[k] = cloneTraps(s.traps[k])
-		vm.calls[k] = cloneCalls(s.calls[k])
+		vm.traps[k] = maps.Clone(s.traps[k])
+		vm.calls[k] = maps.Clone(s.calls[k])
 	}
 	vm.gen = s.gen
 	vm.Stats = s.stats
 	vm.PendingMigration = s.pendingMigration
 	vm.LastEventTarget = s.lastEventTarget
-	// The layout lineage may differ from cfg.Seed if the prototype had
-	// Respawned in place before the snapshot.
-	vm.layoutSeed = s.layoutSeed
-	vm.rebuildMaps(s.mapOrder)
+	// Replay the recorded map builds against the fresh randomizer. Its
+	// draws are consumed strictly during Build, so the same builds in the
+	// same order reconstruct byte-identical maps AND leave the RNG stream
+	// in the same position — translations after the fork match the ones
+	// the prototype would have produced.
+	for _, idx := range s.mapOrder {
+		vm.mapOf(vm.Bin.Funcs[idx])
+	}
 	return vm, nil
 }
 
@@ -132,79 +133,19 @@ func (s *VMSnapshot) Fork(fc ForkConfig) (*VM, error) {
 func (s *VMSnapshot) Respawn(k isa.Kind, newSeed int64, fc ForkConfig) (*VM, error) {
 	cfg := s.cfg
 	cfg.Seed = newSeed
-	vm, p := s.newShell(cfg, fc)
-	for _, kk := range isa.Kinds {
-		vm.caches[kk] = NewCodeCache(kk, cfg.CodeCacheSize)
-		vm.caches[kk].OnFlush = p.Mem.InvalidateCodeRange
-		vm.rats[kk] = NewRAT(cfg.RATSize)
-		vm.traps[kk] = make(map[uint32]trapMeta)
-		vm.calls[kk] = make(map[uint32]callMeta)
-	}
+	vm := s.newShell(cfg, fc)
+	vm.emptyCaches()
 	if err := vm.Start(k); err != nil {
 		return nil, err
 	}
 	return vm, nil
 }
 
-// newShell builds the common part of a forked VM: the CoW memory fork,
-// the adopted process, hooks, telemetry, and the PSR randomizer seeded
-// from cfg.Seed (rebuildMaps replays it forward for continuation forks).
-func (s *VMSnapshot) newShell(cfg Config, fc ForkConfig) (*VM, *proc.Process) {
+// newShell builds a VM over a copy-on-write fork of the snapshot's memory,
+// its randomizer seeded from cfg.Seed and its translation state left for
+// the caller to install.
+func (s *VMSnapshot) newShell(cfg Config, fc ForkConfig) *VM {
 	cfg.Telemetry = fc.Telemetry
-	cfg.TraceCap = fc.TraceCap
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewWithTraceCap(cfg.TraceCap)
-	}
-	ram := s.mem.Fork()
-	p := proc.Adopt(s.bin, machine.State{ISA: s.state.ISA}, ram)
-	vm := &VM{
-		Bin:        s.bin,
-		P:          p,
-		Cfg:        cfg,
-		Rand:       psr.NewRandomizer(cfg.Seed, cfg.psrConfig()),
-		policyRng:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-		maps:       make(map[int][2]*psr.Map),
-		tel:        cfg.Telemetry,
-		layoutSeed: cfg.Seed,
-		mapDigest:  digestInit,
-	}
-	if !cfg.NoSharedUnits {
-		if vm.shared = cfg.SharedUnits; vm.shared == nil {
-			vm.shared = SharedUnits
-		}
-	}
-	vm.registerTelemetry()
-	p.SetControlHook(vm.onControl)
-	vm.progSyscall = p.M.Syscall
-	p.M.Syscall = vm.onSyscall
-	return vm, p
-}
-
-// rebuildMaps replays a recorded map-build order against a fresh
-// randomizer seeded with layoutSeed. Because psr.Randomizer draws are
-// consumed strictly during Build, replaying the same builds in the same
-// order reconstructs byte-identical maps AND leaves the RNG stream in the
-// same position — so translations after the fork match translations the
-// prototype would have produced.
-func (vm *VM) rebuildMaps(order []int) {
-	vm.Rand = psr.NewRandomizer(vm.layoutSeed, vm.Cfg.psrConfig())
-	for _, idx := range order {
-		vm.mapOf(vm.Bin.Funcs[idx])
-	}
-}
-
-func cloneTraps(m map[uint32]trapMeta) map[uint32]trapMeta {
-	n := make(map[uint32]trapMeta, len(m))
-	for k, v := range m {
-		n[k] = v
-	}
-	return n
-}
-
-func cloneCalls(m map[uint32]callMeta) map[uint32]callMeta {
-	n := make(map[uint32]callMeta, len(m))
-	for k, v := range m {
-		n[k] = v
-	}
-	return n
+	p := proc.Adopt(s.bin, machine.State{ISA: s.state.ISA}, s.mem.Fork())
+	return newVM(s.bin, p, cfg)
 }

@@ -130,3 +130,41 @@ func TestTraceCapConfigurable(t *testing.T) {
 		t.Fatalf("default trace cap = %d, want %d", got, telemetry.DefaultTraceCap)
 	}
 }
+
+// TestForkInheritsTraceCap checks that forks and respawns size their
+// private tracer ring from the snapshot's Config.TraceCap, and that an
+// injected Telemetry is used as-is.
+func TestForkInheritsTraceCap(t *testing.T) {
+	bin, _ := compile(t, "addrtaken")
+	cfg := dbt.DefaultConfig()
+	cfg.TraceCap = 64
+	proto, err := dbt.New(bin, isa.X86, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := proto.Snapshot()
+	fork, err := snap.Fork(dbt.ForkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := snap.Respawn(isa.X86, 999, dbt.ForkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vm := range map[string]*dbt.VM{"fork": fork, "respawn": re} {
+		if got := vm.Telemetry().Trace.Cap(); got != 64 {
+			t.Fatalf("%s trace cap = %d, want 64", name, got)
+		}
+	}
+	tel := telemetry.New()
+	fork, err = snap.Fork(dbt.ForkConfig{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fork.Telemetry() != tel {
+		t.Fatal("fork ignored the injected telemetry instance")
+	}
+	if got := tel.Trace.Cap(); got != telemetry.DefaultTraceCap {
+		t.Fatalf("injected trace cap = %d, want %d", got, telemetry.DefaultTraceCap)
+	}
+}

@@ -48,7 +48,6 @@ type trapMeta struct {
 // callMeta describes a translated direct call site.
 type callMeta struct {
 	srcRet uint32
-	gen    int
 }
 
 // translator translates one unit (a run of source instructions up to a

@@ -197,7 +197,7 @@ func (vm *VM) installShared(k isa.Kind, src uint32, u *unitEntry) (uint32, bool)
 		vm.traps[k][addr+ut.off] = meta
 	}
 	for _, uc := range u.calls {
-		vm.calls[k][addr+uc.off] = callMeta{srcRet: uc.srcRet, gen: vm.gen[k]}
+		vm.calls[k][addr+uc.off] = callMeta{srcRet: uc.srcRet}
 	}
 	return addr, true
 }

@@ -147,8 +147,9 @@ type VM struct {
 	// shared is the content-addressed unit cache this VM consults and
 	// publishes into (nil = opted out).
 	shared *UnitCache
-	// layoutSeed is the PSR seed behind vm.Rand (Cfg.Seed initially; each
-	// Respawn replaces it). Part of the shared cache's layout class.
+	// layoutSeed is the PSR seed behind vm.Rand, fixed at construction
+	// (Cfg is exported and mutable). Part of the shared cache's layout
+	// class.
 	layoutSeed int64
 	// mapOrder records the symbol-table indices of every relocation map
 	// built, in build order; mapDigest folds the same sequence. The
@@ -209,6 +210,23 @@ func New(bin *fatbin.Binary, k isa.Kind, cfg Config) (*VM, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, kk := range isa.Kinds {
+		p.Mem.Map("cache."+kk.String(), fatbin.CacheBase(kk), cfg.CodeCacheSize, mem.PermRX)
+	}
+	vm := newVM(bin, p, cfg)
+	vm.emptyCaches()
+	if err := vm.Start(k); err != nil {
+		return nil, err
+	}
+	return vm, nil
+}
+
+// newVM wires a VM around process p: its telemetry (a private instance
+// whose ring keeps cfg.TraceCap events unless cfg.Telemetry is injected),
+// the PSR randomizer seeded from cfg.Seed, the shared unit cache, and the
+// process's control and syscall hooks. The caller installs the
+// translation state: emptyCaches for a fresh guest, clones for a fork.
+func newVM(bin *fatbin.Binary, p *proc.Process, cfg Config) *VM {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewWithTraceCap(cfg.TraceCap)
 	}
@@ -229,27 +247,28 @@ func New(bin *fatbin.Binary, k isa.Kind, cfg Config) (*VM, error) {
 		}
 	}
 	vm.registerTelemetry()
-	for _, kk := range isa.Kinds {
-		vm.caches[kk] = NewCodeCache(kk, cfg.CodeCacheSize)
+	p.SetControlHook(vm.onControl)
+	vm.progSyscall = p.M.Syscall
+	p.M.Syscall = vm.onSyscall
+	return vm
+}
+
+// emptyCaches installs fresh translation state on both ISAs: empty code
+// caches, RATs, and trap and call registries.
+func (vm *VM) emptyCaches() {
+	for _, k := range isa.Kinds {
+		vm.caches[k] = NewCodeCache(k, vm.Cfg.CodeCacheSize)
 		// A flush evicts translations without necessarily rewriting their
 		// bytes; bump the code generation of the flushed region so the
 		// interpreter's block cache drops its predecodes of the evicted
 		// units — and nothing else (the other ISA's cache and program
 		// text stay warm). Commits and chain patches invalidate their own
 		// pages through the write barrier.
-		vm.caches[kk].OnFlush = p.Mem.InvalidateCodeRange
-		vm.rats[kk] = NewRAT(cfg.RATSize)
-		vm.traps[kk] = make(map[uint32]trapMeta)
-		vm.calls[kk] = make(map[uint32]callMeta)
-		p.Mem.Map("cache."+kk.String(), fatbin.CacheBase(kk), cfg.CodeCacheSize, mem.PermRX)
+		vm.caches[k].OnFlush = vm.P.Mem.InvalidateCodeRange
+		vm.rats[k] = NewRAT(vm.Cfg.RATSize)
+		vm.traps[k] = make(map[uint32]trapMeta)
+		vm.calls[k] = make(map[uint32]callMeta)
 	}
-	p.SetControlHook(vm.onControl)
-	vm.progSyscall = p.M.Syscall
-	p.M.Syscall = vm.onSyscall
-	if err := vm.Start(k); err != nil {
-		return nil, err
-	}
-	return vm, nil
 }
 
 // Start (re)enters the program at its entry point on ISA k, translating
@@ -263,20 +282,6 @@ func (vm *VM) Start(k isa.Kind) error {
 	}
 	vm.P.M.PC = cacheAddr
 	return nil
-}
-
-// Respawn models a crashed worker being re-spawned (paper §5.3): the
-// run-time nature of PSR re-randomizes the code cache on both ISAs.
-func (vm *VM) Respawn(k isa.Kind, newSeed int64) error {
-	vm.Rand = psr.NewRandomizer(newSeed, vm.Cfg.psrConfig())
-	vm.maps = make(map[int][2]*psr.Map)
-	vm.layoutSeed = newSeed
-	vm.mapOrder = vm.mapOrder[:0]
-	vm.mapDigest = digestInit
-	for _, kk := range isa.Kinds {
-		vm.flush(kk)
-	}
-	return vm.Start(k)
 }
 
 // Run executes up to maxSteps instructions.
@@ -544,7 +549,7 @@ func (vm *VM) translate(k isa.Kind, src uint32) (uint32, error) {
 			vm.traps[k][labels[pt.label]] = meta
 		}
 		for _, pc := range t.newCalls {
-			vm.calls[k][labels[pc.label]] = callMeta{srcRet: pc.srcRet, gen: vm.gen[k]}
+			vm.calls[k][labels[pc.label]] = callMeta{srcRet: pc.srcRet}
 		}
 		if vm.shared != nil {
 			vm.publishShared(key, addr, code, labels, t, mapN, lk0, ht0)

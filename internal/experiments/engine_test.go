@@ -310,9 +310,9 @@ func TestRunPanicContainment(t *testing.T) {
 	var buf bytes.Buffer
 	s := QuickSuite(&buf)
 	exps := []Experiment{
-		funcExperiment{name: "boom", desc: "always panics",
+		{name: "boom", desc: "always panics",
 			run: func(context.Context, *Suite) (any, error) { panic("driver exploded") }},
-		funcExperiment{name: "fig7-after", desc: "runs after the panic",
+		{name: "fig7-after", desc: "runs after the panic",
 			run: func(_ context.Context, s *Suite) (any, error) { return s.Fig7(30), nil }},
 	}
 	results, err := Run(context.Background(), s, exps, Options{ContinueOnError: true})

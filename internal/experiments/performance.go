@@ -61,7 +61,7 @@ func (s *Suite) run(p workload.Profile, k isa.Kind, cfg *dbt.Config) (windowRun,
 			m, err := perf.MeasureNative(bin, k, warm, meas)
 			return windowRun{m: m}, err
 		}
-		m, window, vm, err := perf.MeasureVMStats(bin, k, key.cfg, warm, meas)
+		m, window, vm, err := perf.MeasureVM(bin, k, key.cfg, warm, meas)
 		if err != nil {
 			return windowRun{}, err
 		}

@@ -8,34 +8,31 @@ import (
 )
 
 // Experiment is one registered driver: a named, self-describing unit the
-// engine can run against a Suite. Run returns the driver's structured
-// rows/series (the Result artifact payload).
-type Experiment interface {
-	Name() string
-	Description() string
-	Run(ctx context.Context, s *Suite) (any, error)
-}
-
-// funcExperiment adapts a driver closure to the Experiment interface.
-type funcExperiment struct {
+// engine can run against a Suite.
+type Experiment struct {
 	name string
 	desc string
 	run  func(ctx context.Context, s *Suite) (any, error)
 }
 
-func (e funcExperiment) Name() string        { return e.name }
-func (e funcExperiment) Description() string { return e.desc }
-func (e funcExperiment) Run(ctx context.Context, s *Suite) (any, error) {
-	return e.run(ctx, s)
-}
+// Name returns the experiment's registry name (e.g. "fig9").
+func (e Experiment) Name() string { return e.name }
+
+// Description returns the one-line description -list prints.
+func (e Experiment) Description() string { return e.desc }
+
+// Run executes the driver against s and returns its structured
+// rows/series (the Result artifact payload).
+func (e Experiment) Run(ctx context.Context, s *Suite) (any, error) { return e.run(ctx, s) }
 
 // registry holds every experiment in evaluation order (the order the
 // paper's figures are discussed and cmd/hipstr-bench runs them).
 var registry []Experiment
 
-// Register appends e to the run order. The built-in drivers register at
-// init; external callers may add their own before running the engine.
-func Register(e Experiment) { registry = append(registry, e) }
+// register appends a driver to the run order at init.
+func register(name, desc string, run func(ctx context.Context, s *Suite) (any, error)) {
+	registry = append(registry, Experiment{name: name, desc: desc, run: run})
+}
 
 // All returns the registered experiments in run order.
 func All() []Experiment {
@@ -51,7 +48,7 @@ func ByName(name string) (Experiment, bool) {
 			return e, true
 		}
 	}
-	return nil, false
+	return Experiment{}, false
 }
 
 // Select resolves a comma-separated name list (empty selects everything),
@@ -84,10 +81,6 @@ func Select(names string) ([]Experiment, error) {
 		}
 	}
 	return out, nil
-}
-
-func register(name, desc string, run func(ctx context.Context, s *Suite) (any, error)) {
-	Register(funcExperiment{name: name, desc: desc, run: run})
 }
 
 func init() {

@@ -340,17 +340,12 @@ func (h *Host) MarkReady() { h.ready.Store(true) }
 // Ready reports whether the host's prototypes are warmed (MarkReady).
 func (h *Host) Ready() bool { return h.ready.Load() }
 
-// forkConfig is the per-tenant fork envelope: private telemetry with a
-// small event ring (the fleet-scale memory bound).
-func (h *Host) forkConfig() dbt.ForkConfig {
-	return dbt.ForkConfig{TraceCap: tenantTraceCap}
-}
-
 // protoConfig builds the boot config for a workload prototype.
 func (h *Host) protoConfig(prof workload.Profile) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Mode = h.cfg.Mode
 	cfg.DBT.Seed = h.cfg.Seed ^ prof.Seed<<16
+	// Forks and respawns of the prototype inherit its small event ring.
 	cfg.DBT.TraceCap = tenantTraceCap
 	if q := h.cfg.Policy.CacheQuotaBytes; q > 0 {
 		cfg.DBT.CodeCacheSize = q
@@ -386,7 +381,7 @@ func (h *Host) AddWorkload(name string) error {
 	}
 	p := &proto{name: name, bin: bin, cfg: cfg, snap: sys.Snapshot()}
 	if w := h.cfg.Policy.WarmupSteps; w > 0 && !h.cfg.ColdAdmission {
-		wf, err := p.snap.Fork(h.forkConfig())
+		wf, err := p.snap.Fork(dbt.ForkConfig{})
 		if err != nil {
 			return fmt.Errorf("fleet: warmup fork %s: %w", name, err)
 		}
@@ -424,7 +419,7 @@ func (h *Host) Admit(name string) (*Tenant, error) {
 		cfg.DBT.NoSharedUnits = true
 		sys, err = core.New(p.bin, cfg)
 	} else {
-		sys, err = p.snap.Fork(h.forkConfig())
+		sys, err = p.snap.Fork(dbt.ForkConfig{})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: admit %s: %w", name, err)
@@ -592,7 +587,7 @@ func (h *Host) breachLocked(t *Tenant, reason string) bool {
 	// The seed lineage is a pure function of the tenant seed and life
 	// count, so respawn behavior is schedule-independent.
 	newSeed := t.seed + int64(t.respawns)*0x6C62272E07BB0142
-	sys, err := t.proto.snap.Respawn(newSeed, h.forkConfig())
+	sys, err := t.proto.snap.Respawn(newSeed, dbt.ForkConfig{})
 	if err != nil {
 		return h.finalizeLocked(t, tenantKilled, "respawn: "+err.Error())
 	}

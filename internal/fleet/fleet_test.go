@@ -2,8 +2,12 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"hipstr/internal/telemetry"
 )
 
 // runFleet admits n libquantum tenants into a host built from cfg, drains
@@ -152,6 +156,23 @@ func TestFleetRespawnLimit(t *testing.T) {
 		if !strings.Contains(tn.Err(), "respawn limit") {
 			t.Fatalf("tenant %d err %q", tn.ID(), tn.Err())
 		}
+	}
+	// The host tracer is the one source of respawn events: one per
+	// respawn and one kill per retired tenant, each naming its tenant.
+	want := map[string]int{}
+	for _, tn := range h.Tenants() {
+		want[fmt.Sprintf("respawn: tenant %d", tn.ID())] = tn.Respawns()
+		want[fmt.Sprintf("kill: tenant %d", tn.ID())] = 1
+	}
+	got := map[string]int{}
+	for _, e := range h.Telemetry().Trace.Tail(0) {
+		if e.Type == telemetry.EvRespawn || e.Type == telemetry.EvKill {
+			tenant, _, _ := strings.Cut(e.Detail, " (")
+			got[fmt.Sprintf("%s: %s", e.Type, tenant)]++
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("traced %v, want %v", got, want)
 	}
 }
 

@@ -47,11 +47,10 @@ func forkRun(t *testing.T, snap *core.Snapshot, i int) uint64 {
 	t.Helper()
 	var sys *core.System
 	var err error
-	fc := dbt.ForkConfig{TraceCap: 256}
 	if i%2 == 0 {
-		sys, err = snap.Fork(fc)
+		sys, err = snap.Fork(dbt.ForkConfig{})
 	} else {
-		sys, err = snap.Respawn(int64(0x1000+i), fc)
+		sys, err = snap.Respawn(int64(0x1000+i), dbt.ForkConfig{})
 	}
 	if err != nil {
 		t.Errorf("guest %d spawn: %v", i, err)

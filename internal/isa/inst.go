@@ -112,30 +112,6 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cond(%d)", uint8(c))
 }
 
-// Negate returns the complementary condition.
-func (c Cond) Negate() Cond {
-	switch c {
-	case CondEQ:
-		return CondNE
-	case CondNE:
-		return CondEQ
-	case CondLT:
-		return CondGE
-	case CondGE:
-		return CondLT
-	case CondGT:
-		return CondLE
-	case CondLE:
-		return CondGT
-	case CondB:
-		return CondAE
-	case CondAE:
-		return CondB
-	default:
-		return CondAlways
-	}
-}
-
 // OperandKind discriminates Operand.
 type OperandKind uint8
 
@@ -256,20 +232,6 @@ func (in *Inst) EndsBlock() bool {
 		return true
 	}
 	return in.Op == OpPopM && in.RegMask&(1<<PC) != 0
-}
-
-// IsReturn reports whether the instruction is a return idiom of its ISA:
-// x86 ret, ARM bx lr, or an ARM pop multiple whose mask includes PC.
-func (in *Inst) IsReturn() bool {
-	switch in.Op {
-	case OpRet:
-		return true
-	case OpBx:
-		return in.Dst.IsReg(LR)
-	case OpPopM:
-		return in.RegMask&(1<<PC) != 0
-	}
-	return false
 }
 
 func (in *Inst) String() string {

@@ -285,43 +285,12 @@ func TestX86DenseDecode(t *testing.T) {
 	}
 }
 
-func TestCondNegate(t *testing.T) {
-	conds := []Cond{CondEQ, CondNE, CondLT, CondGE, CondGT, CondLE, CondB, CondAE}
-	for _, c := range conds {
-		if c.Negate().Negate() != c {
-			t.Errorf("negate not involutive for %s", c)
-		}
-		if c.Negate() == c {
-			t.Errorf("negate fixed point at %s", c)
-		}
-	}
-}
-
 func TestRegNames(t *testing.T) {
 	if EAX.Name(X86) != "eax" || ESP.Name(X86) != "esp" {
 		t.Error("x86 register names wrong")
 	}
 	if SP.Name(ARM) != "sp" || LR.Name(ARM) != "lr" || PC.Name(ARM) != "pc" || R7.Name(ARM) != "r7" {
 		t.Error("arm register names wrong")
-	}
-}
-
-func TestIsReturnIdioms(t *testing.T) {
-	cases := []struct {
-		in   Inst
-		want bool
-	}{
-		{Inst{Op: OpRet}, true},
-		{Inst{Op: OpBx, Dst: R(LR)}, true},
-		{Inst{Op: OpBx, Dst: R(R3)}, false},
-		{Inst{Op: OpPopM, RegMask: 1 << PC}, true},
-		{Inst{Op: OpPopM, RegMask: 1 << R4}, false},
-		{Inst{Op: OpJmp}, false},
-	}
-	for _, c := range cases {
-		if got := c.in.IsReturn(); got != c.want {
-			t.Errorf("%s: IsReturn=%v want %v", c.in.Op, got, c.want)
-		}
 	}
 }
 

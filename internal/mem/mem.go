@@ -77,11 +77,6 @@ type Region struct {
 	Perm Perm
 }
 
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr uint32) bool {
-	return addr >= r.Base && addr-r.Base < r.Size
-}
-
 // End returns the first address past the region.
 func (r Region) End() uint32 { return r.Base + r.Size }
 
@@ -219,16 +214,6 @@ func (m *Memory) Regions() []Region {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
 	return out
-}
-
-// RegionAt returns the named region containing addr, if any.
-func (m *Memory) RegionAt(addr uint32) (Region, bool) {
-	for _, r := range m.regions {
-		if r.Contains(addr) {
-			return r, true
-		}
-	}
-	return Region{}, false
 }
 
 // ensureOwned privatizes a page whose data is aliased by a snapshot or a

@@ -41,24 +41,11 @@ func MeasureNative(bin *fatbin.Binary, k isa.Kind, warmWrites, measureWrites int
 }
 
 // MeasureVM runs bin under a PSR virtual machine on ISA k with the given
-// configuration and measures the same work window.
-func MeasureVM(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measureWrites int) (Measurement, *dbt.VM, error) {
-	vm, err := dbt.New(bin, k, cfg)
-	if err != nil {
-		return Measurement{}, nil, err
-	}
-	model := NewModel(CoreFor(k))
-	model.RATEnabled = true
-	model.BindTelemetry(vm.Telemetry())
-	model.Attach(vm.P.M)
-	m, err := measure(vm.P, model, warmWrites, measureWrites)
-	return m, vm, err
-}
-
-// MeasureVMStats is MeasureVM plus the VM event-counter delta across the
-// measured window only (warmup events — compulsory translation — are
-// excluded), for steady-state security-event rates.
-func MeasureVMStats(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measureWrites int) (Measurement, dbt.Stats, *dbt.VM, error) {
+// configuration and measures the same work window. It also returns the VM
+// event-counter delta across the measured window only (warmup events —
+// compulsory translation — are excluded), for steady-state security-event
+// rates.
+func MeasureVM(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measureWrites int) (Measurement, dbt.Stats, *dbt.VM, error) {
 	vm, err := dbt.New(bin, k, cfg)
 	if err != nil {
 		return Measurement{}, dbt.Stats{}, nil, err

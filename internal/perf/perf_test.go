@@ -67,7 +67,7 @@ func TestPSROverheadIsBoundedAndOptimizationsHelp(t *testing.T) {
 		cfg := dbt.DefaultConfig()
 		cfg.Opt = opt
 		cfg.MigrateProb = 0
-		m, _, err := perf.MeasureVM(bin, isa.X86, cfg, 1, 2)
+		m, _, _, err := perf.MeasureVM(bin, isa.X86, cfg, 1, 2)
 		if err != nil {
 			t.Fatalf("opt %d: %v", opt, err)
 		}
@@ -108,7 +108,7 @@ func TestRATPenaltyScalesWithReturns(t *testing.T) {
 	bin := bench(t, "libquantum")
 	cfg := dbt.DefaultConfig()
 	cfg.MigrateProb = 0
-	_, vm, err := perf.MeasureVM(bin, isa.X86, cfg, 1, 2)
+	_, _, vm, err := perf.MeasureVM(bin, isa.X86, cfg, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

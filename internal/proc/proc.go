@@ -65,29 +65,20 @@ var sysArgRegs = [2][]isa.Reg{
 	isa.ARM: {isa.R1, isa.R2, isa.R3, isa.R4},
 }
 
-// New boots bin for native execution on ISA k with default sizes.
+// New boots bin for native execution on ISA k.
 func New(bin *fatbin.Binary, k isa.Kind) (*Process, error) {
-	return NewWith(bin, k, DefaultStackSize, DefaultHeapSize)
-}
-
-// NewWith boots bin with explicit stack and heap sizes.
-func NewWith(bin *fatbin.Binary, k isa.Kind, stackSize, heapSize uint32) (*Process, error) {
-	entryFn := bin.Func(bin.EntryFunc)
-	if entryFn == nil {
+	if bin.Func(bin.EntryFunc) == nil {
 		return nil, fmt.Errorf("proc: no entry function %q", bin.EntryFunc)
 	}
 	ram := mem.New()
-	bin.Load(ram, stackSize, heapSize)
-	m := machine.New(k, ram)
-	p := &Process{Bin: bin, Mem: ram, M: m}
-	m.Syscall = p.handleSyscall
-	m.OnControl = p.handleControl
+	bin.Load(ram, DefaultStackSize, DefaultHeapSize)
+	p := Adopt(bin, machine.State{ISA: k}, ram)
 	p.Reset(k)
 	return p, nil
 }
 
 // Adopt wraps an already-populated address space and machine state as a
-// Process, skipping the O(image) bin.Load of NewWith. The snapshot/fork
+// Process, skipping the O(image) bin.Load of New. The snapshot/fork
 // fast path uses it: ram is a copy-on-write fork of a booted (and possibly
 // long-running) process image, st the register state to continue from.
 // Trace/Exited/Execves start empty; the caller restores them when forking

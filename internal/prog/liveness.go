@@ -127,27 +127,6 @@ func ComputeLiveness(f *Func) *Liveness {
 	return lv
 }
 
-// LiveAcross reports, for each instruction index in block b (of function f
-// analyzed by lv), the set of vregs live immediately after it. Index
-// len(Ins) is not included; the final entry corresponds to the state after
-// the last instruction (== Out of the block).
-func (lv *Liveness) LiveAcross(f *Func, b int) []VRegSet {
-	blk := f.Blocks[b]
-	out := make([]VRegSet, len(blk.Ins))
-	cur := lv.Out[b].Clone()
-	for i := len(blk.Ins) - 1; i >= 0; i-- {
-		out[i] = cur.Clone()
-		in := &blk.Ins[i]
-		if d := in.Def(); d != NoVReg {
-			cur.Remove(d)
-		}
-		for _, u := range in.Uses() {
-			cur.Add(u)
-		}
-	}
-	return out
-}
-
 // Preds computes the predecessor lists of f's CFG.
 func Preds(f *Func) [][]int {
 	preds := make([][]int, len(f.Blocks))

@@ -143,23 +143,6 @@ func TestLivenessLoopCarried(t *testing.T) {
 	}
 }
 
-func TestLiveAcross(t *testing.T) {
-	m := buildSum(t)
-	f := m.Func("sum")
-	lv := ComputeLiveness(f)
-	body := 2
-	after := lv.LiveAcross(f, body)
-	if len(after) != len(f.Blocks[body].Ins) {
-		t.Fatalf("LiveAcross length %d", len(after))
-	}
-	// After the final store, only the loop-carried param remains live
-	// (plus nothing block-local).
-	last := after[len(after)-1]
-	if !last.Has(VReg(0)) {
-		t.Fatal("param not live at block end")
-	}
-}
-
 func TestVRegSetOps(t *testing.T) {
 	s := NewVRegSet(130)
 	s.Add(0)

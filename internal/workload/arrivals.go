@@ -48,15 +48,3 @@ func (a *Arrivals) Next() time.Duration {
 	gap := -math.Log(1-u) / a.rate
 	return time.Duration(gap * float64(time.Second))
 }
-
-// Schedule returns the first n cumulative arrival offsets from time zero
-// (a convenience for tests and for pre-computing admission plans).
-func (a *Arrivals) Schedule(n int) []time.Duration {
-	out := make([]time.Duration, n)
-	var t time.Duration
-	for i := range out {
-		t += a.Next()
-		out[i] = t
-	}
-	return out
-}

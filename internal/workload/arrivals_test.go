@@ -87,13 +87,4 @@ func TestArrivalsSaturationMode(t *testing.T) {
 			t.Fatalf("rate 0 must degenerate to back-to-back arrivals, got %v", g)
 		}
 	}
-	if s := NewArrivals(5, 2000).Schedule(16); len(s) != 16 {
-		t.Fatalf("Schedule(16) returned %d offsets", len(s))
-	} else {
-		for i := 1; i < len(s); i++ {
-			if s[i] < s[i-1] {
-				t.Fatalf("schedule not monotonic at %d: %v < %v", i, s[i], s[i-1])
-			}
-		}
-	}
 }
