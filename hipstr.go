@@ -147,9 +147,10 @@ func Protect(bin *Binary, cfg Config) (*System, error) { return core.New(bin, cf
 // SystemSnapshot is a frozen copy-on-write image of a protected process:
 // memory, registers, translated code, and relocation-map build order.
 // Snapshot a booted prototype once, then materialize guests from it with
-// Fork (warm spawn: same translations, O(dirty pages)) or Respawn
-// (kill+respawn with a fresh PSR seed — the paper's §5.3 breach response
-// made cheap).
+// Fork (warm spawn: same translations, O(dirty pages), and predecoded
+// blocks shared with every sibling fork whose code bytes still match) or
+// Respawn (kill+respawn with a fresh PSR seed — the paper's §5.3 breach
+// response made cheap; a respawn decodes its own blocks).
 //
 //	proto, _ := hipstr.Protect(bin, hipstr.Defaults())
 //	snap := proto.Snapshot()

@@ -136,7 +136,8 @@ func (s *System) Snapshot() *Snapshot {
 
 // Fork materializes a new System continuing exactly where the snapshot was
 // taken: registers, translated code, RAT contents, and relocation maps all
-// carry over (memory aliased copy-on-write). fc.Telemetry defaults to a
+// carry over (memory aliased copy-on-write), and the interpreter reuses
+// the blocks sibling forks already predecoded. fc.Telemetry defaults to a
 // private instance per fork.
 func (sn *Snapshot) Fork(fc dbt.ForkConfig) (*System, error) {
 	vm, err := sn.vm.Fork(fc)

@@ -22,6 +22,11 @@ import (
 // clone the translation metadata) instead of a boot (load the image,
 // translate the entry). Killing a breached guest and respawning it with a
 // fresh PSR seed reuses the same snapshot through Respawn.
+//
+// The snapshot's forks also share one table of predecoded blocks
+// (machine.SharedBlocks): each fork's interpreter publishes the blocks it
+// decodes, and its siblings reuse them wherever their code bytes still
+// match instead of decoding the same image again.
 type VMSnapshot struct {
 	bin   *fatbin.Binary
 	cfg   Config // normalized; Telemetry cleared (each fork gets its own)
@@ -36,6 +41,7 @@ type VMSnapshot struct {
 	gen    [2]int
 
 	mapOrder []int
+	blocks   *machine.SharedBlocks // forks only; respawns decode privately
 
 	pendingMigration bool
 	lastEventTarget  uint32
@@ -68,6 +74,7 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		stats:            vm.Stats,
 		gen:              vm.gen,
 		mapOrder:         append([]int(nil), vm.mapOrder...),
+		blocks:           new(machine.SharedBlocks),
 		pendingMigration: vm.PendingMigration,
 		lastEventTarget:  vm.LastEventTarget,
 		trace:            append([]uint32(nil), vm.P.Trace...),
@@ -91,11 +98,14 @@ func (vm *VM) Snapshot() *VMSnapshot {
 // prototype is indistinguishable from a cold New of the same config; the
 // only post-fork divergence from the prototype's own continuation is the
 // migration-policy RNG, which restarts from the seed (its state is not
-// extractable from math/rand).
+// extractable from math/rand). The fork's interpreter shares the
+// snapshot's predecoded blocks with its siblings, which changes how much
+// decoding it does but nothing it executes or counts.
 func (s *VMSnapshot) Fork(fc ForkConfig) (*VM, error) {
 	vm := s.newShell(s.cfg, fc)
 	p := vm.P
 	p.M.State = s.state
+	p.M.ShareBlocks(s.blocks)
 	p.Trace = append([]uint32(nil), s.trace...)
 	p.Exited = s.exited
 	p.ExitCode = s.exitCode
@@ -130,6 +140,8 @@ func (s *VMSnapshot) Fork(fc ForkConfig) (*VM, error) {
 // Stale translated bytes from the snapshot's cache region are unreachable
 // — the entry maps are empty and indirect transfers into cache regions
 // are policed — and are overwritten copy-on-write as translation refills.
+// A respawn decodes privately: its fresh seed gives it translations no
+// sibling shares, which would only crowd the snapshot's block table.
 func (s *VMSnapshot) Respawn(k isa.Kind, newSeed int64, fc ForkConfig) (*VM, error) {
 	cfg := s.cfg
 	cfg.Seed = newSeed

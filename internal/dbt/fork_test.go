@@ -12,7 +12,10 @@ import (
 
 // TestForkOfFreshPrototypeEqualsColdBoot: a fork taken right after boot
 // must be byte- and stats-indistinguishable from a cold New of the same
-// config — same translations, same cache bytes, same run outcome.
+// config — same translations, same cache bytes, same run outcome, same
+// block-cache and fusion counts. That holds for every fork of the
+// snapshot, run one after another or concurrently, although every fork
+// after the first takes predecoded blocks from the snapshot's table.
 func TestForkOfFreshPrototypeEqualsColdBoot(t *testing.T) {
 	bin, want := compile(t, "sumloop")
 	cfg := dbt.DefaultConfig()
@@ -24,40 +27,82 @@ func TestForkOfFreshPrototypeEqualsColdBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := cold.Run(maxSteps); err != nil {
+		t.Fatal(err)
+	}
 	proto, err := dbt.New(bin, isa.X86, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := proto.Snapshot().Fork(dbt.ForkConfig{})
-	if err != nil {
-		t.Fatal(err)
+	snap := proto.Snapshot()
+	fork := func() (*dbt.VM, error) {
+		vm, err := snap.Fork(dbt.ForkConfig{})
+		if err != nil {
+			return nil, err
+		}
+		_, err = vm.Run(maxSteps)
+		return vm, err
 	}
-	for _, vm := range []*dbt.VM{cold, fork} {
-		if _, err := vm.Run(maxSteps); err != nil {
+	var forks []*dbt.VM
+	for i := 0; i < 3; i++ {
+		vm, err := fork()
+		if err != nil {
 			t.Fatal(err)
 		}
+		forks = append(forks, vm)
+	}
+	concurrent := make([]*dbt.VM, 4)
+	errs := make([]error, len(concurrent))
+	var wg sync.WaitGroup
+	for i := range concurrent {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			concurrent[i], errs[i] = fork()
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	forks = append(forks, concurrent...)
+
+	for i, vm := range append([]*dbt.VM{cold}, forks...) {
 		if !vm.P.Exited || vm.P.ExitCode != want {
-			t.Fatalf("exit=%v code=%d want %d", vm.P.Exited, vm.P.ExitCode, want)
+			t.Fatalf("vm %d: exit=%v code=%d want %d", i, vm.P.Exited, vm.P.ExitCode, want)
 		}
 	}
-	if !reflect.DeepEqual(cold.Stats, fork.Stats) {
-		t.Fatalf("stats diverged:\ncold %+v\nfork %+v", cold.Stats, fork.Stats)
-	}
-	for _, k := range isa.Kinds {
-		cu, fu := cold.Cache(k).Used(), fork.Cache(k).Used()
-		if cu != fu {
-			t.Fatalf("%s cache used: cold %d fork %d", k, cu, fu)
+	for i, fork := range forks {
+		if !reflect.DeepEqual(cold.Stats, fork.Stats) {
+			t.Fatalf("fork %d: stats diverged:\ncold %+v\nfork %+v", i, cold.Stats, fork.Stats)
 		}
-		cb := make([]byte, cu)
-		fb := make([]byte, fu)
-		if err := cold.P.Mem.Read(fatbin.CacheBase(k), cb); err != nil {
-			t.Fatal(err)
+		cbs, fbs := cold.P.M.BlockStats(), fork.P.M.BlockStats()
+		if i > 0 && fbs.SharedHits == 0 {
+			t.Fatalf("fork %d decoded every block itself; want hits in the snapshot's table", i)
 		}
-		if err := fork.P.Mem.Read(fatbin.CacheBase(k), fb); err != nil {
-			t.Fatal(err)
+		fbs.SharedHits = cbs.SharedHits
+		if cbs != fbs || cold.P.M.FusionStats() != fork.P.M.FusionStats() {
+			t.Fatalf("fork %d: block cache diverged:\ncold %+v %+v\nfork %+v %+v",
+				i, cbs, cold.P.M.FusionStats(), fbs, fork.P.M.FusionStats())
 		}
-		if string(cb) != string(fb) {
-			t.Fatalf("%s cache bytes diverged between cold boot and fork", k)
+		for _, k := range isa.Kinds {
+			cu, fu := cold.Cache(k).Used(), fork.Cache(k).Used()
+			if cu != fu {
+				t.Fatalf("fork %d: %s cache used: cold %d fork %d", i, k, cu, fu)
+			}
+			cb := make([]byte, cu)
+			fb := make([]byte, fu)
+			if err := cold.P.Mem.Read(fatbin.CacheBase(k), cb); err != nil {
+				t.Fatal(err)
+			}
+			if err := fork.P.Mem.Read(fatbin.CacheBase(k), fb); err != nil {
+				t.Fatal(err)
+			}
+			if string(cb) != string(fb) {
+				t.Fatalf("fork %d: %s cache bytes diverged between cold boot and fork", i, k)
+			}
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -517,7 +518,7 @@ func (h *Host) runSlice(w *worker, t *Tenant) {
 	start := time.Now()
 	t.mu.Lock()
 	t.state.Store(tenantRunning)
-	retired := h.sliceLocked(t)
+	retired := h.sliceContained(t)
 	if !retired {
 		t.state.Store(tenantQueued)
 	}
@@ -528,6 +529,18 @@ func (h *Host) runSlice(w *worker, t *Tenant) {
 		w.q.push(t)
 		h.wake() // a parked peer may steal from our refilled deque
 	}
+}
+
+// sliceContained runs one slice of t, containing a panic raised inside
+// it (guest execution, hooks): the tenant is killed with reason "panic:
+// <value>" and the worker goes on draining the others. Caller holds t.mu.
+func (h *Host) sliceContained(t *Tenant) (retired bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			retired = h.finalizeLocked(t, tenantKilled, fmt.Sprintf("panic: %v", v))
+		}
+	}()
+	return h.sliceLocked(t)
 }
 
 // sliceLocked advances t by one slice. Returns true when the tenant was
@@ -808,8 +821,8 @@ func (h *Host) TenantList() []obsrv.TenantInfo {
 // plus its full telemetry snapshot (live registry while running, the
 // frozen finalize-time snapshot afterwards).
 func (h *Host) TenantSnapshot(id string) (obsrv.TenantInfo, telemetry.Snapshot, bool) {
-	var tid uint64
-	if _, err := fmt.Sscanf(id, "%d", &tid); err != nil {
+	tid, err := strconv.ParseUint(id, 10, 64)
+	if err != nil {
 		return obsrv.TenantInfo{}, telemetry.Snapshot{}, false
 	}
 	h.tmu.RLock()

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"hipstr/internal/isa"
+	"hipstr/internal/machine"
 	"hipstr/internal/telemetry"
 )
 
@@ -255,6 +257,11 @@ func TestFleetTenantSource(t *testing.T) {
 	if _, _, ok := h.TenantSnapshot("bogus"); ok {
 		t.Fatal("non-numeric tenant id must report !ok")
 	}
+	for _, id := range []string{"1x", "1 2", " 1", "1/metrics"} {
+		if _, _, ok := h.TenantSnapshot(id); ok {
+			t.Fatalf("tenant id %q with trailing or leading junk must report !ok", id)
+		}
+	}
 	// Per-tenant series must have landed in the aggregate registry.
 	reg := h.Telemetry().Snapshot()
 	found := false
@@ -288,5 +295,62 @@ func TestFleetCancel(t *testing.T) {
 	cancel()
 	if err := h.Wait(); err != context.Canceled {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+}
+
+// TestFleetContainsTenantPanic: a panic inside one tenant's slice (here a
+// control hook) kills that tenant alone, with the panic as its reason and
+// a kill event; the workers drain the other tenants to completion and the
+// host's counters still add up.
+func TestFleetContainsTenantPanic(t *testing.T) {
+	const n = 4
+	h := NewHost(quotaConfig(2))
+	if err := h.AddWorkload("libquantum"); err != nil {
+		t.Fatalf("AddWorkload: %v", err)
+	}
+	var victim *Tenant
+	for i := 0; i < n; i++ {
+		tn, err := h.Admit("libquantum")
+		if err != nil {
+			t.Fatalf("Admit %d: %v", i, err)
+		}
+		if i == 1 {
+			victim = tn
+		}
+	}
+	// No worker runs before Start, so the hook can be swapped unlocked.
+	victim.sys.VM.P.SetControlHook(func(*machine.Machine, *isa.Inst, machine.ControlKind, uint32, uint32) (uint32, uint32, error) {
+		panic("control hook exploded")
+	})
+	h.Start(context.Background())
+	h.Close()
+	if err := h.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	for _, tn := range h.Tenants() {
+		switch {
+		case tn == victim:
+			if tn.State() != "killed" || tn.Err() != "panic: control hook exploded" {
+				t.Fatalf("victim %d: state %s err %q", tn.ID(), tn.State(), tn.Err())
+			}
+		case tn.State() != "done" || tn.Err() != "":
+			t.Fatalf("tenant %d: state %s err %q, want done", tn.ID(), tn.State(), tn.Err())
+		}
+	}
+	agg := h.Aggregates()
+	if agg.Admitted != n || agg.Killed != 1 || agg.Completed != n-1 || agg.Active != 0 {
+		t.Fatalf("aggregates do not add up: %+v", agg)
+	}
+	kills := 0
+	for _, e := range h.Telemetry().Trace.Tail(0) {
+		if e.Type == telemetry.EvKill {
+			kills++
+			if want := fmt.Sprintf("tenant %d (libquantum): panic: control hook exploded", victim.ID()); e.Detail != want {
+				t.Fatalf("kill event %q, want %q", e.Detail, want)
+			}
+		}
+	}
+	if kills != 1 {
+		t.Fatalf("%d kill events, want 1", kills)
 	}
 }

@@ -36,6 +36,10 @@ type Block struct {
 	// a pointer so blocks that never run observed carry one word for it.
 	timing *isa.BlockTiming
 
+	// shared marks a block whose Insts, Fused and timing belong to a
+	// SharedBlocks table: they are never written or recycled.
+	shared bool
+
 	// [lo, hi) is the byte span the block decoded from (at most BlockCap ×
 	// MaxInstLen ≤ PageSize bytes, so at most two pages). The cache's
 	// per-page index uses the page span to find candidate blocks and the
@@ -66,6 +70,9 @@ func (b *Block) overlaps(addr, size uint32) bool {
 type BlockCacheStats struct {
 	Hits   uint64 // block dispatches served from cache
 	Misses uint64 // block refills (fetch + decode)
+	// SharedHits counts the refills a SharedBlocks table served without
+	// decoding; they are counted in Misses too.
+	SharedHits uint64
 	// Invalidations is the legacy invalidation counter: every event that
 	// evicted at least one block. It equals PartialInvalidations +
 	// FullInvalidations, so dashboards and metricsdiff snapshots recorded
@@ -114,6 +121,7 @@ type blockCache struct {
 	byPage map[uint32][]blockRef // cached blocks overlapping each page
 	gen    uint64                // mem.CodeGen value the cache is synced to
 	win    []byte                // reusable fetch window for refills
+	shared *SharedBlocks         // predecodes shared with sibling forks, or nil
 	// free recycles evicted blocks' instruction storage into refills
 	// (freeFused and freeTiming do the same for their fused lowerings and
 	// timing summaries). Hooks receive *isa.Inst only for the duration of
@@ -124,7 +132,7 @@ type blockCache struct {
 	freeFused  [][]isa.FusedInst
 	freeTiming []*isa.BlockTiming
 
-	hits, misses              uint64
+	hits, misses, sharedHits  uint64
 	partialInvals, fullInvals uint64
 	evicted                   uint64
 
@@ -142,8 +150,12 @@ type blockCache struct {
 // maxFreeInsts bounds the recycled-storage pool.
 const maxFreeInsts = 512
 
-// recycle returns an evicted block's instruction storage to the pool.
+// recycle returns an evicted block's instruction storage to the pool,
+// unless a SharedBlocks table owns it.
 func (bc *blockCache) recycle(b *Block) {
+	if b.shared {
+		return
+	}
 	if b.Insts != nil && len(bc.free) < maxFreeInsts {
 		bc.free = append(bc.free, b.Insts[:0])
 		b.Insts = nil
@@ -199,6 +211,7 @@ func (m *Machine) PublishStats(r *telemetry.Registry) {
 	bs := m.BlockStats()
 	r.Counter("machine.blockcache.hits").Set(bs.Hits)
 	r.Counter("machine.blockcache.misses").Set(bs.Misses)
+	r.Counter("machine.blockcache.shared_hits").Set(bs.SharedHits)
 	// The legacy counter is the sum of the partial/full split, so
 	// snapshots taken before the split stay metricsdiff-comparable.
 	r.Counter("machine.blockcache.invalidations").Set(bs.Invalidations)
@@ -220,6 +233,7 @@ func (m *Machine) BlockStats() BlockCacheStats {
 	return BlockCacheStats{
 		Hits:                 bc.hits,
 		Misses:               bc.misses,
+		SharedHits:           bc.sharedHits,
 		Invalidations:        bc.partialInvals + bc.fullInvals,
 		PartialInvalidations: bc.partialInvals,
 		FullInvalidations:    bc.fullInvals,
@@ -371,11 +385,12 @@ func (bc *blockCache) lookup(k isa.Kind, pc uint32) *Block {
 }
 
 // refill fetches and decodes a new block at m.PC and caches it, indexing
-// it under every page it spans. The caller (Run) guarantees the cache is
-// synced to the current generation, so the decoded bytes are exactly what
-// generation bc.gen holds. Fetch and decode failures are wrapped exactly
-// as the per-step slow path wraps them, so callers see identical errors
-// whether or not the cache is in play.
+// it under every page it spans. With a SharedBlocks table it tries the
+// table before decoding, and publishes what it decodes. The caller (Run)
+// guarantees the cache is synced to the current generation, so the
+// decoded bytes are exactly what generation bc.gen holds. Fetch and decode
+// failures are wrapped exactly as the per-step slow path wraps them, so
+// callers see identical errors whether or not the cache is in play.
 func (bc *blockCache) refill(m *Machine) (*Block, error) {
 	if bc.win == nil {
 		bc.win = make([]byte, BlockCap*MaxInstLen)
@@ -383,6 +398,12 @@ func (bc *blockCache) refill(m *Machine) (*Block, error) {
 	n, err := m.Mem.FetchInto(m.PC, bc.win)
 	if err != nil {
 		return nil, fmt.Errorf("machine: fetch at %#x: %w", m.PC, err)
+	}
+	if bc.shared != nil {
+		if b := bc.sharedHit(m, bc.win[:n]); b != nil {
+			bc.insert(m.ISA, b)
+			return b, nil
+		}
 	}
 	var dst []isa.Inst
 	if l := len(bc.free); l > 0 {
@@ -408,7 +429,16 @@ func (bc *blockCache) refill(m *Machine) (*Block, error) {
 		lo:    m.PC,
 		hi:    last.Addr + uint32(last.Size),
 	}
-	tab := bc.blocks[m.ISA]
+	if bc.shared != nil {
+		bc.share(m.ISA, b, pairs)
+	}
+	bc.insert(m.ISA, b)
+	return b, nil
+}
+
+// insert caches b under ISA k and indexes it under every page it spans.
+func (bc *blockCache) insert(k isa.Kind, b *Block) {
+	tab := bc.blocks[k]
 	if tab == nil || len(tab) >= maxCachedBlocks {
 		if len(tab) >= maxCachedBlocks {
 			// Cap overflow (adversarial decode sweeps): restart both maps
@@ -416,15 +446,14 @@ func (bc *blockCache) refill(m *Machine) (*Block, error) {
 			bc.dropAll()
 		}
 		tab = make(map[uint32]*Block)
-		bc.blocks[m.ISA] = tab
+		bc.blocks[k] = tab
 	}
-	tab[m.PC] = b
+	tab[b.lo] = b
 	if bc.byPage == nil {
 		bc.byPage = make(map[uint32][]blockRef)
 	}
-	ref := blockRef{pc: m.PC, k: m.ISA}
+	ref := blockRef{pc: b.lo, k: k}
 	for pn := b.pageLo(); pn <= b.pageHi(); pn++ {
 		bc.byPage[pn] = append(bc.byPage[pn], ref)
 	}
-	return b, nil
 }
