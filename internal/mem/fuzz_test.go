@@ -180,9 +180,11 @@ func sameErr(got, want error) bool {
 // each against a flat private model: every read and fetch returns the
 // model's bytes and faults, and after every op each memory's and each
 // snapshot's pages, permissions and code generation equal the model's and
-// the write log names exactly the model's recent code writes. A fork that
-// saw a sibling's or its source's later write, or a snapshot that changed
-// after it was taken, diverges from its model.
+// the write log names exactly the model's recent code writes, and the
+// process-wide zero page still reads all zeros. A fork that saw a
+// sibling's or its source's later write, a snapshot that changed after it
+// was taken, or a write the barrier let through to the zero page diverges
+// from its model.
 func FuzzForkMatchesFlat(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 0, 0, 128, 7, // map pages 0-2 rwx
@@ -327,6 +329,9 @@ func FuzzForkMatchesFlat(f *testing.F) {
 			for i, s := range snaps {
 				who := fmt.Sprintf("after op %d %s: snapshot %d", op, what, i)
 				checkFlat(t, who, snapPages[i], s.codeGen, snapModels[i], span)
+			}
+			if zeroPage != ([PageSize]byte{}) {
+				t.Fatalf("after op %d %s: the zero page was written", op, what)
 			}
 		}
 	})

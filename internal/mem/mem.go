@@ -1,7 +1,15 @@
 // Package mem provides the sparse, permission-checked 32-bit address space
 // shared by both cores of the simulated heterogeneous-ISA CMP.
 //
-// The address space is organized as 4 KiB pages created on demand by Map.
+// The address space is organized as 4 KiB pages created by Map. Pages are
+// demand-zero: Map points every fresh page at one immutable process-wide
+// zero page, and page data appears only at a page's first write, which
+// gives it its own zeroed frame. Mapping therefore costs page-table
+// entries but no page data. Invariant: nothing writes the zero page. Every
+// write path (Write, WriteWord, StoreByte, WriteForce) goes through the
+// write barrier, ensureOwned, that also breaks copy-on-write sharing with
+// snapshots and forks.
+//
 // Named regions record the process layout (per-ISA text sections, data,
 // heap, stack, per-ISA code caches) so higher layers — the PSR virtual
 // machine's software-fault-isolation checks, the gadget miner, the JIT-ROP
@@ -10,6 +18,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -61,13 +70,31 @@ func (f *Fault) Error() string {
 type page struct {
 	data []byte
 	perm Perm
-	// shared marks data as aliased by a Snapshot or a sibling Memory
-	// (Fork): the bytes are immutable until this Memory copies them
-	// (copy-on-write). The flag is per-Memory and flipped only by the
-	// owning goroutine, so the write barrier pays a plain bool check, not
-	// an atomic.
-	shared bool
+	// frame says whose bytes data holds. Only an owned frame may be
+	// written; the write barrier (ensureOwned) gives the page one first.
+	// The state is per-Memory and changed only by the owning goroutine,
+	// so the barrier pays a plain byte check, not an atomic.
+	frame frameState
 }
+
+// frameState is a page's ownership of its data.
+type frameState uint8
+
+const (
+	// owned: data is this Memory's private frame.
+	owned frameState = iota
+	// zeroFilled: data is zeroPage. The page was mapped but never
+	// written, and no snapshot has seen it.
+	zeroFilled
+	// shared: data is aliased by a Snapshot or a sibling Memory (Fork),
+	// perhaps zeroPage; the bytes are immutable until this Memory copies
+	// them (copy-on-write).
+	shared
+)
+
+// zeroPage is the frame of every page that has not been written yet.
+// Nothing writes it: ensureOwned replaces it before any write.
+var zeroPage [PageSize]byte
 
 // Region is a named address range of the process layout.
 type Region struct {
@@ -105,7 +132,7 @@ type Memory struct {
 	// are never removed from the table and *page pointers are stable for
 	// the life of the Memory (Map re-permissions in place, ensureOwned
 	// swaps the data slice inside the struct), so entries never need
-	// invalidation: permissions and the shared flag live on the page and
+	// invalidation: permissions and the frame state live on the page and
 	// are still checked on every access. A nil tlbPG slot is empty.
 	tlbPN [tlbSize]uint32
 	tlbPG [tlbSize]*page
@@ -175,11 +202,21 @@ func (m *Memory) InvalidateCodeRange(addr, size uint32) {
 
 // Map creates (or re-permissions) pages covering [addr, addr+size) with the
 // given permissions and, when name is non-empty, records a region of that
-// name. Size is rounded up to whole pages.
+// name. Size is rounded up to whole pages; a zero size maps no page, and a
+// range past the top of the address space stops at its last page. Fresh
+// pages read as zeros and alias the zero page until their first write.
 func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
+	r := Region{Name: name, Base: addr, Size: size, Perm: perm}
+	if name != "" {
+		m.regions[name] = r
+	}
+	if size == 0 {
+		return r
+	}
 	first := addr / PageSize
-	last := (addr + size - 1) / PageSize
+	last := uint32(min(uint64(addr)+uint64(size)-1, math.MaxUint32) / PageSize)
 	bumped := false
+	var slab []page // page structs for this call's fresh pages
 	for pn := first; pn <= last; pn++ {
 		if pg, ok := m.pages[pn]; ok {
 			if (pg.perm|perm)&PermX != 0 && !bumped {
@@ -188,14 +225,15 @@ func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
 				bumped = true
 			}
 			pg.perm = perm
-		} else {
-			// A fresh page cannot have cached decodes: no generation bump.
-			m.pages[pn] = &page{data: make([]byte, PageSize), perm: perm}
+			continue
 		}
-	}
-	r := Region{Name: name, Base: addr, Size: size, Perm: perm}
-	if name != "" {
-		m.regions[name] = r
+		if len(slab) == 0 {
+			slab = make([]page, last-pn+1)
+		}
+		// A fresh page cannot have cached decodes: no generation bump.
+		slab[0] = page{data: zeroPage[:], perm: perm, frame: zeroFilled}
+		m.pages[pn] = &slab[0]
+		slab = slab[1:]
 	}
 	return r
 }
@@ -216,19 +254,23 @@ func (m *Memory) Regions() []Region {
 	return out
 }
 
-// ensureOwned privatizes a page whose data is aliased by a snapshot or a
-// sibling fork: the bytes are copied and the shared flag drops, so the
-// write about to happen cannot leak into other address spaces. Pages never
-// shared (the common case after warm-up) cost one predictable branch.
+// ensureOwned is the write barrier: it gives a page a private frame before
+// its first write. A never-written page gets a zeroed frame in place of the
+// zero page; a page aliased by a snapshot or a sibling fork gets a copy of
+// its bytes and counts one copy-on-write break. Either way the write about
+// to happen cannot reach the zero page or another address space. Owned
+// pages (the common case after warm-up) cost one predictable branch.
 func (m *Memory) ensureOwned(pg *page) {
-	if !pg.shared {
+	if pg.frame == owned {
 		return
 	}
 	nd := make([]byte, PageSize)
-	copy(nd, pg.data)
+	if pg.frame == shared {
+		copy(nd, pg.data)
+		m.cowBroken++
+	}
 	pg.data = nd
-	pg.shared = false
-	m.cowBroken++
+	pg.frame = owned
 }
 
 // CowBroken returns how many shared pages this Memory has privatized
@@ -238,11 +280,11 @@ func (m *Memory) CowBroken() uint64 { return m.cowBroken }
 // SharedPages returns how many of this Memory's pages still alias bytes
 // owned jointly with a snapshot or sibling fork. A freshly forked Memory
 // shares everything; the count decays as the write barrier privatizes
-// pages.
+// pages. A never-written page of a never-snapshotted Memory is not shared.
 func (m *Memory) SharedPages() int {
 	n := 0
 	for _, pg := range m.pages {
-		if pg.shared {
+		if pg.frame == shared {
 			n++
 		}
 	}
@@ -454,13 +496,14 @@ type Snapshot struct {
 }
 
 type snapPage struct {
-	data []byte // immutable: every aliasing Memory carries shared=true
+	data []byte // immutable: every aliasing Memory marks it shared
 	perm Perm
 }
 
-// Snapshot freezes the current image. Every live page is marked shared, so
-// the source Memory's next write to it copies first — the snapshot's bytes
-// never change after this call. Cost is O(page-table), zero byte copies.
+// Snapshot freezes the current image. Every live page is marked shared,
+// never-written ones included, so the source Memory's next write to it
+// copies first — the snapshot's bytes never change after this call. Cost
+// is O(page-table), zero byte copies.
 func (m *Memory) Snapshot() *Snapshot {
 	s := &Snapshot{
 		pages:    make(map[uint32]snapPage, len(m.pages)),
@@ -469,7 +512,7 @@ func (m *Memory) Snapshot() *Snapshot {
 		writeLog: m.writeLog,
 	}
 	for pn, pg := range m.pages {
-		pg.shared = true
+		pg.frame = shared
 		s.pages[pn] = snapPage{data: pg.data, perm: pg.perm}
 	}
 	for n, r := range m.regions {
@@ -481,18 +524,25 @@ func (m *Memory) Snapshot() *Snapshot {
 // Fork materializes a new Memory from the snapshot. Every page aliases the
 // snapshot's bytes until the new Memory first writes it (the write barrier
 // copies on demand), so forking costs O(page-table) regardless of image
-// size. The code generation and the write log carry over, keeping block
-// caches built against the source image exactly as valid as they were at
-// snapshot time.
+// size: one presized map and one slab of page structs. The code generation
+// and the write log carry over, keeping block caches built against the
+// source image exactly as valid as they were at snapshot time.
 func (s *Snapshot) Fork() *Memory {
-	c := New()
+	c := &Memory{
+		pages:    make(map[uint32]*page, len(s.pages)),
+		regions:  make(map[string]Region, len(s.regions)),
+		codeGen:  s.codeGen,
+		writeLog: s.writeLog,
+	}
+	slab := make([]page, len(s.pages))
+	i := 0
 	for pn, sp := range s.pages {
-		c.pages[pn] = &page{data: sp.data, perm: sp.perm, shared: true}
+		slab[i] = page{data: sp.data, perm: sp.perm, frame: shared}
+		c.pages[pn] = &slab[i]
+		i++
 	}
 	for n, r := range s.regions {
 		c.regions[n] = r
 	}
-	c.codeGen = s.codeGen
-	c.writeLog = s.writeLog
 	return c
 }

@@ -119,3 +119,37 @@ func TestReadWriteRoundTripQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMapRangeEdges: a zero size maps no page, and a range that runs past
+// the top of the address space maps up to its last page without wrapping.
+func TestMapRangeEdges(t *testing.T) {
+	m := New()
+	m.Map("empty", 0x1001, 0, PermRW)
+	if _, err := m.ReadWord(0x1000); err == nil {
+		t.Fatal("a zero-size Map at 0x1001 mapped page 1")
+	}
+	m.Map("nothing", 0, 0, PermRW)
+	if len(m.pages) != 0 {
+		t.Fatalf("zero-size Maps mapped %d pages", len(m.pages))
+	}
+	if _, ok := m.Region("nothing"); !ok {
+		t.Fatal("a zero-size Map dropped its region")
+	}
+
+	m.Map("top", 0xFFFFF000, 0x2000, PermRW)
+	if err := m.WriteWord(0xFFFFFFFC, 0xC0FFEE); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.ReadWord(0xFFFFF000); err != nil || v != 0 {
+		t.Fatalf("ReadWord(0xFFFFF000) = %#x, %v", v, err)
+	}
+	if v, err := m.ReadWord(0xFFFFFFFC); err != nil || v != 0xC0FFEE {
+		t.Fatalf("ReadWord(0xFFFFFFFC) = %#x, %v", v, err)
+	}
+	if _, err := m.ReadWord(0); err == nil {
+		t.Fatal("a Map past the top wrapped around to page 0")
+	}
+	if len(m.pages) != 1 {
+		t.Fatalf("Map past the top mapped %d pages, want 1", len(m.pages))
+	}
+}
