@@ -1,8 +1,9 @@
 // Command hipstr-fleet runs the multi-tenant fleet host: thousands of
 // guest VMs admitted from a seeded open-loop Poisson traffic generator,
 // forked from per-workload prototype snapshots (warm admission), and
-// executed on a work-stealing worker pool under per-tenant policy
-// (step quotas, migration probability, kill/respawn under attack).
+// executed by a worker pool that dispatches from one host-owned run
+// queue under per-tenant policy (step quotas, migration probability,
+// kill/respawn under attack).
 //
 // A health monitor watches every run: aggregate metrics are sampled into
 // a rolling history ring every 250 ms, the built-in SLO/anomaly rules
@@ -181,17 +182,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	h.MarkReady()
 
 	// The monitor samples on its own ticker: fleet collectors read only
-	// atomics, so snapshotting off the worker goroutines is safe.
+	// atomics and the run-queue lock, so snapshotting off the worker
+	// goroutines is safe.
 	stopMon := every(healthInterval, func() { mon.ObserveNow(h.Telemetry().Snapshot()) })
 	h.Start(ctx)
 	stopStatus := func() {}
 	if *report > 0 {
 		stopStatus = every(*report, func() {
 			a := h.Aggregates()
-			fmt.Fprintf(stdout, "fleet: admitted %d  active %d (peak %d)  done %d  rps %.0f  p99 %.0fms  steals %d  respawns %d  incidents open %d\n",
+			fmt.Fprintf(stdout, "fleet: admitted %d  active %d (peak %d)  done %d  rps %.0f  p99 %.0fms  respawns %d  incidents open %d\n",
 				a.Admitted, a.Active, a.ActivePeak,
 				a.Completed+a.Killed, a.RPS,
-				a.LatencyP99us/1000, a.Steals, a.Respawns, mon.OpenIncidents())
+				a.LatencyP99us/1000, a.Respawns, mon.OpenIncidents())
 		})
 	}
 
@@ -244,8 +246,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	a := h.Aggregates()
 	fmt.Fprintf(stdout, "fleet complete: %d admitted, %d completed, %d killed in %v\n",
 		a.Admitted, a.Completed, a.Killed, a.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(stdout, "  throughput: %.1f req/s  (%d steps, %d slices, %d steals)\n",
-		a.RPS, a.Steps, a.Slices, a.Steals)
+	fmt.Fprintf(stdout, "  throughput: %.1f req/s  (%d steps, %d slices)\n",
+		a.RPS, a.Steps, a.Slices)
 	fmt.Fprintf(stdout, "  latency: p50 %.2fms  p99 %.2fms\n",
 		a.LatencyP50us/1000, a.LatencyP99us/1000)
 	fmt.Fprintf(stdout, "  defense: %d breaches, %d respawns, %d migrations\n",

@@ -18,11 +18,17 @@ import (
 // status goroutine is stopped before the summary prints: run's stdout is
 // an unsynchronized buffer, so under -race any status line written
 // alongside the summary is a reported race, and none may follow it.
+//
+// The fleet must meet its own latency objective for "opens nothing" to
+// hold: at a 100k-step quota a race-built drain beside another CPU-heavy
+// package took 5.6-6.7 s on 2 vCPUs, past latency-slo-burn's 2 s p99,
+// and that rule rightly opened an incident. A 10k-step quota keeps the
+// drain well inside it.
 func TestRunQuietFleet(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "metrics.json")
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-workloads", "libquantum", "-guests", "150", "-quota", "100000",
+		"-workloads", "libquantum", "-guests", "150", "-quota", "10000",
 		"-attack-prob", "0", "-seed", "11", "-report", "10ms", "-metrics-out", metrics,
 	}, &out)
 	if err != nil {

@@ -275,9 +275,9 @@ func renderFrame(f *frame, width, topN int) string {
 			fmt.Fprintf(&b, "fleet   active %v (peak %v)  workers %v  rps %.1f  p99 %.1fms  injector %v\n",
 				fmtN(g["fleet.active"]), fmtN(g["fleet.active_peak"]), fmtN(g["fleet.workers"]),
 				g["fleet.rps"], g["fleet.latency_p99_us"]/1000, fmtN(g["fleet.injector_depth"]))
-			fmt.Fprintf(&b, "tenants admitted %d  done %d  killed %d  |  breaches %d  respawns %d  migrations %d  steals %d\n",
+			fmt.Fprintf(&b, "tenants admitted %d  done %d  killed %d  |  breaches %d  respawns %d  migrations %d\n",
 				c["fleet.admitted"], c["fleet.completed"], c["fleet.killed"],
-				c["fleet.breaches"], c["fleet.respawns"], c["fleet.migrations"], c["fleet.steals"])
+				c["fleet.breaches"], c["fleet.respawns"], c["fleet.migrations"])
 		} else {
 			fmt.Fprintf(&b, "vm      translations x86 %d / arm %d  migrations %d  security events %d  blk-hit %.1f%%\n",
 				c["dbt.translations.x86"], c["dbt.translations.arm"],

@@ -239,8 +239,9 @@ func NewProfiler(bin *Binary, interval uint64) *Profiler { return profiler.New(b
 
 // Fleet is a multi-tenant host: it admits guest VMs forked from
 // per-workload prototype snapshots (warm admission) and executes them on
-// a bounded work-stealing worker pool under per-tenant policy (step and
-// cache quotas, migration probability, kill/respawn under attack).
+// a bounded worker pool fed by one host-owned run queue, under per-tenant
+// policy (step and cache quotas, migration probability, kill/respawn
+// under attack).
 //
 //	h := hipstr.NewFleet(hipstr.FleetDefaults())
 //	h.AddWorkload("libquantum")

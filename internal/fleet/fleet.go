@@ -1,8 +1,9 @@
 // Package fleet is the multi-tenant host: it admits thousands of guest
 // VMs from an open-loop traffic source, forks each from a per-binary
 // prototype snapshot (warm admission — the Nth spawn pays O(dirty state),
-// not a boot), and executes them on a bounded work-stealing worker pool
-// in step-budget time slices so long guests cannot starve admission.
+// not a boot), and executes them on a bounded worker pool that
+// dispatches step-budget time slices from one host-owned run queue, so
+// long guests cannot starve admission.
 //
 // This is the stance HIPStR's premise demands: migration and PSR are
 // cheap enough to apply to every running program, which only matters if
@@ -14,8 +15,8 @@
 // Determinism contract: guest execution consumes only per-VM randomness
 // (the PSR/policy streams seeded per fork) and per-tenant randomness
 // (attack injection, seeded from the fleet seed and the tenant ID).
-// Scheduling randomness — steal-victim rotation — never reaches a guest.
-// A fleet run therefore produces bit-identical per-tenant results
+// Scheduling draws no randomness at all, and dispatch order never reaches
+// a guest. A fleet run therefore produces bit-identical per-tenant results
 // (digest over exit code, architectural state, and output trace) at any
 // worker count, which the tests pin.
 package fleet
@@ -42,7 +43,7 @@ import (
 // DefaultSliceSteps is the per-dispatch step budget when Policy.SliceSteps
 // is zero: long enough that slice overhead (two queue ops, a clock read)
 // is noise against ~10ns/step execution, short enough that a worker
-// revisits the injector several hundred times per second per core.
+// revisits the run queue several hundred times per second per core.
 const DefaultSliceSteps = 20_000
 
 // Policy is the per-tenant resource and defense envelope.
@@ -241,41 +242,42 @@ type Host struct {
 	cfg Config
 	tel *telemetry.Telemetry
 
-	workers []*worker
-	inj     *queue
-
-	mu   sync.Mutex // parking lot: cond + idle count
-	cond *sync.Cond
-	idle int
+	// mu guards the run queue (sched.go) and started; workers park on
+	// cond while both FIFOs are empty.
+	mu         sync.Mutex
+	cond       *sync.Cond
+	fresh      []*Tenant // admitted, never run
+	runq       []*Tenant // started, waiting for the next slice
+	dispatches uint64
+	started    bool
 
 	tmu     sync.RWMutex
 	protos  map[string]*proto
 	tenants map[uint64]*Tenant
 	order   []uint64
 
-	nextID  atomic.Uint64
-	pending atomic.Int64
-	active  atomic.Int64
-	peak    atomic.Int64
-	closed  atomic.Bool
-	ready   atomic.Bool
-	started bool
-	startNS atomic.Int64
-	endNS   atomic.Int64
-	ctx     context.Context
-	quit    chan struct{}
-	quitOne sync.Once
-	wg      sync.WaitGroup
+	nextID   atomic.Uint64
+	pending  atomic.Int64
+	active   atomic.Int64
+	peak     atomic.Int64
+	closed   atomic.Bool
+	ready    atomic.Bool
+	startNS  atomic.Int64
+	endNS    atomic.Int64
+	ctx      context.Context
+	stopWake func() bool // unregisters Start's wake-on-cancel
+	wg       sync.WaitGroup
 
 	cAdmitted, cCompleted, cQuota, cKilled *telemetry.Counter
-	cRespawns, cBreaches, cSteals, cSlices *telemetry.Counter
-	cSteps, cMigrations                    *telemetry.Counter
+	cRespawns, cBreaches, cSlices, cSteps  *telemetry.Counter
+	cMigrations                            *telemetry.Counter
 	hLatency, hSlice                       *telemetry.Histogram
 }
 
 // NewHost returns a host with its aggregate metrics registered. The
-// gauges (active, peak, rps, injector depth) are collector-backed and
-// read only atomics, so the registry is scrape-safe from any goroutine.
+// gauges (active, peak, rps, injector depth) are collector-backed: they
+// read atomics and, for the injector depth, the run-queue lock, so the
+// registry is scrape-safe from any goroutine.
 func NewHost(cfg Config) *Host {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -290,10 +292,8 @@ func NewHost(cfg Config) *Host {
 	h := &Host{
 		cfg:     cfg,
 		tel:     tel,
-		inj:     newQueue(),
 		protos:  make(map[string]*proto),
 		tenants: make(map[uint64]*Tenant),
-		quit:    make(chan struct{}),
 
 		cAdmitted:   tel.Counter("fleet.admitted"),
 		cCompleted:  tel.Counter("fleet.completed"),
@@ -301,7 +301,6 @@ func NewHost(cfg Config) *Host {
 		cKilled:     tel.Counter("fleet.killed"),
 		cRespawns:   tel.Counter("fleet.respawns"),
 		cBreaches:   tel.Counter("fleet.breaches"),
-		cSteals:     tel.Counter("fleet.steals"),
 		cSlices:     tel.Counter("fleet.slices"),
 		cSteps:      tel.Counter("fleet.steps"),
 		cMigrations: tel.Counter("fleet.migrations"),
@@ -309,19 +308,19 @@ func NewHost(cfg Config) *Host {
 		hSlice:      tel.Histogram("fleet.slice_us"),
 	}
 	h.cond = sync.NewCond(&h.mu)
-	for i := 0; i < cfg.Workers; i++ {
-		h.workers = append(h.workers, &worker{
-			h:   h,
-			id:  i,
-			q:   newQueue(),
-			rng: rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9E3779B9)),
-		})
-	}
+	// Nothing steals work, so fleet.steals is always 0. It stays
+	// registered for its last readers: the benchmark (bench/fleet.go
+	// sums Aggregates.Steals into it) and CI's fleet smoke step, which
+	// greps /metrics for '^fleet_steals '.
+	tel.Counter("fleet.steals")
 	tel.Reg.RegisterCollector(func() {
+		h.mu.Lock()
+		depth := len(h.fresh)
+		h.mu.Unlock()
 		tel.Gauge("fleet.workers").Set(float64(cfg.Workers))
 		tel.Gauge("fleet.active").Set(float64(h.active.Load()))
 		tel.Gauge("fleet.active_peak").Set(float64(h.peak.Load()))
-		tel.Gauge("fleet.injector_depth").Set(float64(h.inj.size()))
+		tel.Gauge("fleet.injector_depth").Set(float64(depth))
 		tel.Gauge("fleet.rps").Set(h.rps())
 		tel.Gauge(
 			"fleet.latency_p99_us",
@@ -396,7 +395,7 @@ func (h *Host) AddWorkload(name string) error {
 }
 
 // Admit creates a tenant of the named workload and queues it on the
-// global injector. Safe from any goroutine (the traffic generator runs
+// host's fresh FIFO. Safe from any goroutine (the traffic generator runs
 // outside the pool) until Close.
 func (h *Host) Admit(name string) (*Tenant, error) {
 	if h.closed.Load() {
@@ -450,8 +449,7 @@ func (h *Host) Admit(name string) (*Tenant, error) {
 			break
 		}
 	}
-	h.inj.push(t)
-	h.wake()
+	h.pushFresh(t)
 	return t, nil
 }
 
@@ -474,18 +472,12 @@ func (h *Host) Start(ctx context.Context) {
 	h.started = true
 	h.mu.Unlock()
 	h.ctx = ctx
+	h.stopWake = context.AfterFunc(ctx, h.wakeAll)
 	h.startNS.Store(time.Now().UnixNano())
-	h.wg.Add(len(h.workers))
-	for _, w := range h.workers {
-		go w.loop()
+	h.wg.Add(h.cfg.Workers)
+	for i := 0; i < h.cfg.Workers; i++ {
+		go h.work()
 	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			h.wakeAll()
-		case <-h.quit:
-		}
-	}()
 }
 
 // Close stops admission; workers drain the remaining tenants and exit.
@@ -506,15 +498,17 @@ func (h *Host) done() bool {
 func (h *Host) Wait() error {
 	h.wg.Wait()
 	h.endNS.Store(time.Now().UnixNano())
-	h.quitOne.Do(func() { close(h.quit) })
+	if h.stopWake != nil {
+		h.stopWake()
+	}
 	if h.ctx != nil && h.ctx.Err() != nil && !h.done() {
 		return h.ctx.Err()
 	}
 	return nil
 }
 
-// runSlice executes one dispatch of t on worker w.
-func (h *Host) runSlice(w *worker, t *Tenant) {
+// runSlice executes one dispatch of t.
+func (h *Host) runSlice(t *Tenant) {
 	start := time.Now()
 	t.mu.Lock()
 	t.state.Store(tenantRunning)
@@ -526,8 +520,7 @@ func (h *Host) runSlice(w *worker, t *Tenant) {
 	h.hSlice.Observe(float64(time.Since(start).Microseconds()))
 	h.cSlices.Inc()
 	if !retired {
-		w.q.push(t)
-		h.wake() // a parked peer may steal from our refilled deque
+		h.requeue(t)
 	}
 }
 
@@ -656,14 +649,7 @@ func (h *Host) publishTenantSeries(t *Tenant) {
 	}
 	h.tel.PublishSeries(
 		fmt.Sprintf("fleet.tenant.%d", t.id),
-		[]telemetry.SeriesPoint{{Fields: map[string]float64{
-			"steps":      float64(t.steps),
-			"slices":     float64(t.slices),
-			"respawns":   float64(t.respawns),
-			"migrations": float64(t.migrations),
-			"latency_us": float64(t.latency.Microseconds()),
-			"exit_code":  float64(t.exitCode),
-		}}},
+		[]telemetry.SeriesPoint{{Fields: t.infoLocked().Fields}},
 	)
 }
 
@@ -700,8 +686,9 @@ func resultDigest(sys *core.System) uint64 {
 	return d
 }
 
-// rps is completed tenants per second of host uptime.
-func (h *Host) rps() float64 {
+// elapsed is host uptime: from Start to the end of Wait, or to now while
+// the pool runs (0 before Start).
+func (h *Host) elapsed() time.Duration {
 	start := h.startNS.Load()
 	if start == 0 {
 		return 0
@@ -710,14 +697,21 @@ func (h *Host) rps() float64 {
 	if end == 0 {
 		end = time.Now().UnixNano()
 	}
-	el := time.Duration(end - start)
+	return time.Duration(end - start)
+}
+
+// rps is completed tenants per second of host uptime.
+func (h *Host) rps() float64 {
+	el := h.elapsed()
 	if el <= 0 {
 		return 0
 	}
 	return float64(h.cCompleted.Value()) / el.Seconds()
 }
 
-// Aggregates is the fleet-wide summary.
+// Aggregates is the fleet-wide summary. Steals is always 0 (nothing
+// steals work); it stays for the benchmark (bench/fleet.go), which still
+// reads it.
 type Aggregates struct {
 	Workers      int           `json:"workers"`
 	Admitted     uint64        `json:"admitted"`
@@ -742,14 +736,6 @@ type Aggregates struct {
 // with execution (reads only atomics and the histogram sketch).
 func (h *Host) Aggregates() Aggregates {
 	lat := h.hLatency.Snapshot()
-	var el time.Duration
-	if s := h.startNS.Load(); s != 0 {
-		e := h.endNS.Load()
-		if e == 0 {
-			e = time.Now().UnixNano()
-		}
-		el = time.Duration(e - s)
-	}
 	return Aggregates{
 		Workers:      h.cfg.Workers,
 		Admitted:     h.cAdmitted.Value(),
@@ -759,12 +745,11 @@ func (h *Host) Aggregates() Aggregates {
 		Breaches:     h.cBreaches.Value(),
 		Respawns:     h.cRespawns.Value(),
 		Migrations:   h.cMigrations.Value(),
-		Steals:       h.cSteals.Value(),
 		Slices:       h.cSlices.Value(),
 		Steps:        h.cSteps.Value(),
 		Active:       h.active.Load(),
 		ActivePeak:   h.peak.Load(),
-		Elapsed:      el,
+		Elapsed:      h.elapsed(),
 		RPS:          h.rps(),
 		LatencyP50us: lat.Quantile(0.50),
 		LatencyP99us: lat.Quantile(0.99),

@@ -2,13 +2,17 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hipstr/internal/isa"
 	"hipstr/internal/machine"
+	"hipstr/internal/obsrv"
 	"hipstr/internal/telemetry"
 )
 
@@ -94,7 +98,8 @@ func TestFleetDrainsAndAggregates(t *testing.T) {
 // TestFleetDeterministicAcrossWorkers is the scheduling-independence
 // contract: the same fleet (seed, policy, admission order) produces
 // bit-identical per-tenant results whether one worker runs everything
-// serially or four workers race and steal. Attack injection is on, so
+// serially or four workers race for the shared run queue, where each
+// tenant's slices may land on any worker. Attack injection is on, so
 // the respawn path is covered by the comparison too.
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	const n = 16
@@ -274,10 +279,61 @@ func TestFleetTenantSource(t *testing.T) {
 	if !found {
 		t.Fatal("no fleet.tenant.* series published")
 	}
+
+	// The same drill-down served through obsrv, checked on the wire.
+	srv := httptest.NewServer(obsrv.NewHandler(obsrv.Options{Tenants: h}))
+	defer srv.Close()
+	var all struct {
+		Count   int `json:"count"`
+		Tenants []struct {
+			State string `json:"state"`
+		} `json:"tenants"`
+	}
+	getJSON(t, srv.URL+"/tenants", &all)
+	if admitted := h.Aggregates().Admitted; uint64(all.Count) != admitted || len(all.Tenants) != all.Count {
+		t.Fatalf("/tenants count %d with %d rows, want %d admitted", all.Count, len(all.Tenants), admitted)
+	}
+	for i, tn := range all.Tenants {
+		if tn.State != "done" && tn.State != "killed" {
+			t.Errorf("/tenants row %d state %q after the drain", i, tn.State)
+		}
+	}
+	var one struct {
+		Tenant struct {
+			ID string `json:"id"`
+		} `json:"tenant"`
+		Metrics struct {
+			Counters map[string]uint64 `json:"counters"`
+		} `json:"metrics"`
+	}
+	getJSON(t, srv.URL+"/tenants/3", &one)
+	if one.Tenant.ID != "3" {
+		t.Errorf("/tenants/3 served tenant %q", one.Tenant.ID)
+	}
+	if len(one.Metrics.Counters) == 0 {
+		t.Error("/tenants/3: private tenant registry has no counters")
+	}
+}
+
+// getJSON fetches url and decodes its JSON body into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
 }
 
 // TestFleetCancel: canceling the context stops the pool even with
-// admission still open, and Wait reports the cancellation.
+// admission still open, whether the workers are busy or parked on an
+// empty run queue, and Wait reports the cancellation.
 func TestFleetCancel(t *testing.T) {
 	cfg := quotaConfig(2)
 	cfg.Policy.StepQuota = 0 // tenants would run for a very long time
@@ -295,6 +351,15 @@ func TestFleetCancel(t *testing.T) {
 	cancel()
 	if err := h.Wait(); err != context.Canceled {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+
+	idle := NewHost(cfg)
+	ctx, cancel = context.WithCancel(context.Background())
+	idle.Start(ctx)
+	waitParked(t, cfg.Workers)
+	cancel()
+	if err := idle.Wait(); err != context.Canceled {
+		t.Fatalf("idle host: Wait = %v, want context.Canceled", err)
 	}
 }
 

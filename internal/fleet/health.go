@@ -61,7 +61,7 @@ func DefaultHealthRules() []health.Rule {
 			Cooldown:    2 * time.Second,
 			Severity:    "page",
 			OffenderKey: "slices",
-			Description: "global injector depth growing without relief: admission outpaces execution and new tenants are starving",
+			Description: "admission queue depth (tenants admitted but never run) growing without relief: admission outpaces execution and new tenants are starving",
 		},
 	}
 }

@@ -1,205 +1,76 @@
 package fleet
 
-import "math/rand"
+// The run queue is two FIFOs owned by the host, both guarded by h.mu:
+// fresh holds admitted tenants that have never run, runq holds started
+// tenants waiting for their next slice. A dispatch pops the front of
+// runq, except on every fourth dispatch host-wide, or whenever runq is
+// empty, when it pops the front of fresh. The every-fourth rule bounds
+// how long a new admission waits behind the resident backlog without
+// letting an admission burst start every queued tenant at once (which
+// would hold every one of their VMs live together). A slice runs tens of
+// microseconds to milliseconds of guest code, so one lock taken twice
+// per slice is nowhere near contended and needs no per-worker queues.
 
-// queue is a mutex-protected tenant deque. The owning worker pushes and
-// pops at the front (FIFO within a worker keeps latency fair across its
-// tenants); thieves take from the back, so the work a victim is about to
-// touch — the cache-warm end — stays with the victim. A plain mutex beats
-// a lock-free Chase-Lev here: a slice is tens of microseconds to
-// milliseconds of guest execution, so queue ops are nowhere near the
-// contention regime that justifies one.
-type queue struct {
-	mu    chan struct{} // 1-buffered semaphore; see lock/unlock
-	head  int
-	items []*Tenant
+// work is one worker: it runs slices until the host drains or its
+// context is canceled.
+func (h *Host) work() {
+	defer h.wg.Done()
+	for t := h.next(); t != nil; t = h.next() {
+		h.runSlice(t)
+	}
 }
 
-// The semaphore-as-mutex lets size() be a non-blocking best-effort probe
-// without a second atomic field, and keeps the zero value unusable (a
-// queue must be init'd), which catches plumbing mistakes in tests.
-func newQueue() *queue { return &queue{mu: make(chan struct{}, 1)} }
-
-func (q *queue) lock()   { q.mu <- struct{}{} }
-func (q *queue) unlock() { <-q.mu }
-
-func (q *queue) push(t *Tenant) {
-	q.lock()
-	q.items = append(q.items, t)
-	q.unlock()
-}
-
-// pop removes the front tenant (owner side).
-func (q *queue) pop() *Tenant {
-	q.lock()
-	if q.head == len(q.items) {
-		q.head = 0
-		q.items = q.items[:0]
-		q.unlock()
+// next blocks until a tenant is due a slice and returns it. It returns
+// nil once the host has drained or its context is canceled: on cancel
+// (Ctrl-C) workers finish the slice they are in and dispatch no more, so
+// the host can still write its final metrics and incident artifacts
+// instead of executing the whole backlog first.
+func (h *Host) next() *Tenant {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for len(h.fresh) == 0 && len(h.runq) == 0 {
+		if h.done() || h.ctx.Err() != nil {
+			return nil
+		}
+		h.cond.Wait()
+	}
+	if h.ctx.Err() != nil {
 		return nil
 	}
-	t := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.head = 0
-		q.items = q.items[:0]
+	h.dispatches++
+	if len(h.runq) == 0 || h.dispatches%4 == 0 && len(h.fresh) > 0 {
+		return popFront(&h.fresh)
 	}
-	q.unlock()
+	return popFront(&h.runq)
+}
+
+func popFront(q *[]*Tenant) *Tenant {
+	t := (*q)[0]
+	(*q)[0] = nil
+	*q = (*q)[1:]
 	return t
 }
 
-func (q *queue) size() int {
-	q.lock()
-	n := len(q.items) - q.head
-	q.unlock()
-	return n
-}
-
-// stealInto takes the back half of q (rounding up, at least one), returns
-// the first stolen tenant for immediate execution, and appends the rest to
-// the thief's deque. Taking half amortizes steal traffic: a thief that
-// found work once has a local supply before it must search again.
-func (q *queue) stealInto(thief *queue) *Tenant {
-	q.lock()
-	n := len(q.items) - q.head
-	if n == 0 {
-		q.unlock()
-		return nil
-	}
-	k := (n + 1) / 2
-	cut := len(q.items) - k
-	taken := make([]*Tenant, k)
-	copy(taken, q.items[cut:])
-	for i := cut; i < len(q.items); i++ {
-		q.items[i] = nil
-	}
-	q.items = q.items[:cut]
-	if q.head == len(q.items) {
-		q.head = 0
-		q.items = q.items[:0]
-	}
-	q.unlock()
-
-	first := taken[0]
-	if len(taken) > 1 {
-		thief.lock()
-		thief.items = append(thief.items, taken[1:]...)
-		thief.unlock()
-	}
-	return first
-}
-
-// worker executes tenant slices. Each worker owns a deque; the host owns
-// a global injector fed by admission. Dispatch order per iteration:
-//
-//  1. every 4th dispatch drains the injector first even when local work
-//     is plentiful — the anti-starvation rule that bounds how long a
-//     newly admitted tenant waits behind a worker's private backlog;
-//  2. own deque front;
-//  3. injector;
-//  4. steal half a victim's deque, visiting victims in a seeded random
-//     rotation so thieves don't convoy on worker 0.
-//
-// The rng only randomizes victim order (scheduling), never guest
-// execution, so fleet results stay bit-identical across worker counts.
-type worker struct {
-	h    *Host
-	id   int
-	q    *queue
-	rng  *rand.Rand
-	tick uint64
-}
-
-func (w *worker) loop() {
-	defer w.h.wg.Done()
-	for {
-		// Graceful drain: on context cancel (Ctrl-C) the worker finishes
-		// the slice it is in and stops dispatching new ones, so the host
-		// can still write its final metrics and incident artifacts
-		// instead of silently executing the whole backlog first.
-		if w.h.ctx.Err() != nil {
-			return
-		}
-		t := w.next()
-		if t == nil {
-			if w.h.done() || w.h.ctx.Err() != nil {
-				return
-			}
-			w.park()
-			continue
-		}
-		w.h.runSlice(w, t)
-	}
-}
-
-func (w *worker) next() *Tenant {
-	w.tick++
-	if w.tick%4 == 0 {
-		if t := w.h.inj.pop(); t != nil {
-			return t
-		}
-	}
-	if t := w.q.pop(); t != nil {
-		return t
-	}
-	if t := w.h.inj.pop(); t != nil {
-		return t
-	}
-	n := len(w.h.workers)
-	if n > 1 {
-		start := w.rng.Intn(n)
-		for i := 0; i < n; i++ {
-			v := w.h.workers[(start+i)%n]
-			if v == w {
-				continue
-			}
-			if t := v.q.stealInto(w.q); t != nil {
-				w.h.cSteals.Inc()
-				return t
-			}
-		}
-	}
-	return nil
-}
-
-// park blocks until new work may exist. The idle count is bumped before
-// re-checking for work under the host lock, and producers signal under
-// the same lock after publishing, so the classic lost-wakeup interleaving
-// (check, publish, signal-into-void, sleep) cannot occur.
-func (w *worker) park() {
-	h := w.h
+// pushFresh queues a new tenant on fresh and wakes one parked worker.
+func (h *Host) pushFresh(t *Tenant) {
 	h.mu.Lock()
-	h.idle++
-	for !h.workAvailable() && !h.done() && h.ctx.Err() == nil {
-		h.cond.Wait()
-	}
-	h.idle--
+	h.fresh = append(h.fresh, t)
+	h.cond.Signal()
 	h.mu.Unlock()
 }
 
-func (h *Host) workAvailable() bool {
-	if h.inj.size() > 0 {
-		return true
-	}
-	for _, w := range h.workers {
-		if w.q.size() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// wake signals one parked worker; wakeAll releases every parked worker
-// (used for shutdown edges: admission closed + drained, or ctx cancel).
-func (h *Host) wake() {
+// requeue puts a started tenant at the back of runq. It wakes no one:
+// the worker requeueing t dispatches again at once, so queued work only
+// grows through admission, and a worker parks only when both FIFOs are
+// empty.
+func (h *Host) requeue(t *Tenant) {
 	h.mu.Lock()
-	if h.idle > 0 {
-		h.cond.Signal()
-	}
+	h.runq = append(h.runq, t)
 	h.mu.Unlock()
 }
 
+// wakeAll releases every parked worker, for the edges that end
+// dispatch: the drain completing and the context being canceled.
 func (h *Host) wakeAll() {
 	h.mu.Lock()
 	h.cond.Broadcast()
