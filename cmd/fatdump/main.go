@@ -77,8 +77,8 @@ func dumpRange(text []byte, base uint32, k isa.Kind, start, end uint32) {
 		if off >= uint32(len(text)) {
 			return
 		}
-		in, err := isa.Decode(k, text[off:], addr)
-		if err != nil {
+		var in isa.Inst
+		if err := isa.Decode(k, text[off:], addr, &in); err != nil {
 			fmt.Printf("  %08x: .byte %#02x\n", addr, text[off])
 			addr++
 			continue
@@ -126,8 +126,8 @@ func dumpPSR(bin *hipstr.Binary, fn *fatbin.FuncMeta, seed int64) {
 		if err != nil {
 			break
 		}
-		in, derr := isa.DecodeX86(win, addr)
-		if derr != nil {
+		var in isa.Inst
+		if err := isa.Decode(isa.X86, win, addr, &in); err != nil {
 			break
 		}
 		fmt.Printf("  %s\n", in.String())

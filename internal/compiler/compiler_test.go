@@ -223,8 +223,8 @@ func TestEveryBlockEndsInControlTransfer(t *testing.T) {
 			addr := b.Addr[k]
 			lastWasControl := false
 			for addr < b.End[k] {
-				in, err := isa.Decode(k, text[addr-base:], addr)
-				if err != nil {
+				var in isa.Inst
+				if err := isa.Decode(k, text[addr-base:], addr, &in); err != nil {
 					t.Fatalf("%s block %d: decode at %#x: %v", k, b.ID, addr, err)
 				}
 				lastWasControl = in.Op.IsControl() && in.Op != isa.OpSys

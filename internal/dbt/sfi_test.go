@@ -38,8 +38,8 @@ func TestNoIndirectJumpsInCodeCache(t *testing.T) {
 			addr++
 			continue
 		}
-		in, derr := isa.DecodeX86(win, addr)
-		if derr != nil {
+		var in isa.Inst
+		if err := isa.Decode(isa.X86, win, addr, &in); err != nil {
 			addr++ // alignment padding between units
 			continue
 		}

@@ -3,6 +3,7 @@ package dbt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hipstr/internal/fatbin"
 	"hipstr/internal/isa"
@@ -115,9 +116,14 @@ func (t *translator) decodeUnit(src uint32) error {
 		if off >= uint32(len(text)) {
 			break
 		}
-		in, err := isa.Decode(t.k, text[off:], addr)
-		if err != nil {
-			if len(t.insts) == 0 {
+		// Decode into the next slot, which may hold an earlier unit's
+		// instruction: Decode overwrites every field.
+		n := len(t.insts)
+		t.insts = slices.Grow(t.insts, 1)[:n+1]
+		in := &t.insts[n]
+		if err := isa.Decode(t.k, text[off:], addr, in); err != nil {
+			t.insts = t.insts[:n]
+			if n == 0 {
 				return fmt.Errorf("dbt: undecodable code at %#x: %w", addr, err)
 			}
 			break // emit what we have; the tail becomes a kill trap
@@ -128,13 +134,13 @@ func (t *translator) decodeUnit(src uint32) error {
 		// traded for locality.
 		if in.Op == isa.OpJmp && t.vm.Cfg.Opt >= O1 &&
 			in.Target > addr && in.Target < t.fn.End[t.k] &&
-			len(t.insts) < maxUnitInstrs-16 {
+			n < maxUnitInstrs-16 {
 			addr = in.Target
+			t.insts = t.insts[:n]
 			continue
 		}
-		t.insts = append(t.insts, in)
 		addr += uint32(in.Size)
-		if endsUnit(&in) {
+		if endsUnit(in) {
 			break
 		}
 	}

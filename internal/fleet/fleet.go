@@ -272,12 +272,15 @@ type Host struct {
 	cRespawns, cBreaches, cSlices, cSteps  *telemetry.Counter
 	cMigrations                            *telemetry.Counter
 	hLatency, hSlice                       *telemetry.Histogram
+	recent                                 recentLatency // fleet.latency_p99_us
 }
 
 // NewHost returns a host with its aggregate metrics registered. The
-// gauges (active, peak, rps, injector depth) are collector-backed: they
-// read atomics and, for the injector depth, the run-queue lock, so the
-// registry is scrape-safe from any goroutine.
+// gauges (active, peak, rps, injector depth, latency p99) are
+// collector-backed: they read atomics and, for the injector depth, the
+// run-queue lock and, for the latency p99 of the tenants retired in the
+// last latencySLOWindow, the latency ring's lock, so the registry is
+// scrape-safe from any goroutine.
 func NewHost(cfg Config) *Host {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -322,9 +325,7 @@ func NewHost(cfg Config) *Host {
 		tel.Gauge("fleet.active_peak").Set(float64(h.peak.Load()))
 		tel.Gauge("fleet.injector_depth").Set(float64(depth))
 		tel.Gauge("fleet.rps").Set(h.rps())
-		tel.Gauge(
-			"fleet.latency_p99_us",
-		).Set(h.hLatency.Snapshot().Quantile(0.99))
+		tel.Gauge("fleet.latency_p99_us").Set(h.recent.quantile(time.Now(), latencySLOWindow, 0.99))
 	})
 	return h
 }
@@ -618,8 +619,10 @@ func (h *Host) finalizeLocked(t *Tenant, st int32, msg string) bool {
 	t.exitCode = t.sys.ExitCode()
 	t.digest = resultDigest(t.sys)
 	t.errMsg = msg
-	t.latency = time.Since(t.admitted)
+	now := time.Now()
+	t.latency = now.Sub(t.admitted)
 	h.hLatency.Observe(float64(t.latency.Microseconds()))
+	h.recent.add(now, float64(t.latency.Microseconds()))
 	t.final = t.sys.Telemetry().Snapshot()
 	t.sys = nil
 	t.state.Store(st)

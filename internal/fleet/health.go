@@ -44,12 +44,12 @@ func DefaultHealthRules() []health.Rule {
 			Kind:        health.KindBurn,
 			Threshold:   2e6, // p99 objective: 2s admission-to-retirement
 			Fraction:    0.5,
-			Window:      10 * time.Second,
+			Window:      latencySLOWindow,
 			For:         time.Second,
 			Cooldown:    2 * time.Second,
 			Severity:    "warn",
 			OffenderKey: "latency_us",
-			Description: "tenant latency p99 above the 2s objective for most of the window: the error budget is burning, not blipping",
+			Description: "p99 latency of the tenants retired in the last window above the 2s objective for most of the window: the error budget is burning, not blipping",
 		},
 		{
 			Name:        "injector-starvation",

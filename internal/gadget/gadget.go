@@ -11,6 +11,7 @@ package gadget
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hipstr/internal/fatbin"
@@ -86,12 +87,12 @@ func legitBoundaries(bin *fatbin.Binary, k isa.Kind) map[uint32]bool {
 	out := make(map[uint32]bool)
 	text := bin.Text[k]
 	base := fatbin.TextBase(k)
+	var in isa.Inst
 	for _, f := range bin.Funcs {
 		addr := f.Start[k]
 		for addr < f.End[k] {
 			out[addr] = true
-			in, err := isa.Decode(k, text[addr-base:], addr)
-			if err != nil {
+			if err := isa.Decode(k, text[addr-base:], addr, &in); err != nil {
 				addr++ // alignment padding
 				continue
 			}
@@ -120,31 +121,32 @@ func enderOf(in *isa.Inst) (EnderKind, bool) {
 	return 0, false
 }
 
-// decodeRun decodes from start, accepting sequences whose only control
-// transfer is a final ender at enderAddr. Returns the instructions or nil.
-func decodeRun(text []byte, base uint32, k isa.Kind, start, enderEnd uint32, maxInstrs int) []isa.Inst {
-	var instrs []isa.Inst
+// decodeRun decodes from start into buf[:0], accepting sequences whose
+// only control transfer is a final ender ending at enderEnd. It returns
+// the instructions, in buf's storage, or nil.
+func decodeRun(text []byte, base uint32, k isa.Kind, start, enderEnd uint32, maxInstrs int, buf []isa.Inst) []isa.Inst {
+	instrs := buf[:0]
 	addr := start
-	for addr < enderEnd && len(instrs) <= maxInstrs {
+	for n := 0; addr < enderEnd && n <= maxInstrs; n++ {
 		off := addr - base
 		if off >= uint32(len(text)) {
 			return nil
 		}
-		in, err := isa.Decode(k, text[off:], addr)
-		if err != nil {
+		instrs = slices.Grow(instrs, 1)[:n+1]
+		in := &instrs[n]
+		if err := isa.Decode(k, text[off:], addr, in); err != nil {
 			return nil
 		}
 		next := addr + uint32(in.Size)
-		if _, isEnder := enderOf(&in); isEnder {
+		if _, isEnder := enderOf(in); isEnder {
 			if next == enderEnd {
-				return append(instrs, in)
+				return instrs
 			}
 			return nil // indirect transfer mid-sequence
 		}
 		if in.Op.IsControl() && in.Op != isa.OpSys {
 			return nil // direct transfer breaks the chain
 		}
-		instrs = append(instrs, in)
 		addr = next
 	}
 	return nil
@@ -156,10 +158,11 @@ func mineX86(bin *fatbin.Binary, maxInstrs int) []Gadget {
 	legit := legitBoundaries(bin, isa.X86)
 	var out []Gadget
 	seen := make(map[uint32]bool)
+	var in isa.Inst
+	buf := make([]isa.Inst, 0, maxInstrs+1)
 	for off := 0; off < len(text); off++ {
 		addr := base + uint32(off)
-		in, err := isa.DecodeX86(text[off:], addr)
-		if err != nil {
+		if err := isa.Decode(isa.X86, text[off:], addr, &in); err != nil {
 			continue
 		}
 		ender, ok := enderOf(&in)
@@ -177,7 +180,7 @@ func mineX86(bin *fatbin.Binary, maxInstrs int) []Gadget {
 			if seen[start] {
 				continue
 			}
-			instrs := decodeRun(text, base, isa.X86, start, enderEnd, maxInstrs)
+			instrs := decodeRun(text, base, isa.X86, start, enderEnd, maxInstrs, buf)
 			if instrs == nil {
 				continue
 			}
@@ -195,7 +198,7 @@ func mineX86(bin *fatbin.Binary, maxInstrs int) []Gadget {
 				Ender:   ender,
 				Aligned: legit[start],
 				Func:    name,
-				Instrs:  instrs,
+				Instrs:  slices.Clone(instrs),
 			})
 		}
 	}
@@ -208,10 +211,11 @@ func mineARM(bin *fatbin.Binary, maxInstrs int) []Gadget {
 	base := uint32(fatbin.ARMTextBase)
 	legit := legitBoundaries(bin, isa.ARM)
 	var out []Gadget
+	var in isa.Inst
+	buf := make([]isa.Inst, 0, maxInstrs+1)
 	for off := 0; off+4 <= len(text); off += 4 {
 		addr := base + uint32(off)
-		in, err := isa.DecodeARM(text[off:], addr)
-		if err != nil {
+		if err := isa.Decode(isa.ARM, text[off:], addr, &in); err != nil {
 			continue
 		}
 		ender, ok := enderOf(&in)
@@ -224,7 +228,7 @@ func mineARM(bin *fatbin.Binary, maxInstrs int) []Gadget {
 			if int(start)-int(base) < 0 {
 				break
 			}
-			instrs := decodeRun(text, base, isa.ARM, start, enderEnd, maxInstrs)
+			instrs := decodeRun(text, base, isa.ARM, start, enderEnd, maxInstrs, buf)
 			if instrs == nil {
 				continue
 			}
@@ -241,7 +245,7 @@ func mineARM(bin *fatbin.Binary, maxInstrs int) []Gadget {
 				Ender:   ender,
 				Aligned: legit[start],
 				Func:    name,
-				Instrs:  instrs,
+				Instrs:  slices.Clone(instrs),
 			})
 		}
 	}

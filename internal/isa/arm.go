@@ -57,12 +57,17 @@ var armCondNibble = map[Cond]uint32{
 	CondAlways: 0xE,
 }
 
-var armNibbleCond = func() map[uint32]Cond {
-	m := make(map[uint32]Cond, len(armCondNibble))
-	for c, n := range armCondNibble {
-		m[n] = c
+// armNibbleCond is the decoder's inverse of armCondNibble, indexed by
+// condition nibble; noCond marks the nibbles this encoding leaves
+// undefined.
+var armNibbleCond = func() (t [16]Cond) {
+	for i := range t {
+		t[i] = noCond
 	}
-	return m
+	for c, n := range armCondNibble {
+		t[n] = c
+	}
+	return t
 }()
 
 // armImmMin and armImmMax bound the signed 13-bit operand2 immediate.
@@ -306,21 +311,20 @@ func EncodeARM(in *Inst) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeARM decodes the 4-byte word at the start of b, located at addr.
-// addr must be word-aligned.
-func DecodeARM(b []byte, addr uint32) (Inst, error) {
-	in := Inst{ISA: ARM, Addr: addr, Size: 4, Cond: CondAlways}
+// decodeARM decodes the 4-byte word at the start of b, located at addr,
+// into *in (see Decode). addr must be word-aligned.
+func decodeARM(b []byte, addr uint32, in *Inst) error {
+	*in = Inst{ISA: ARM, Addr: addr, Size: 4, Cond: CondAlways}
 	if addr%4 != 0 {
-		return in, fmt.Errorf("%w: unaligned arm address %#x", ErrInvalid, addr)
+		return fmt.Errorf("%w: unaligned arm address %#x", ErrInvalid, addr)
 	}
 	if len(b) < 4 {
-		return in, ErrTruncated
+		return ErrTruncated
 	}
 	w := binary.LittleEndian.Uint32(b)
-	nib := w >> 28
-	cond, ok := armNibbleCond[nib]
-	if !ok {
-		return in, ErrInvalid
+	cond := armNibbleCond[w>>28]
+	if cond == noCond {
+		return ErrInvalid
 	}
 	op := w >> 22 & 0x3F
 	rd := Reg(w >> 18 & 0xF)
@@ -339,29 +343,29 @@ func DecodeARM(b []byte, addr uint32) (Inst, error) {
 	mbzOp2Reg := func() bool { return immFlag || w&0x1FF0 == 0 }
 	// Conditions are only architecturally meaningful on branches.
 	if cond != CondAlways && op != aopB {
-		return in, ErrInvalid
+		return ErrInvalid
 	}
 	switch op {
 	case aopNop, aopHlt:
 		if w&0x003FFFFF != 0 {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		if op == aopNop {
 			in.Op = OpNop
 		} else {
 			in.Op = OpHlt
 		}
-		return in, nil
+		return nil
 	case aopSvc:
 		if w>>16&0x3F != 0 {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		in.Op = OpSys
 		in.Imm = int32(w & 0xFFFF)
-		return in, nil
+		return nil
 	case aopMov, aopMvn:
 		if rn != 0 || !mbzOp2Reg() {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		if op == aopMov {
 			in.Op = OpMov
@@ -370,10 +374,10 @@ func DecodeARM(b []byte, addr uint32) (Inst, error) {
 		}
 		in.Dst = R(rd)
 		in.Src = op2()
-		return in, nil
+		return nil
 	case aopMovw, aopMovt:
 		if w>>16&0x3 != 0 {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		if op == aopMovw {
 			in.Op = OpMov
@@ -382,43 +386,22 @@ func DecodeARM(b []byte, addr uint32) (Inst, error) {
 		}
 		in.Dst = R(rd)
 		in.Src = I(int32(w & 0xFFFF))
-		return in, nil
+		return nil
 	case aopAdd, aopSub, aopRsb, aopAnd, aopOrr, aopEor, aopLsl, aopLsr, aopMul, aopDiv:
 		if !mbzOp2Reg() {
-			return in, ErrInvalid
-		}
-		switch op {
-		case aopAdd:
-			in.Op = OpAdd
-		case aopSub:
-			in.Op = OpSub
-		case aopRsb:
-			in.Op = OpRsb
-		case aopAnd:
-			in.Op = OpAnd
-		case aopOrr:
-			in.Op = OpOr
-		case aopEor:
-			in.Op = OpXor
-		case aopLsl:
-			in.Op = OpShl
-		case aopLsr:
-			in.Op = OpShr
-		case aopMul:
-			in.Op = OpMul
-		case aopDiv:
-			in.Op = OpDiv
+			return ErrInvalid
 		}
 		if (op == aopMul || op == aopDiv) && immFlag {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
+		in.Op = armALUOp[op]
 		in.Dst = R(rd)
 		in.Src = op2()
 		in.Src2 = R(rn)
-		return in, nil
+		return nil
 	case aopCmp, aopTst:
 		if rd != 0 || !mbzOp2Reg() {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		if op == aopCmp {
 			in.Op = OpCmp
@@ -427,11 +410,16 @@ func DecodeARM(b []byte, addr uint32) (Inst, error) {
 		}
 		in.Dst = R(rn)
 		in.Src = op2()
-		return in, nil
+		return nil
 	case aopLdr, aopStr:
-		var m MemRef
-		m.HasBase = true
-		m.Base = rn
+		mem, reg := &in.Src, &in.Dst
+		in.Op = OpLoad
+		if op == aopStr {
+			mem, reg = &in.Dst, &in.Src
+			in.Op = OpStore
+		}
+		*mem = Operand{Kind: OpdMem, Mem: MemRef{HasBase: true, Base: rn}}
+		m := &mem.Mem
 		if immFlag {
 			v := int32(w & 0x1FFF)
 			if v&(1<<12) != 0 {
@@ -440,22 +428,14 @@ func DecodeARM(b []byte, addr uint32) (Inst, error) {
 			m.Disp = v
 		} else {
 			if w&0x1FF0 != 0 {
-				return in, ErrInvalid
+				return ErrInvalid
 			}
 			m.HasIndex = true
 			m.Index = Reg(w & 0xF)
 			m.Scale = 1
 		}
-		if op == aopLdr {
-			in.Op = OpLoad
-			in.Dst = R(rd)
-			in.Src = M(m)
-		} else {
-			in.Op = OpStore
-			in.Dst = M(m)
-			in.Src = R(rd)
-		}
-		return in, nil
+		*reg = R(rd)
+		return nil
 	case aopB, aopBl:
 		rel := int32(w & 0x3FFFFF)
 		if rel&(1<<21) != 0 {
@@ -470,10 +450,10 @@ func DecodeARM(b []byte, addr uint32) (Inst, error) {
 			in.Op = OpJcc
 			in.Cond = cond
 		}
-		return in, nil
+		return nil
 	case aopBx, aopBlx:
 		if rd != 0 || rn != 0 || w&0x3FF0 != 0 {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		if op == aopBx {
 			in.Op = OpBx
@@ -481,14 +461,14 @@ func DecodeARM(b []byte, addr uint32) (Inst, error) {
 			in.Op = OpCallI
 		}
 		in.Dst = R(Reg(w & 0xF))
-		return in, nil
+		return nil
 	case aopPush, aopPop:
 		if w>>16&0x3F != 0 {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		mask := uint16(w & 0xFFFF)
 		if mask == 0 {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		if op == aopPush {
 			in.Op = OpPushM
@@ -496,9 +476,15 @@ func DecodeARM(b []byte, addr uint32) (Inst, error) {
 			in.Op = OpPopM
 		}
 		in.RegMask = mask
-		return in, nil
+		return nil
 	}
-	return in, ErrInvalid
+	return ErrInvalid
+}
+
+// armALUOp maps the ALU opcodes to their operations.
+var armALUOp = [64]Op{
+	aopAdd: OpAdd, aopSub: OpSub, aopRsb: OpRsb, aopAnd: OpAnd, aopOrr: OpOr,
+	aopEor: OpXor, aopLsl: OpShl, aopLsr: OpShr, aopMul: OpMul, aopDiv: OpDiv,
 }
 
 // MaterializeARMConst returns the movw/movt sequence that loads the 32-bit
@@ -512,12 +498,16 @@ func MaterializeARMConst(rd Reg, v uint32) []Inst {
 	return out
 }
 
-// Decode dispatches to the decoder for ISA k.
-func Decode(k Kind, b []byte, addr uint32) (Inst, error) {
+// Decode decodes one ISA-k instruction from b, which holds the bytes at
+// address addr, into *in. It overwrites every field of *in, so in may be
+// recycled storage holding anything; after an error *in is unspecified.
+// It returns ErrInvalid for undefined encodings (wrapped, for an
+// unaligned ARM address) and ErrTruncated when b ends mid-instruction.
+func Decode(k Kind, b []byte, addr uint32, in *Inst) error {
 	if k == X86 {
-		return DecodeX86(b, addr)
+		return decodeX86(b, addr, in)
 	}
-	return DecodeARM(b, addr)
+	return decodeARM(b, addr, in)
 }
 
 // Encode dispatches to the encoder for ISA k.

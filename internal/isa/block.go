@@ -1,9 +1,13 @@
 package isa
 
+import "slices"
+
 // DecodeBlock decodes a straight-line run of instructions from code, which
 // holds the bytes at address addr, appending to dst and returning it. The
 // run ends at the first block terminator (see Inst.EndsBlock), after max
 // instructions, or when the remaining bytes no longer decode cleanly.
+// Each instruction is decoded in place into the slot it occupies, so dst
+// may be recycled storage: Decode overwrites every field.
 //
 // A short block is not an error: the interpreter retries the failing PC
 // through its slow path, which reproduces the exact fetch/decode fault the
@@ -12,15 +16,16 @@ package isa
 // or a diagnosable failure.
 func DecodeBlock(k Kind, code []byte, addr uint32, dst []Inst, max int) ([]Inst, error) {
 	off := 0
-	for len(dst) < max && off < len(code) {
-		in, err := Decode(k, code[off:], addr+uint32(off))
-		if err != nil {
-			if len(dst) > 0 {
+	for n := len(dst); n < max && off < len(code); n++ {
+		dst = slices.Grow(dst, 1)[:n+1]
+		in := &dst[n]
+		if err := Decode(k, code[off:], addr+uint32(off), in); err != nil {
+			dst = dst[:n]
+			if n > 0 {
 				return dst, nil
 			}
 			return dst, err
 		}
-		dst = append(dst, in)
 		off += int(in.Size)
 		if in.EndsBlock() {
 			break

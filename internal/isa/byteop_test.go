@@ -20,8 +20,8 @@ func TestByteOpRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sample %d: encode: %v", i, err)
 		}
-		got, err := DecodeX86(enc, 0)
-		if err != nil {
+		var got Inst
+		if err := Decode(X86, enc, 0, &got); err != nil {
 			t.Fatalf("sample %d: decode % x: %v", i, enc, err)
 		}
 		if !got.ByteOp {
@@ -42,8 +42,8 @@ func TestRetImm16RoundTrip(t *testing.T) {
 	if enc[0] != 0xC2 || len(enc) != 3 {
 		t.Fatalf("encoding % x", enc)
 	}
-	got, err := DecodeX86(enc, 0)
-	if err != nil {
+	var got Inst
+	if err := Decode(X86, enc, 0, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Op != OpRet || got.Imm != 0x10 {
@@ -54,8 +54,8 @@ func TestRetImm16RoundTrip(t *testing.T) {
 func TestZeroBytesDecode(t *testing.T) {
 	// 00 /r — "add r/m8, r8" — is why real x86's unintentional gadget
 	// surface is huge: runs of zero bytes decode as instructions.
-	in, err := DecodeX86([]byte{0x00, 0x00, 0x00, 0x00}, 0)
-	if err != nil {
+	var in Inst
+	if err := Decode(X86, []byte{0x00, 0x00, 0x00, 0x00}, 0, &in); err != nil {
 		t.Fatalf("zero bytes should decode: %v", err)
 	}
 	if in.Op != OpAdd || !in.ByteOp {

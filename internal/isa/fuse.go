@@ -1,6 +1,9 @@
 package isa
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file implements the superinstruction layer of the predecoded block
 // cache: FuseBlock collapses a decoded instruction sequence into fused
@@ -9,7 +12,7 @@ import "math/bits"
 // dispatches with one switch per entry instead of one per instruction.
 //
 // A FusedInst is a flattened, self-contained operand bundle: the hot exec
-// arms read only its fixed-size fields and never touch the 96-byte Inst it
+// arms read only its fixed-size fields and never touch the 84-byte Inst it
 // was built from. The A/B indices point back into the block's Inst slice
 // for everything cold: hook invocations, error wrapping, and the timing
 // model's batched commit, which replays accounting from the original
@@ -170,14 +173,15 @@ func mayWriteMem(in *Inst) bool {
 }
 
 // fuseSingle classifies one instruction into its specialized fused form,
-// or FGeneric when no dedicated arm applies.
-func fuseSingle(in *Inst, idx int) FusedInst {
-	f := FusedInst{Code: FGeneric, N: 1, A: uint8(idx), Next: in.Addr + uint32(in.Size)}
+// or FGeneric when no dedicated arm applies, overwriting every field of
+// *f.
+func fuseSingle(in *Inst, idx int, f *FusedInst) {
+	*f = FusedInst{Code: FGeneric, N: 1, A: uint8(idx), Next: in.Addr + uint32(in.Size)}
 	if in.ByteOp {
 		if mayWriteMem(in) {
 			f.Sub = FSubMayWrite
 		}
-		return f
+		return
 	}
 	switch {
 	case regMov(in):
@@ -250,19 +254,19 @@ func fuseSingle(in *Inst, idx int) FusedInst {
 			f.Sub = FSubMayWrite
 		}
 	}
-	return f
 }
 
-// fusePair tries to fuse insts[i] and insts[i+1] into one entry. Data
-// pairs are only formed when the second instruction is not the block's
-// final one: the dispatch loop commits batched timing before the last
-// architectural instruction executes, so the last entry must be a single
-// or a cmp+jcc (whose compare is register-only and observation-neutral
-// after execution).
-func fusePair(insts []Inst, i int) (FusedInst, bool) {
+// fusePair tries to fuse insts[i] and insts[i+1] into one entry,
+// overwriting every field of *f when it does; when it does not, *f is
+// left for fuseSingle to overwrite. Data pairs are only formed when the
+// second instruction is not the block's final one: the dispatch loop
+// commits batched timing before the last architectural instruction
+// executes, so the last entry must be a single or a cmp+jcc (whose
+// compare is register-only and observation-neutral after execution).
+func fusePair(insts []Inst, i int, f *FusedInst) bool {
 	a, b := &insts[i], &insts[i+1]
 	last := i+1 == len(insts)-1
-	f := FusedInst{N: 2, A: uint8(i), B: uint8(i + 1), Next: b.Addr + uint32(b.Size)}
+	*f = FusedInst{N: 2, A: uint8(i), B: uint8(i + 1), Next: b.Addr + uint32(b.Size)}
 
 	if regCmp(a) && b.Op == OpJcc {
 		f.R1 = uint8(a.Dst.Reg) & 0xF
@@ -275,10 +279,10 @@ func fusePair(insts []Inst, i int) (FusedInst, bool) {
 		}
 		f.Cond = b.Cond
 		f.Target = b.Target
-		return f, true
+		return true
 	}
 	if last {
-		return FusedInst{}, false
+		return false
 	}
 	switch {
 	case regMov(a) && regMov(b):
@@ -297,7 +301,7 @@ func fusePair(insts []Inst, i int) (FusedInst, bool) {
 		} else {
 			f.R4 = uint8(b.Src.Reg) & 0xF
 		}
-		return f, true
+		return true
 	case loadShape(a) && fusableALU(b):
 		f.Code = FLoadAlu
 		f.R1 = uint8(a.Dst.Reg) & 0xF
@@ -308,7 +312,7 @@ func fusePair(insts []Inst, i int) (FusedInst, bool) {
 		f.R3, f.R4, f.R5 = dstR, srcR, src2R
 		f.Sub = sub
 		f.Imm2 = imm
-		return f, true
+		return true
 	case fusableALU(a) && storeShape(b):
 		f.Code = FAluStore
 		f.Op = a.Op
@@ -319,26 +323,27 @@ func fusePair(insts []Inst, i int) (FusedInst, bool) {
 		f.R3 = uint8(b.Dst.Mem.Base) & 0xF
 		f.Imm2 = b.Dst.Mem.Disp
 		f.R4 = uint8(b.Src.Reg) & 0xF
-		return f, true
+		return true
 	}
-	return FusedInst{}, false
+	return false
 }
 
 // FuseBlock lowers a decoded block into fused dispatch entries, appending
-// to dst (which may be a recycled slice) and returning it together with
-// the number of instruction pairs that were fused.
+// to dst and returning it together with the number of instruction pairs
+// that were fused. Each entry is filled in place in the slot it occupies,
+// overwriting every field, so dst may be recycled storage.
 func FuseBlock(insts []Inst, dst []FusedInst) ([]FusedInst, int) {
 	pairs := 0
 	for i := 0; i < len(insts); {
-		if i+1 < len(insts) {
-			if f, ok := fusePair(insts, i); ok {
-				dst = append(dst, f)
-				pairs++
-				i += 2
-				continue
-			}
+		n := len(dst)
+		dst = slices.Grow(dst, 1)[:n+1]
+		f := &dst[n]
+		if i+1 < len(insts) && fusePair(insts, i, f) {
+			pairs++
+			i += 2
+			continue
 		}
-		dst = append(dst, fuseSingle(&insts[i], i))
+		fuseSingle(&insts[i], i, f)
 		i++
 	}
 	return dst, pairs

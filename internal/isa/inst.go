@@ -103,6 +103,9 @@ const (
 	CondAE          // unsigned above or equal
 )
 
+// noCond marks an encoding the decoders' condition tables leave undefined.
+const noCond Cond = 0xFF
+
 var condNames = [...]string{"al", "eq", "ne", "lt", "ge", "gt", "le", "b", "ae"}
 
 func (c Cond) String() string {

@@ -143,8 +143,8 @@ func checkRoundTrip(t *testing.T, k Kind, samples []Inst) {
 		if err != nil {
 			t.Fatalf("sample %d (%s): encode: %v", i, want.String(), err)
 		}
-		got, err := Decode(k, enc, want.Addr)
-		if err != nil {
+		var got Inst
+		if err := Decode(k, enc, want.Addr, &got); err != nil {
 			t.Fatalf("sample %d (%s): decode % x: %v", i, want.String(), enc, err)
 		}
 		if got.Op != want.Op {
@@ -257,7 +257,8 @@ func TestARMStrictDecode(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		var b [4]byte
 		rng.Read(b[:])
-		if _, err := DecodeARM(b[:], 0); err == nil {
+		var in Inst
+		if err := Decode(ARM, b[:], 0, &in); err == nil {
 			valid++
 		}
 	}
@@ -275,7 +276,8 @@ func TestX86DenseDecode(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		var b [16]byte
 		rng.Read(b[:])
-		if _, err := DecodeX86(b[:], 0); err == nil {
+		var in Inst
+		if err := Decode(X86, b[:], 0, &in); err == nil {
 			valid++
 		}
 	}
@@ -302,8 +304,8 @@ func TestX86ModRMQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeX86(enc, 0)
-		if err != nil {
+		var got Inst
+		if err := Decode(X86, enc, 0, &got); err != nil {
 			return false
 		}
 		return got.Op == OpMov && got.Dst.Reg == in.Dst.Reg && got.Src.Reg == in.Src.Reg
@@ -322,8 +324,8 @@ func TestX86DispQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeX86(enc, 0)
-		if err != nil {
+		var got Inst
+		if err := Decode(X86, enc, 0, &got); err != nil {
 			return false
 		}
 		return got.Src.Kind == OpdMem && got.Src.Mem.Disp == disp &&
@@ -344,8 +346,8 @@ func TestARMImmQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeARM(enc, 0)
-		if err != nil {
+		var got Inst
+		if err := Decode(ARM, enc, 0, &got); err != nil {
 			return false
 		}
 		return got.Src.Kind == OpdImm && got.Src.Imm == imm

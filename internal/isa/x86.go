@@ -65,12 +65,16 @@ var condCC = map[Cond]byte{
 	CondLT: 0xC, CondGE: 0xD, CondLE: 0xE, CondGT: 0xF,
 }
 
-var ccCond = func() map[byte]Cond {
-	m := make(map[byte]Cond, len(condCC))
-	for c, cc := range condCC {
-		m[cc] = c
+// ccCond is the decoder's inverse of condCC, indexed by condition-code
+// nibble; noCond marks the nibbles this encoding leaves undefined.
+var ccCond = func() (t [16]Cond) {
+	for i := range t {
+		t[i] = noCond
 	}
-	return m
+	for c, cc := range condCC {
+		t[cc] = c
+	}
+	return t
 }()
 
 // encodeModRM encodes a ModRM (and, when needed, SIB and displacement)
@@ -159,7 +163,10 @@ func encodeModRM(reg byte, rm Operand) ([]byte, error) {
 }
 
 var x86GrpExt = map[Op]byte{OpAdd: 0, OpOr: 1, OpAnd: 4, OpSub: 5, OpXor: 6, OpCmp: 7}
-var x86GrpOp = map[byte]Op{0: OpAdd, 1: OpOr, 4: OpAnd, 5: OpSub, 6: OpXor, 7: OpCmp}
+
+// x86GrpOp is the decoder's inverse of x86GrpExt, indexed by the ModRM
+// reg field; OpInvalid marks the undefined extensions.
+var x86GrpOp = [8]Op{0: OpAdd, 1: OpOr, 4: OpAnd, 5: OpSub, 6: OpXor, 7: OpCmp}
 
 var x86ALUMR = map[Op]byte{
 	OpAdd: xopAddMR, OpOr: xopOrMR, OpAnd: xopAndMR,
@@ -186,34 +193,33 @@ var x86ByteRM = map[Op]byte{
 	OpCmp: 0x3A, OpMov: 0x8A,
 }
 
-// x86ByteALImm maps "op al, imm8" single-byte opcodes.
-var x86ByteALImm = map[byte]Op{
+// Decoder-side opcode tables, indexed by the first opcode byte; OpInvalid
+// marks a byte the form does not use. They are arrays, not maps, because
+// the interpreter, the translator and the gadget miner decode through
+// them at every instruction.
+
+// x86ByteALImm holds the "op al, imm8" single-byte opcodes.
+var x86ByteALImm = [256]Op{
 	0x04: OpAdd, 0x0C: OpOr, 0x24: OpAnd, 0x2C: OpSub, 0x34: OpXor, 0x3C: OpCmp,
 }
 
-func isByteALImm(op byte) bool {
-	_, ok := x86ByteALImm[op]
-	return ok
-}
-
-// Decoder-side word ALU maps (inverse of x86ALURM/MR). Package-level so
-// DecodeX86 stays allocation-free on the interpreter hot path.
-var aluRM = map[byte]Op{
+// aluRM and aluMR are the inverses of x86ALURM and x86ALUMR.
+var aluRM = [256]Op{
 	xopAddRM: OpAdd, xopOrRM: OpOr, xopAndRM: OpAnd,
 	xopSubRM: OpSub, xopXorRM: OpXor, xopCmpRM: OpCmp, xopMovRM: OpMov,
 }
-var aluMR = map[byte]Op{
+var aluMR = [256]Op{
 	xopAddMR: OpAdd, xopOrMR: OpOr, xopAndMR: OpAnd,
 	xopSubMR: OpSub, xopXorMR: OpXor, xopCmpMR: OpCmp, xopMovMR: OpMov,
 	xopTestMR: OpTest,
 }
 
-// Decoder-side byte ALU maps (inverse of x86ByteMR/RM).
-var byteMROp = map[byte]Op{
+// byteMROp and byteRMOp are the inverses of x86ByteMR and x86ByteRM.
+var byteMROp = [256]Op{
 	0x00: OpAdd, 0x08: OpOr, 0x20: OpAnd, 0x28: OpSub, 0x30: OpXor,
 	0x38: OpCmp, 0x88: OpMov,
 }
-var byteRMOp = map[byte]Op{
+var byteRMOp = [256]Op{
 	0x02: OpAdd, 0x0A: OpOr, 0x22: OpAnd, 0x2A: OpSub, 0x32: OpXor,
 	0x3A: OpCmp, 0x8A: OpMov,
 }
@@ -495,11 +501,11 @@ func EncodeX86(in *Inst) ([]byte, error) {
 	return nil, fmt.Errorf("%w: op %s not encodable on x86", ErrInvalid, in.Op)
 }
 
-// decodeModRM decodes a ModRM byte sequence starting at b[0], returning the
-// reg field, the r/m operand, and the number of bytes consumed.
-func decodeModRM(b []byte) (reg byte, rm Operand, n int, err error) {
+// decodeModRM decodes a ModRM byte sequence starting at b[0] into the r/m
+// operand *rm, returning the reg field and the number of bytes consumed.
+func decodeModRM(b []byte, rm *Operand) (reg byte, n int, err error) {
 	if len(b) < 1 {
-		return 0, Operand{}, 0, ErrTruncated
+		return 0, 0, ErrTruncated
 	}
 	modrm := b[0]
 	mod := modrm >> 6
@@ -507,12 +513,14 @@ func decodeModRM(b []byte) (reg byte, rm Operand, n int, err error) {
 	rmf := modrm & 7
 	n = 1
 	if mod == 3 {
-		return reg, R(Reg(rmf)), n, nil
+		*rm = R(Reg(rmf))
+		return reg, n, nil
 	}
-	var m MemRef
+	*rm = Operand{Kind: OpdMem}
+	m := &rm.Mem
 	if rmf == 4 { // SIB
 		if len(b) < 2 {
-			return 0, Operand{}, 0, ErrTruncated
+			return 0, 0, ErrTruncated
 		}
 		sib := b[1]
 		n = 2
@@ -526,21 +534,19 @@ func decodeModRM(b []byte) (reg byte, rm Operand, n int, err error) {
 		}
 		if base == 5 && mod == 0 {
 			if len(b) < n+4 {
-				return 0, Operand{}, 0, ErrTruncated
+				return 0, 0, ErrTruncated
 			}
 			m.Disp = int32(binary.LittleEndian.Uint32(b[n:]))
-			n += 4
-			return reg, M(m), n, nil
+			return reg, n + 4, nil
 		}
 		m.HasBase = true
 		m.Base = Reg(base)
 	} else if mod == 0 && rmf == 5 {
 		if len(b) < n+4 {
-			return 0, Operand{}, 0, ErrTruncated
+			return 0, 0, ErrTruncated
 		}
 		m.Disp = int32(binary.LittleEndian.Uint32(b[n:]))
-		n += 4
-		return reg, M(m), n, nil
+		return reg, n + 4, nil
 	} else {
 		m.HasBase = true
 		m.Base = Reg(rmf)
@@ -548,322 +554,302 @@ func decodeModRM(b []byte) (reg byte, rm Operand, n int, err error) {
 	switch mod {
 	case 1:
 		if len(b) < n+1 {
-			return 0, Operand{}, 0, ErrTruncated
+			return 0, 0, ErrTruncated
 		}
 		m.Disp = int32(int8(b[n]))
 		n++
 	case 2:
 		if len(b) < n+4 {
-			return 0, Operand{}, 0, ErrTruncated
+			return 0, 0, ErrTruncated
 		}
 		m.Disp = int32(binary.LittleEndian.Uint32(b[n:]))
 		n += 4
 	}
-	return reg, M(m), n, nil
+	return reg, n, nil
 }
 
-// DecodeX86 decodes one instruction from b, which holds the bytes at
-// address addr. It returns ErrInvalid for undefined encodings and
-// ErrTruncated when b ends mid-instruction.
-func DecodeX86(b []byte, addr uint32) (Inst, error) {
-	in := Inst{ISA: X86, Addr: addr, Cond: CondAlways}
+// decodeX86 decodes one x86 instruction from b, which holds the bytes at
+// address addr, into *in (see Decode).
+func decodeX86(b []byte, addr uint32, in *Inst) error {
+	*in = Inst{ISA: X86, Addr: addr, Cond: CondAlways}
 	if len(b) == 0 {
-		return in, ErrTruncated
+		return ErrTruncated
 	}
 	op := b[0]
-	need := func(n int) error {
+	// size checks that b holds the n bytes an instruction needs and, if
+	// so, records n as its size.
+	size := func(n int) error {
 		if len(b) < n {
 			return ErrTruncated
 		}
-		return nil
-	}
-	fin := func(n int) (Inst, error) {
 		in.Size = uint8(n)
-		return in, nil
+		return nil
 	}
 	switch {
 	case op == xopNop:
 		in.Op = OpNop
-		return fin(1)
+		return size(1)
 	case op == xopHlt:
 		in.Op = OpHlt
-		return fin(1)
+		return size(1)
 	case op == xopRet:
 		in.Op = OpRet
-		return fin(1)
+		return size(1)
 	case op == 0xC2: // ret imm16: pop return address, then free imm bytes
-		if err := need(3); err != nil {
-			return in, err
+		if err := size(3); err != nil {
+			return err
 		}
 		in.Op = OpRet
 		in.Imm = int32(binary.LittleEndian.Uint16(b[1:]))
-		return fin(3)
+		return nil
 	case op == 0xF8 || op == 0xF9 || op == 0xFC || op == 0xFD || op == 0x98:
 		// Flag/width manipulation without modeled effect.
 		in.Op = OpNop
-		return fin(1)
+		return size(1)
 	case op >= 0xB0 && op < 0xB8: // mov r8, imm8
-		if err := need(2); err != nil {
-			return in, err
+		if err := size(2); err != nil {
+			return err
 		}
 		in.Op = OpMov
 		in.ByteOp = true
 		in.Dst = R(Reg(op - 0xB0))
 		in.Src = I(int32(b[1]))
-		return fin(2)
-	case x86ByteALImm[op] != OpInvalid && isByteALImm(op):
-		if err := need(2); err != nil {
-			return in, err
+		return nil
+	case x86ByteALImm[op] != OpInvalid:
+		if err := size(2); err != nil {
+			return err
 		}
 		in.Op = x86ByteALImm[op]
 		in.ByteOp = true
 		in.Dst = R(EAX)
 		in.Src = I(int32(b[1]))
-		return fin(2)
+		return nil
 	case op == 0x80: // byte group: op r/m8, imm8
-		ext, rm, n, err := decodeModRM(b[1:])
+		ext, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
-		o, ok := x86GrpOp[ext]
-		if !ok {
-			return in, ErrInvalid
+		if in.Op = x86GrpOp[ext]; in.Op == OpInvalid {
+			return ErrInvalid
 		}
-		if err := need(1 + n + 1); err != nil {
-			return in, err
+		if err := size(1 + n + 1); err != nil {
+			return err
 		}
-		in.Op = o
 		in.ByteOp = true
-		in.Dst = rm
 		in.Src = I(int32(b[1+n]))
-		return fin(1 + n + 1)
+		return nil
 	case op == xopLeave:
 		in.Op = OpLeave
-		return fin(1)
+		return size(1)
 	case op == xopInt:
-		if err := need(2); err != nil {
-			return in, err
+		if err := size(2); err != nil {
+			return err
 		}
 		in.Op = OpSys
 		in.Imm = int32(b[1])
-		return fin(2)
+		return nil
 	case op >= xopInc && op < xopInc+8:
 		in.Op = OpInc
 		in.Dst = R(Reg(op - xopInc))
-		return fin(1)
+		return size(1)
 	case op >= xopDec && op < xopDec+8:
 		in.Op = OpDec
 		in.Dst = R(Reg(op - xopDec))
-		return fin(1)
+		return size(1)
 	case op >= xopPush && op < xopPush+8:
 		in.Op = OpPush
 		in.Src = R(Reg(op - xopPush))
-		return fin(1)
+		return size(1)
 	case op >= xopPop && op < xopPop+8:
 		in.Op = OpPop
 		in.Dst = R(Reg(op - xopPop))
-		return fin(1)
+		return size(1)
 	case op == xopPushI:
-		if err := need(5); err != nil {
-			return in, err
+		if err := size(5); err != nil {
+			return err
 		}
 		in.Op = OpPush
 		in.Src = I(int32(binary.LittleEndian.Uint32(b[1:])))
-		return fin(5)
+		return nil
 	case op >= xopJccS && op < xopJccS+16:
-		cond, ok := ccCond[op-xopJccS]
-		if !ok {
-			return in, ErrInvalid
+		if in.Cond = ccCond[op-xopJccS]; in.Cond == noCond {
+			return ErrInvalid
 		}
-		if err := need(2); err != nil {
-			return in, err
+		if err := size(2); err != nil {
+			return err
 		}
 		in.Op = OpJcc
-		in.Cond = cond
 		in.Target = addr + 2 + uint32(int32(int8(b[1])))
-		return fin(2)
+		return nil
 	case op >= xopMovRI && op < xopMovRI+8:
-		if err := need(5); err != nil {
-			return in, err
+		if err := size(5); err != nil {
+			return err
 		}
 		in.Op = OpMov
 		in.Dst = R(Reg(op - xopMovRI))
 		in.Src = I(int32(binary.LittleEndian.Uint32(b[1:])))
-		return fin(5)
+		return nil
 	case op == xopJmpS:
-		if err := need(2); err != nil {
-			return in, err
+		if err := size(2); err != nil {
+			return err
 		}
 		in.Op = OpJmp
 		in.Target = addr + 2 + uint32(int32(int8(b[1])))
-		return fin(2)
+		return nil
 	case op == xopJmp:
-		if err := need(5); err != nil {
-			return in, err
+		if err := size(5); err != nil {
+			return err
 		}
 		in.Op = OpJmp
 		in.Target = addr + 5 + uint32(int32(binary.LittleEndian.Uint32(b[1:])))
-		return fin(5)
+		return nil
 	case op == xopCall:
-		if err := need(5); err != nil {
-			return in, err
+		if err := size(5); err != nil {
+			return err
 		}
 		in.Op = OpCall
 		in.Target = addr + 5 + uint32(int32(binary.LittleEndian.Uint32(b[1:])))
-		return fin(5)
+		return nil
 	case op == xopTwo:
-		if err := need(2); err != nil {
-			return in, err
+		if len(b) < 2 {
+			return ErrTruncated
 		}
 		op2 := b[1]
 		switch {
 		case op2 >= 0x80 && op2 < 0x90:
-			cond, ok := ccCond[op2-0x80]
-			if !ok {
-				return in, ErrInvalid
+			if in.Cond = ccCond[op2-0x80]; in.Cond == noCond {
+				return ErrInvalid
 			}
-			if err := need(6); err != nil {
-				return in, err
+			if err := size(6); err != nil {
+				return err
 			}
 			in.Op = OpJcc
-			in.Cond = cond
 			in.Target = addr + 6 + uint32(int32(binary.LittleEndian.Uint32(b[2:])))
-			return fin(6)
+			return nil
 		case op2 == 0xAF:
-			reg, rm, n, err := decodeModRM(b[2:])
+			reg, n, err := decodeModRM(b[2:], &in.Src)
 			if err != nil {
-				return in, err
+				return err
 			}
 			in.Op = OpMul
 			in.Dst = R(Reg(reg))
-			in.Src = rm
-			return fin(2 + n)
+			return size(2 + n)
 		}
-		return in, ErrInvalid
+		return ErrInvalid
 	}
 	switch op {
 	case 0x6B, 0x69: // imul r, r/m, imm
-		reg, rm, n, err := decodeModRM(b[1:])
+		reg, n, err := decodeModRM(b[1:], &in.Src2)
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op = OpMul
 		in.Dst = R(Reg(reg))
-		in.Src2 = rm
 		if op == 0x6B {
-			if err := need(1 + n + 1); err != nil {
-				return in, err
+			if err := size(1 + n + 1); err != nil {
+				return err
 			}
 			in.Src = I(int32(int8(b[1+n])))
-			return fin(1 + n + 1)
+			return nil
 		}
-		if err := need(1 + n + 4); err != nil {
-			return in, err
+		if err := size(1 + n + 4); err != nil {
+			return err
 		}
 		in.Src = I(int32(binary.LittleEndian.Uint32(b[1+n:])))
-		return fin(1 + n + 4)
+		return nil
 	}
 	// Byte-form ModRM ALU (op r/m8, r8) / (op r8, r/m8) — including the
 	// all-zeros encoding 00 /r, the densest source of unintentional
 	// gadgets in real x86 binaries.
-	if o, ok := byteMROp[op]; ok {
-		reg, rm, n, err := decodeModRM(b[1:])
+	if o := byteMROp[op]; o != OpInvalid {
+		reg, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op = o
 		in.ByteOp = true
-		in.Dst = rm
 		in.Src = R(Reg(reg))
-		return fin(1 + n)
+		return size(1 + n)
 	}
-	if o, ok := byteRMOp[op]; ok {
-		reg, rm, n, err := decodeModRM(b[1:])
+	if o := byteRMOp[op]; o != OpInvalid {
+		reg, n, err := decodeModRM(b[1:], &in.Src)
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op = o
 		in.ByteOp = true
 		in.Dst = R(Reg(reg))
-		in.Src = rm
-		return fin(1 + n)
+		return size(1 + n)
 	}
 	// ModRM-based forms.
-	if o, ok := aluRM[op]; ok {
-		reg, rm, n, err := decodeModRM(b[1:])
+	if o := aluRM[op]; o != OpInvalid {
+		reg, n, err := decodeModRM(b[1:], &in.Src)
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op = o
 		in.Dst = R(Reg(reg))
-		in.Src = rm
-		return fin(1 + n)
+		return size(1 + n)
 	}
-	if o, ok := aluMR[op]; ok {
-		reg, rm, n, err := decodeModRM(b[1:])
+	if o := aluMR[op]; o != OpInvalid {
+		reg, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
 		in.Op = o
-		in.Dst = rm
 		in.Src = R(Reg(reg))
-		return fin(1 + n)
+		return size(1 + n)
 	}
 	switch op {
 	case xopLea:
-		reg, rm, n, err := decodeModRM(b[1:])
+		reg, n, err := decodeModRM(b[1:], &in.Src)
 		if err != nil {
-			return in, err
+			return err
 		}
-		if rm.Kind != OpdMem {
-			return in, ErrInvalid
+		if in.Src.Kind != OpdMem {
+			return ErrInvalid
 		}
 		in.Op = OpLea
 		in.Dst = R(Reg(reg))
-		in.Src = rm
-		return fin(1 + n)
+		return size(1 + n)
 	case xopGrpI8, xopGrpI32:
-		ext, rm, n, err := decodeModRM(b[1:])
+		ext, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
-		o, ok := x86GrpOp[ext]
-		if !ok {
-			return in, ErrInvalid
+		if in.Op = x86GrpOp[ext]; in.Op == OpInvalid {
+			return ErrInvalid
 		}
-		in.Op = o
-		in.Dst = rm
 		if op == xopGrpI8 {
-			if err := need(1 + n + 1); err != nil {
-				return in, err
+			if err := size(1 + n + 1); err != nil {
+				return err
 			}
 			in.Src = I(int32(int8(b[1+n])))
-			return fin(1 + n + 1)
+			return nil
 		}
-		if err := need(1 + n + 4); err != nil {
-			return in, err
+		if err := size(1 + n + 4); err != nil {
+			return err
 		}
 		in.Src = I(int32(binary.LittleEndian.Uint32(b[1+n:])))
-		return fin(1 + n + 4)
+		return nil
 	case xopMovMI:
-		ext, rm, n, err := decodeModRM(b[1:])
+		ext, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
 		if ext != 0 {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
-		if err := need(1 + n + 4); err != nil {
-			return in, err
+		if err := size(1 + n + 4); err != nil {
+			return err
 		}
 		in.Op = OpMov
-		in.Dst = rm
 		in.Src = I(int32(binary.LittleEndian.Uint32(b[1+n:])))
-		return fin(1 + n + 4)
+		return nil
 	case xopShGrp, xopShCL:
-		ext, rm, n, err := decodeModRM(b[1:])
+		ext, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
 		switch ext {
 		case 4:
@@ -871,72 +857,68 @@ func DecodeX86(b []byte, addr uint32) (Inst, error) {
 		case 5:
 			in.Op = OpShr
 		default:
-			return in, ErrInvalid
+			return ErrInvalid
 		}
-		in.Dst = rm
 		if op == xopShGrp {
-			if err := need(1 + n + 1); err != nil {
-				return in, err
+			if err := size(1 + n + 1); err != nil {
+				return err
 			}
 			in.Src = I(int32(b[1+n]))
-			return fin(1 + n + 1)
+			return nil
 		}
 		in.Src = R(ECX)
-		return fin(1 + n)
+		return size(1 + n)
 	case xopF7:
-		ext, rm, n, err := decodeModRM(b[1:])
+		ext, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
 		switch ext {
 		case 2:
 			in.Op = OpNot
-			in.Dst = rm
 		case 3:
 			in.Op = OpNeg
-			in.Dst = rm
-		case 4:
+		case 4, 6:
+			// mul/div r/m: the r/m operand is the source, EAX the
+			// destination.
 			in.Op = OpMul
+			if ext == 6 {
+				in.Op = OpDiv
+			}
+			in.Src = in.Dst
 			in.Dst = R(EAX)
-			in.Src = rm
-		case 6:
-			in.Op = OpDiv
-			in.Dst = R(EAX)
-			in.Src = rm
 		default:
-			return in, ErrInvalid
+			return ErrInvalid
 		}
-		return fin(1 + n)
+		return size(1 + n)
 	case xopFF:
-		ext, rm, n, err := decodeModRM(b[1:])
+		ext, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
 		switch ext {
 		case 2:
 			in.Op = OpCallI
-			in.Dst = rm
 		case 4:
 			in.Op = OpJmpI
-			in.Dst = rm
 		case 6:
 			in.Op = OpPush
-			in.Src = rm
+			in.Src = in.Dst
+			in.Dst = Operand{}
 		default:
-			return in, ErrInvalid
+			return ErrInvalid
 		}
-		return fin(1 + n)
+		return size(1 + n)
 	case xopPopM:
-		ext, rm, n, err := decodeModRM(b[1:])
+		ext, n, err := decodeModRM(b[1:], &in.Dst)
 		if err != nil {
-			return in, err
+			return err
 		}
 		if ext != 0 {
-			return in, ErrInvalid
+			return ErrInvalid
 		}
 		in.Op = OpPop
-		in.Dst = rm
-		return fin(1 + n)
+		return size(1 + n)
 	}
-	return in, ErrInvalid
+	return ErrInvalid
 }

@@ -272,8 +272,8 @@ func (m *Machine) Step() error {
 	if err != nil {
 		return fmt.Errorf("machine: fetch at %#x: %w", m.PC, err)
 	}
-	in, err := isa.Decode(m.ISA, win[:n], m.PC)
-	if err != nil {
+	var in isa.Inst
+	if err := isa.Decode(m.ISA, win[:n], m.PC, &in); err != nil {
 		return fmt.Errorf("machine: decode at %#x: %w", m.PC, err)
 	}
 	if m.Timing != nil {

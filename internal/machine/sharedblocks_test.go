@@ -39,7 +39,8 @@ func undecodable(t *testing.T, k isa.Kind) []byte {
 	if k == isa.ARM {
 		b = []byte{0xff, 0xff, 0xff, 0xff} // condition nibble 0xF is undefined
 	}
-	if _, err := isa.Decode(k, b, textBase); err == nil {
+	var in isa.Inst
+	if err := isa.Decode(k, b, textBase, &in); err == nil {
 		t.Fatalf("%s: %x decodes", k, b)
 	}
 	return b
