@@ -80,6 +80,10 @@ func compile(mod *prog.Module, layoutSeed int64) (*fatbin.Binary, error) {
 
 	// Lower each ISA: a sizing pass (call targets unknown) fixes the
 	// layout, then the final pass encodes real targets. Sizes must agree.
+	// Every function goes through one assembler: each lowering's code is
+	// measured or copied into the text, and its labels read, before the
+	// next one resets it.
+	asm := isa.NewAsm(isa.X86, 0)
 	for _, k := range isa.Kinds {
 		entries := make(map[string]uint32, len(mod.Funcs))
 		for _, f := range mod.Funcs {
@@ -88,7 +92,7 @@ func compile(mod *prog.Module, layoutSeed int64) (*fatbin.Binary, error) {
 		cur := fatbin.TextBase(k)
 		sizes := make([]uint32, len(mod.Funcs))
 		for i, f := range mod.Funcs {
-			lo := newLowerer(k, mod, f, metas[i], cur, anas[i].loops, anas[i].loopOf, entries, gaddr)
+			lo := newLowerer(asm, k, mod, f, metas[i], cur, anas[i].loops, anas[i].loopOf, entries, gaddr)
 			lo.diversify(layoutSeed)
 			code, _, err := lo.lower()
 			if err != nil {
@@ -104,7 +108,7 @@ func compile(mod *prog.Module, layoutSeed int64) (*fatbin.Binary, error) {
 		}
 		text := make([]byte, cur-fatbin.TextBase(k))
 		for i, f := range mod.Funcs {
-			lo := newLowerer(k, mod, f, metas[i], metas[i].Entry[k], anas[i].loops, anas[i].loopOf, entries, gaddr)
+			lo := newLowerer(asm, k, mod, f, metas[i], metas[i].Entry[k], anas[i].loops, anas[i].loopOf, entries, gaddr)
 			lo.diversify(layoutSeed)
 			code, labels, err := lo.lower()
 			if err != nil {

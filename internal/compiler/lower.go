@@ -168,12 +168,15 @@ func (lo *lowerer) diversify(seed int64) {
 // into the symbol table's cross-ISA call-site map.
 func callSiteLabel(n int) string { return fmt.Sprintf("cs%d", n) }
 
-func newLowerer(k isa.Kind, mod *prog.Module, f *prog.Func, meta *fatbin.FuncMeta,
+// newLowerer returns a lowerer emitting f at base through a, which it
+// Resets: the code and labels a previous lowering returned are invalid.
+func newLowerer(a *isa.Asm, k isa.Kind, mod *prog.Module, f *prog.Func, meta *fatbin.FuncMeta,
 	base uint32, loops []*loopInfo, loopOf []*loopInfo,
 	entries map[string]uint32, gaddr func(int) uint32) *lowerer {
+	a.Reset(k, base)
 	return &lowerer{
 		k: k, mod: mod, f: f, meta: meta,
-		a:     isa.NewAsm(k, base),
+		a:     a,
 		loops: loops, loopOf: loopOf,
 		entries: entries, gaddr: gaddr,
 		cache:  newScratchCache(scratchRegs[k]),

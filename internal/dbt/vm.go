@@ -181,7 +181,8 @@ type VM struct {
 	// xs holds the translator's reusable scratch buffers. Under cache
 	// churn the translator runs thousands of times per second; recycling
 	// its working set (the assembler's item list, decoded unit, pending
-	// trap/call lists) keeps translation off the allocator entirely.
+	// trap/call lists, the chain patch's bytes) keeps translation off the
+	// allocator entirely.
 	xs translateScratch
 }
 
@@ -193,6 +194,7 @@ type translateScratch struct {
 	callCtx  []int
 	newTraps []pendingTrap
 	newCalls []pendingCall
+	patch    []byte // handleChain's encoded branch
 }
 
 // New boots bin under a fresh PSR virtual machine pair starting on ISA k.
@@ -790,10 +792,11 @@ func (vm *VM) handleChain(m *machine.Machine, k isa.Kind, meta *trapMeta) error 
 	}
 	if meta.gen == vm.gen[k] {
 		in := isa.Inst{Op: meta.patchOp, Cond: meta.patchCond, Addr: meta.patchAddr, Target: cacheAddr}
-		b, err := isa.Encode(k, &in)
+		b, err := isa.Encode(k, &in, vm.xs.patch[:0])
 		if err != nil {
 			return fmt.Errorf("dbt: patch encode: %w", err)
 		}
+		vm.xs.patch = b
 		vm.caches[k].Patch(vm.P.Mem, meta.patchAddr, b)
 		vm.Stats.ChainPatches++
 	}

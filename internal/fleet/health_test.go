@@ -84,9 +84,17 @@ func TestFleetRespawnStormIncident(t *testing.T) {
 	cfg.Policy.AttackProb = 0.9
 	cfg.Policy.RespawnLimit = 3
 
+	// Stop once the respawn-storm incident has resolved. Other incidents
+	// may still be open: under -race the slow tenants open
+	// latency-slo-burn, which resolves only once they age out of its 10 s
+	// latency window.
 	stormDone := func(m *health.Monitor) bool {
-		opened, resolved, _ := m.Recorder.Counts()
-		return opened > 0 && opened == resolved
+		for _, inc := range m.Recorder.Incidents() {
+			if inc.Rule.Name == "respawn-storm" {
+				return !inc.Open()
+			}
+		}
+		return false
 	}
 	h, mon := monitorHost(t, cfg, 64, 5*time.Millisecond, 10*time.Second, stormDone)
 

@@ -1,6 +1,7 @@
 package gadget
 
 import (
+	"encoding/binary"
 	"errors"
 	"sort"
 
@@ -23,6 +24,16 @@ const (
 	// window covers a full small frame.
 	PatternSlots = 2048
 )
+
+// patternImage is the attacker frame as it sits in memory: PatternSlots
+// little-endian words, slot i holding patternBase+i. Resetting the frame
+// before each gadget is one Write of it, not PatternSlots word stores.
+var patternImage = func() (b [4 * PatternSlots]byte) {
+	for i := 0; i < PatternSlots; i++ {
+		binary.LittleEndian.PutUint32(b[4*i:], patternBase+uint32(i))
+	}
+	return b
+}()
 
 // PatternSlot returns the slot index encoded in an attacker-pattern value,
 // or -1.
@@ -114,9 +125,7 @@ func (a *Analyzer) prepare(k isa.Kind) uint32 {
 		a.m.Regs[r] = sentinelBase + uint32(r)<<8
 	}
 	sp := a.stackTop - 4*PatternSlots
-	for i := 0; i < PatternSlots; i++ {
-		a.mem.WriteWord(sp+uint32(4*i), patternBase+uint32(i))
-	}
+	a.mem.Write(sp, patternImage[:])
 	a.m.SetSP(sp)
 	return sp
 }
@@ -145,8 +154,12 @@ func (a *Analyzer) observe(e *Effect, k isa.Kind, read func(isa.Reg) (uint32, bo
 // NativeEffect executes the gadget without PSR and reports its effect —
 // what the attacker expects the gadget to do.
 func (a *Analyzer) NativeEffect(g *Gadget) Effect {
+	return a.run(g, a.prepare(g.ISA))
+}
+
+// run executes g from the prepared state whose stack pointer is sp0.
+func (a *Analyzer) run(g *Gadget, sp0 uint32) Effect {
 	e := Effect{NextSlot: -1}
-	sp0 := a.prepare(g.ISA)
 	a.m.PC = g.Addr
 	done := false
 	a.m.OnControl = func(m *machine.Machine, in *isa.Inst, kind machine.ControlKind, target, retAddr uint32) (uint32, uint32, error) {
@@ -214,9 +227,7 @@ func TranslatedEffect(vm *dbt.VM, g *Gadget) Effect {
 	// reads observe a coherent relocated state.
 	spTop := uint32(fatbin.StackTop - 0x1000)
 	sp := spTop - 4*PatternSlots
-	for i := 0; i < PatternSlots; i++ {
-		vm.P.Mem.WriteWord(sp+uint32(4*i), patternBase+uint32(i))
-	}
+	vm.P.Mem.Write(sp, patternImage[:])
 	m.SetSP(sp)
 	if err := vm.ApplyReRelocate(pmap); err != nil {
 		e.Faulted = true

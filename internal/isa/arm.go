@@ -50,8 +50,9 @@ const (
 	aopMovt = 0x1D
 )
 
-// armCondNibble maps Cond to the encoding nibble (ARM AArch32 values).
-var armCondNibble = map[Cond]uint32{
+// armCondNibble maps Cond to the encoding nibble (ARM AArch32 values),
+// indexed by Cond; every Cond has one.
+var armCondNibble = [...]uint32{
 	CondEQ: 0x0, CondNE: 0x1, CondAE: 0x2, CondB: 0x3,
 	CondGE: 0xA, CondLT: 0xB, CondGT: 0xC, CondLE: 0xD,
 	CondAlways: 0xE,
@@ -65,7 +66,7 @@ var armNibbleCond = func() (t [16]Cond) {
 		t[i] = noCond
 	}
 	for c, n := range armCondNibble {
-		t[n] = c
+		t[n] = Cond(c)
 	}
 	return t
 }()
@@ -100,18 +101,21 @@ func armOp2(o Operand) (uint32, error) {
 	}
 }
 
-// EncodeARM encodes in as a single 32-bit word. Instructions whose
+// armReg returns operand o's register, which must be an ARM register;
+// what names the operand in the error.
+func armReg(o Operand, what string) (Reg, error) {
+	if o.Kind != OpdReg || o.Reg > 15 {
+		return 0, fmt.Errorf("%w: %s must be an arm register", ErrInvalid, what)
+	}
+	return o.Reg, nil
+}
+
+// encodeARM appends in as a single 32-bit word to dst. Instructions whose
 // addressing needs exceed the encoding (e.g. large memory displacements)
 // must be legalized by the caller into MOVW/MOVT + register-offset forms.
-func EncodeARM(in *Inst) ([]byte, error) {
+func encodeARM(in *Inst, dst []byte) ([]byte, error) {
 	cond := armCondNibble[CondAlways]
 	var w uint32
-	reg := func(o Operand, what string) (Reg, error) {
-		if o.Kind != OpdReg || o.Reg > 15 {
-			return 0, fmt.Errorf("%w: %s must be an arm register", ErrInvalid, what)
-		}
-		return o.Reg, nil
-	}
 	switch in.Op {
 	case OpNop:
 		w = armWord(cond, aopNop, 0, 0, 0)
@@ -120,7 +124,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 	case OpSys:
 		w = cond<<28 | aopSvc<<22 | uint32(uint16(in.Imm))
 	case OpMov, OpNot:
-		rd, err := reg(in.Dst, "mov dst")
+		rd, err := armReg(in.Dst, "mov dst")
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +146,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 		}
 		w = armWord(cond, op, rd, 0, op2)
 	case OpMovT:
-		rd, err := reg(in.Dst, "movt dst")
+		rd, err := armReg(in.Dst, "movt dst")
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +155,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 		}
 		w = cond<<28 | aopMovt<<22 | uint32(rd)<<18 | uint32(uint16(in.Src.Imm))
 	case OpAdd, OpSub, OpRsb, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv:
-		rd, err := reg(in.Dst, "alu dst")
+		rd, err := armReg(in.Dst, "alu dst")
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +164,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 			// Two-operand form: rd = rd op src.
 			src2 = in.Dst
 		}
-		rn, err := reg(src2, "alu src2")
+		rn, err := armReg(src2, "alu src2")
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +203,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 		}
 		w = armWord(cond, op, rd, rn, op2)
 	case OpCmp, OpTest:
-		rn, err := reg(in.Dst, "cmp lhs")
+		rn, err := armReg(in.Dst, "cmp lhs")
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +221,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 		var m MemRef
 		var err error
 		if in.Op == OpLoad {
-			if rd, err = reg(in.Dst, "ldr dst"); err != nil {
+			if rd, err = armReg(in.Dst, "ldr dst"); err != nil {
 				return nil, err
 			}
 			if in.Src.Kind != OpdMem {
@@ -225,7 +229,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 			}
 			m = in.Src.Mem
 		} else {
-			if rd, err = reg(in.Src, "str src"); err != nil {
+			if rd, err = armReg(in.Src, "str src"); err != nil {
 				return nil, err
 			}
 			if in.Dst.Kind != OpdMem {
@@ -261,10 +265,10 @@ func EncodeARM(in *Inst) ([]byte, error) {
 		if in.Op != OpJcc {
 			c = CondAlways
 		}
-		nib, ok := armCondNibble[c]
-		if !ok {
+		if int(c) >= len(armCondNibble) {
 			return nil, fmt.Errorf("%w: arm condition %s", ErrInvalid, c)
 		}
+		nib := armCondNibble[c]
 		rel := (int64(in.Target) - int64(in.Addr) - 4) / 4
 		if rel < -(1<<21) || rel >= 1<<21 {
 			return nil, fmt.Errorf("%w: arm branch out of range", ErrInvalid)
@@ -275,7 +279,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 		}
 		w = nib<<28 | op<<22 | uint32(rel)&0x3FFFFF
 	case OpBx, OpCallI, OpJmpI:
-		rm, err := reg(in.Dst, "bx target")
+		rm, err := armReg(in.Dst, "bx target")
 		if err != nil {
 			return nil, err
 		}
@@ -292,13 +296,13 @@ func EncodeARM(in *Inst) ([]byte, error) {
 		w = cond<<28 | op<<22 | uint32(in.RegMask)
 	case OpPush:
 		// push rX == stmdb sp!, {rX}
-		r, err := reg(in.Src, "push src")
+		r, err := armReg(in.Src, "push src")
 		if err != nil {
 			return nil, err
 		}
 		w = cond<<28 | aopPush<<22 | 1<<uint32(r)
 	case OpPop:
-		r, err := reg(in.Dst, "pop dst")
+		r, err := armReg(in.Dst, "pop dst")
 		if err != nil {
 			return nil, err
 		}
@@ -306,9 +310,7 @@ func EncodeARM(in *Inst) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: op %s not encodable on arm", ErrInvalid, in.Op)
 	}
-	out := make([]byte, 4)
-	binary.LittleEndian.PutUint32(out, w)
-	return out, nil
+	return binary.LittleEndian.AppendUint32(dst, w), nil
 }
 
 // decodeARM decodes the 4-byte word at the start of b, located at addr,
@@ -510,10 +512,22 @@ func Decode(k Kind, b []byte, addr uint32, in *Inst) error {
 	return decodeARM(b, addr, in)
 }
 
-// Encode dispatches to the encoder for ISA k.
-func Encode(k Kind, in *Inst) ([]byte, error) {
+// Encode appends the ISA-k encoding of in to dst and returns the extended
+// slice, as append does: it allocates only when dst lacks the room, so an
+// assembler encoding into its own buffer allocates nothing. Direct control
+// transfers are encoded relative to in.Addr, the address the instruction
+// will be placed at. On error it returns dst itself, whose spare capacity
+// may have been written.
+func Encode(k Kind, in *Inst, dst []byte) ([]byte, error) {
+	var out []byte
+	var err error
 	if k == X86 {
-		return EncodeX86(in)
+		out, err = encodeX86(in, dst)
+	} else {
+		out, err = encodeARM(in, dst)
 	}
-	return EncodeARM(in)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
 }

@@ -175,6 +175,11 @@ func (a *Asm) Const32Wide(dst Reg, v uint32) {
 // Assemble resolves labels and encodes all instructions. It returns the
 // code bytes and the address of each label. Both are owned by the
 // assembler and remain valid until the next Reset.
+//
+// Every instruction is encoded straight into the assembler's buffer, and
+// label-targeted items are re-encoded over their own bytes, so assembling
+// on a warmed assembler (one whose buffers have grown to the unit's size)
+// allocates nothing.
 func (a *Asm) Assemble() ([]byte, map[string]uint32, error) {
 	if a.err != nil {
 		return nil, nil, a.err
@@ -193,14 +198,14 @@ func (a *Asm) Assemble() ([]byte, map[string]uint32, error) {
 		if it.label != "" {
 			in.Target = addr
 		}
-		enc, err := Encode(a.kind, &in)
-		if err != nil {
+		n := len(a.buf)
+		var err error
+		if a.buf, err = Encode(a.kind, &in, a.buf); err != nil {
 			return nil, nil, fmt.Errorf("isa: sizing %s: %w", in.String(), err)
 		}
 		it.addr = addr
-		it.size = uint8(len(enc))
-		a.buf = append(a.buf, enc...)
-		addr += uint32(len(enc))
+		it.size = uint8(len(a.buf) - n)
+		addr += uint32(it.size)
 	}
 	if a.labelAddrs == nil {
 		a.labelAddrs = make(map[string]uint32, len(a.labels))
@@ -214,7 +219,9 @@ func (a *Asm) Assemble() ([]byte, map[string]uint32, error) {
 			a.labelAddrs[name] = a.items[idx].addr
 		}
 	}
-	// Pass 2: re-encode label-targeted items in place with final targets.
+	// Pass 2: re-encode label-targeted items in place with final targets:
+	// each appends to the empty slice at its own offset, so it overwrites
+	// its sizing-pass bytes and nothing else.
 	for i := range a.items {
 		it := &a.items[i]
 		if it.label == "" {
@@ -227,14 +234,14 @@ func (a *Asm) Assemble() ([]byte, map[string]uint32, error) {
 			return nil, nil, fmt.Errorf("isa: undefined label %q", it.label)
 		}
 		in.Target = t
-		enc, err := Encode(a.kind, &in)
+		off := it.addr - a.base
+		enc, err := Encode(a.kind, &in, a.buf[off:off:off+uint32(it.size)])
 		if err != nil {
 			return nil, nil, fmt.Errorf("isa: encoding %s: %w", in.String(), err)
 		}
 		if len(enc) != int(it.size) {
 			return nil, nil, fmt.Errorf("isa: unstable size for %s: %d then %d", in.String(), it.size, len(enc))
 		}
-		copy(a.buf[it.addr-a.base:], enc)
 	}
 	return a.buf, a.labelAddrs, nil
 }

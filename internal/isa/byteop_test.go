@@ -16,7 +16,7 @@ func TestByteOpRoundTrip(t *testing.T) {
 	for i, want := range samples {
 		want.ISA = X86
 		want.Cond = CondAlways
-		enc, err := EncodeX86(&want)
+		enc, err := Encode(X86, &want, nil)
 		if err != nil {
 			t.Fatalf("sample %d: encode: %v", i, err)
 		}
@@ -35,7 +35,7 @@ func TestByteOpRoundTrip(t *testing.T) {
 
 func TestRetImm16RoundTrip(t *testing.T) {
 	in := Inst{Op: OpRet, Imm: 0x10, ISA: X86, Cond: CondAlways}
-	enc, err := EncodeX86(&in)
+	enc, err := Encode(X86, &in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,20 @@ func TestDecodeFuseDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decodes every benchmark at every offset")
 	}
+	_, bins := benchBinaries(t)
+	clean := decodeDigest(t, bins, false)
+	if clean != wantDecodeDigest {
+		t.Errorf("digest %#x, want %#x", clean, uint64(wantDecodeDigest))
+	}
+	if dirty := decodeDigest(t, bins, true); dirty != clean {
+		t.Errorf("digest over recycled garbage storage %#x, over fresh storage %#x", dirty, clean)
+	}
+}
+
+// benchBinaries compiles the nine benchmark profiles (the eight SPEC
+// stand-ins and httpd).
+func benchBinaries(t *testing.T) ([]workload.Profile, []*fatbin.Binary) {
+	t.Helper()
 	profiles := append(workload.Profiles(), workload.HTTPD())
 	bins := make([]*fatbin.Binary, len(profiles))
 	for i, p := range profiles {
@@ -42,13 +56,7 @@ func TestDecodeFuseDigest(t *testing.T) {
 		}
 		bins[i] = bin
 	}
-	clean := decodeDigest(t, bins, false)
-	if clean != wantDecodeDigest {
-		t.Errorf("digest %#x, want %#x", clean, uint64(wantDecodeDigest))
-	}
-	if dirty := decodeDigest(t, bins, true); dirty != clean {
-		t.Errorf("digest over recycled garbage storage %#x, over fresh storage %#x", dirty, clean)
-	}
+	return profiles, bins
 }
 
 // Garbage that no decoder, fuser or summarizer produces in any field.

@@ -52,7 +52,7 @@ func checkDecodes(t *testing.T, k Kind, b []byte, step int) {
 		if err := Decode(k, b[off:off+n], addr, &exact); err != nil || exact != in {
 			t.Fatalf("offset %d: decoding only % x gave %+v, %v; want %+v", off, b[off:off+n], exact, err, in)
 		}
-		enc, err := Encode(k, &in)
+		enc, err := Encode(k, &in, nil)
 		if err != nil {
 			t.Fatalf("offset %d: %+v does not re-encode: %v", off, in, err)
 		}

@@ -139,7 +139,7 @@ func checkRoundTrip(t *testing.T, k Kind, samples []Inst) {
 		if k == ARM && want.Op == OpMov && want.Src.Kind == OpdImm && !FitsARMImm(want.Src.Imm) {
 			continue // exercised by TestARMMovw below
 		}
-		enc, err := Encode(k, &want)
+		enc, err := Encode(k, &want, nil)
 		if err != nil {
 			t.Fatalf("sample %d (%s): encode: %v", i, want.String(), err)
 		}
@@ -204,7 +204,7 @@ func TestARMRoundTrip(t *testing.T) { checkRoundTrip(t, ARM, armSamples()) }
 func TestX86EncodingLengthsVary(t *testing.T) {
 	lens := map[int]bool{}
 	for _, in := range x86Samples() {
-		enc, err := EncodeX86(&in)
+		enc, err := Encode(X86, &in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestARMFixedWidth(t *testing.T) {
 		if in.Op == OpMov && in.Src.Kind == OpdImm && !FitsARMImm(in.Src.Imm) {
 			continue
 		}
-		enc, err := EncodeARM(&in)
+		enc, err := Encode(ARM, &in, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", in.String(), err)
 		}
@@ -242,7 +242,7 @@ func TestARMMovwMovtMaterialize(t *testing.T) {
 		t.Fatalf("expected movw+movt, got %d instructions", len(insts))
 	}
 	for _, in := range insts {
-		if _, err := EncodeARM(&in); err != nil {
+		if _, err := Encode(ARM, &in, nil); err != nil {
 			t.Fatalf("encode %s: %v", in.String(), err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestX86ModRMQuick(t *testing.T) {
 	// Property: any register-register mov round-trips for all pairs.
 	f := func(d, s uint8) bool {
 		in := Inst{Op: OpMov, Dst: R(Reg(d % 8)), Src: R(Reg(s % 8))}
-		enc, err := EncodeX86(&in)
+		enc, err := Encode(X86, &in, nil)
 		if err != nil {
 			return false
 		}
@@ -320,7 +320,7 @@ func TestX86DispQuick(t *testing.T) {
 	f := func(disp int32, r uint8) bool {
 		reg := Reg(r % 8)
 		in := Inst{Op: OpMov, Dst: R(reg), Src: MB(ESP, disp)}
-		enc, err := EncodeX86(&in)
+		enc, err := Encode(X86, &in, nil)
 		if err != nil {
 			return false
 		}
@@ -342,7 +342,7 @@ func TestARMImmQuick(t *testing.T) {
 		imm := int32(v) % 4096
 		reg := Reg(r % 13)
 		in := Inst{Op: OpAdd, Dst: R(reg), Src: I(imm), Src2: R(reg)}
-		enc, err := EncodeARM(&in)
+		enc, err := Encode(ARM, &in, nil)
 		if err != nil {
 			return false
 		}

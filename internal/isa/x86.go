@@ -58,11 +58,16 @@ const (
 	xopTwo    = 0x0F // two-byte escape: 0x80+cc Jcc rel32, 0xAF imul
 )
 
+// noEnc marks an entry an encoder table leaves undefined: no x86 opcode,
+// extension or condition code of this encoding is 0xFF.
+const noEnc = 0xFF
+
 // condCC maps Cond to the x86 condition-code nibble used by 0x70+cc and
-// 0x0F 0x80+cc.
-var condCC = map[Cond]byte{
+// 0x0F 0x80+cc; x86 has no encoding for CondAlways.
+var condCC = [...]byte{
 	CondB: 0x2, CondAE: 0x3, CondEQ: 0x4, CondNE: 0x5,
 	CondLT: 0xC, CondGE: 0xD, CondLE: 0xE, CondGT: 0xF,
+	CondAlways: noEnc,
 }
 
 // ccCond is the decoder's inverse of condCC, indexed by condition-code
@@ -72,31 +77,36 @@ var ccCond = func() (t [16]Cond) {
 		t[i] = noCond
 	}
 	for c, cc := range condCC {
-		t[cc] = c
+		if cc != noEnc {
+			t[cc] = Cond(c)
+		}
 	}
 	return t
 }()
 
-// encodeModRM encodes a ModRM (and, when needed, SIB and displacement)
-// byte sequence for register field reg and r/m operand rm.
-func encodeModRM(reg byte, rm Operand) ([]byte, error) {
+// appendModRM appends the ModRM (and, when needed, SIB and displacement)
+// bytes for register field reg and r/m operand rm to dst.
+//
+// Like every append helper of the encoders, on error it returns an
+// unspecified slice; Encode hands its caller back the original buffer.
+func appendModRM(dst []byte, reg byte, rm Operand) ([]byte, error) {
 	switch rm.Kind {
 	case OpdReg:
 		if rm.Reg > 7 {
-			return nil, fmt.Errorf("%w: x86 register %d", ErrInvalid, rm.Reg)
+			return dst, fmt.Errorf("%w: x86 register %d", ErrInvalid, rm.Reg)
 		}
-		return []byte{0xC0 | reg<<3 | byte(rm.Reg)}, nil
+		return append(dst, 0xC0|reg<<3|byte(rm.Reg)), nil
 	case OpdMem:
 		m := rm.Mem
 		// Absolute (no base, no index): mod=00 rm=101 disp32.
 		if !m.HasBase && !m.HasIndex {
-			out := []byte{reg<<3 | 0x05, 0, 0, 0, 0}
-			binary.LittleEndian.PutUint32(out[1:], uint32(m.Disp))
-			return out, nil
+			return binary.LittleEndian.AppendUint32(append(dst, reg<<3|0x05), uint32(m.Disp)), nil
 		}
 		needSIB := m.HasIndex || (m.HasBase && m.Base == ESP)
+		// dispLen is the displacement width the mod field selects: 0, 1
+		// (disp8) or 4 (disp32).
 		var mod byte
-		var disp []byte
+		dispLen := 0
 		// mod=00 with base EBP means disp32-only in this encoding, so a
 		// plain [ebp] must be expressed as [ebp+0] with a disp8.
 		zeroDispOK := !(m.HasBase && m.Base == EBP)
@@ -105,18 +115,16 @@ func encodeModRM(reg byte, rm Operand) ([]byte, error) {
 			mod = 0x00
 		case m.Disp >= -128 && m.Disp <= 127:
 			mod = 0x40
-			disp = []byte{byte(int8(m.Disp))}
+			dispLen = 1
 		default:
 			mod = 0x80
-			disp = make([]byte, 4)
-			binary.LittleEndian.PutUint32(disp, uint32(m.Disp))
+			dispLen = 4
 		}
 		if !needSIB {
 			if m.Base > 7 {
-				return nil, fmt.Errorf("%w: x86 base register %d", ErrInvalid, m.Base)
+				return dst, fmt.Errorf("%w: x86 base register %d", ErrInvalid, m.Base)
 			}
-			out := []byte{mod | reg<<3 | byte(m.Base)}
-			return append(out, disp...), nil
+			return appendDisp(append(dst, mod|reg<<3|byte(m.Base)), m.Disp, dispLen), nil
 		}
 		// SIB form.
 		var scale byte
@@ -130,75 +138,124 @@ func encodeModRM(reg byte, rm Operand) ([]byte, error) {
 		case 8:
 			scale = 3
 		default:
-			return nil, fmt.Errorf("%w: scale %d", ErrInvalid, m.Scale)
+			return dst, fmt.Errorf("%w: scale %d", ErrInvalid, m.Scale)
 		}
 		index := byte(4) // none
 		if m.HasIndex {
 			if m.Index == ESP || m.Index > 7 {
-				return nil, fmt.Errorf("%w: x86 index register %d", ErrInvalid, m.Index)
+				return dst, fmt.Errorf("%w: x86 index register %d", ErrInvalid, m.Index)
 			}
 			index = byte(m.Index)
 		}
 		base := byte(5)
+		disp := m.Disp
 		if m.HasBase {
 			if m.Base > 7 {
-				return nil, fmt.Errorf("%w: x86 base register %d", ErrInvalid, m.Base)
+				return dst, fmt.Errorf("%w: x86 base register %d", ErrInvalid, m.Base)
 			}
 			base = byte(m.Base)
 		} else {
 			// No base with SIB requires mod=00 and a disp32.
 			mod = 0x00
-			disp = make([]byte, 4)
-			binary.LittleEndian.PutUint32(disp, uint32(m.Disp))
+			dispLen = 4
 		}
 		if m.HasBase && m.Base == EBP && mod == 0x00 {
 			mod = 0x40
-			disp = []byte{0}
+			dispLen = 1
+			disp = 0
 		}
-		out := []byte{mod | reg<<3 | 0x04, scale<<6 | index<<3 | base}
-		return append(out, disp...), nil
+		return appendDisp(append(dst, mod|reg<<3|0x04, scale<<6|index<<3|base), disp, dispLen), nil
 	default:
-		return nil, fmt.Errorf("%w: bad r/m operand kind %d", ErrInvalid, rm.Kind)
+		return dst, fmt.Errorf("%w: bad r/m operand kind %d", ErrInvalid, rm.Kind)
 	}
 }
 
-var x86GrpExt = map[Op]byte{OpAdd: 0, OpOr: 1, OpAnd: 4, OpSub: 5, OpXor: 6, OpCmp: 7}
+// appendDisp appends a displacement of n bytes (0, 1 or 4).
+func appendDisp(dst []byte, disp int32, n int) []byte {
+	switch n {
+	case 1:
+		return append(dst, byte(int8(disp)))
+	case 4:
+		return binary.LittleEndian.AppendUint32(dst, uint32(disp))
+	}
+	return dst
+}
+
+// appendOpModRM appends opcode op followed by the ModRM bytes for reg
+// and rm.
+func appendOpModRM(dst []byte, op, reg byte, rm Operand) ([]byte, error) {
+	return appendModRM(append(dst, op), reg, rm)
+}
+
+// appendImm32 appends v as a little-endian 32-bit immediate.
+func appendImm32(dst []byte, v int32) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(v))
+}
+
+// withImm appends an 8-bit or (wide) 32-bit immediate to the result of an
+// opcode+ModRM append, passing its error through.
+func withImm(out []byte, err error, imm int32, wide bool) ([]byte, error) {
+	if err != nil {
+		return out, err
+	}
+	if wide {
+		return appendImm32(out, imm), nil
+	}
+	return append(out, byte(imm)), nil
+}
+
+// Encoder-side opcode tables, indexed by Op; noEnc marks an op the form
+// does not encode. They are arrays, built once from the literal pairs, so
+// an encode reads a table slot instead of probing a map.
+var (
+	// x86GrpExt is the ModRM reg-field extension of the 0x80/0x81/0x83
+	// immediate ALU group.
+	x86GrpExt = opTable(map[Op]byte{OpAdd: 0, OpOr: 1, OpAnd: 4, OpSub: 5, OpXor: 6, OpCmp: 7})
+	x86ALUMR  = opTable(map[Op]byte{
+		OpAdd: xopAddMR, OpOr: xopOrMR, OpAnd: xopAndMR,
+		OpSub: xopSubMR, OpXor: xopXorMR, OpCmp: xopCmpMR,
+	})
+	x86ALURM = opTable(map[Op]byte{
+		OpAdd: xopAddRM, OpOr: xopOrRM, OpAnd: xopAndRM,
+		OpSub: xopSubRM, OpXor: xopXorRM, OpCmp: xopCmpRM,
+	})
+	// Byte-form ALU opcode pairs (op r/m8, r8) and (op r8, r/m8), and the
+	// "op al, imm8" forms.
+	x86ByteMR = opTable(map[Op]byte{
+		OpAdd: 0x00, OpOr: 0x08, OpAnd: 0x20, OpSub: 0x28, OpXor: 0x30,
+		OpCmp: 0x38, OpMov: 0x88,
+	})
+	x86ByteRM = opTable(map[Op]byte{
+		OpAdd: 0x02, OpOr: 0x0A, OpAnd: 0x22, OpSub: 0x2A, OpXor: 0x32,
+		OpCmp: 0x3A, OpMov: 0x8A,
+	})
+	x86ALImm = opTable(map[Op]byte{
+		OpAdd: 0x04, OpOr: 0x0C, OpAnd: 0x24, OpSub: 0x2C, OpXor: 0x34, OpCmp: 0x3C,
+	})
+)
+
+// opTable returns the encoder table holding pairs, noEnc everywhere else.
+func opTable(pairs map[Op]byte) (t [256]byte) {
+	for i := range t {
+		t[i] = noEnc
+	}
+	for op, b := range pairs {
+		t[op] = b
+	}
+	return t
+}
 
 // x86GrpOp is the decoder's inverse of x86GrpExt, indexed by the ModRM
 // reg field; OpInvalid marks the undefined extensions.
 var x86GrpOp = [8]Op{0: OpAdd, 1: OpOr, 4: OpAnd, 5: OpSub, 6: OpXor, 7: OpCmp}
-
-var x86ALUMR = map[Op]byte{
-	OpAdd: xopAddMR, OpOr: xopOrMR, OpAnd: xopAndMR,
-	OpSub: xopSubMR, OpXor: xopXorMR, OpCmp: xopCmpMR,
-}
-var x86ALURM = map[Op]byte{
-	OpAdd: xopAddRM, OpOr: xopOrRM, OpAnd: xopAndRM,
-	OpSub: xopSubRM, OpXor: xopXorRM, OpCmp: xopCmpRM,
-}
-
-func imm32(v int32) []byte {
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, uint32(v))
-	return b
-}
-
-// Byte-form ALU opcode pairs (op r/m8, r8) and (op r8, r/m8).
-var x86ByteMR = map[Op]byte{
-	OpAdd: 0x00, OpOr: 0x08, OpAnd: 0x20, OpSub: 0x28, OpXor: 0x30,
-	OpCmp: 0x38, OpMov: 0x88,
-}
-var x86ByteRM = map[Op]byte{
-	OpAdd: 0x02, OpOr: 0x0A, OpAnd: 0x22, OpSub: 0x2A, OpXor: 0x32,
-	OpCmp: 0x3A, OpMov: 0x8A,
-}
 
 // Decoder-side opcode tables, indexed by the first opcode byte; OpInvalid
 // marks a byte the form does not use. They are arrays, not maps, because
 // the interpreter, the translator and the gadget miner decode through
 // them at every instruction.
 
-// x86ByteALImm holds the "op al, imm8" single-byte opcodes.
+// x86ByteALImm holds the "op al, imm8" single-byte opcodes, the inverse
+// of x86ALImm.
 var x86ByteALImm = [256]Op{
 	0x04: OpAdd, 0x0C: OpOr, 0x24: OpAnd, 0x2C: OpSub, 0x34: OpXor, 0x3C: OpCmp,
 }
@@ -224,212 +281,152 @@ var byteRMOp = [256]Op{
 	0x3A: OpCmp, 0x8A: OpMov,
 }
 
-// encodeX86Byte handles the 8-bit operand forms.
-func encodeX86Byte(in *Inst) ([]byte, error) {
-	cat := func(op byte, modrm []byte, tail ...byte) []byte {
-		out := append([]byte{op}, modrm...)
-		return append(out, tail...)
-	}
+// encodeX86Byte appends the 8-bit operand forms.
+func encodeX86Byte(in *Inst, dst []byte) ([]byte, error) {
 	switch {
 	case in.Op == OpMov && in.Dst.Kind == OpdReg && in.Src.Kind == OpdImm:
 		if in.Dst.Reg > 7 {
-			return nil, fmt.Errorf("%w: mov8 register", ErrInvalid)
+			return dst, fmt.Errorf("%w: mov8 register", ErrInvalid)
 		}
-		return []byte{0xB0 + byte(in.Dst.Reg), byte(in.Src.Imm)}, nil
+		return append(dst, 0xB0+byte(in.Dst.Reg), byte(in.Src.Imm)), nil
 	case in.Src.Kind == OpdImm:
-		if in.Dst.IsReg(EAX) {
-			if op1, ok := map[Op]byte{OpAdd: 0x04, OpOr: 0x0C, OpAnd: 0x24,
-				OpSub: 0x2C, OpXor: 0x34, OpCmp: 0x3C}[in.Op]; ok {
-				return []byte{op1, byte(in.Src.Imm)}, nil
-			}
+		if op1 := x86ALImm[in.Op]; op1 != noEnc && in.Dst.IsReg(EAX) {
+			return append(dst, op1, byte(in.Src.Imm)), nil
 		}
-		ext, ok := x86GrpExt[in.Op]
-		if !ok {
-			return nil, fmt.Errorf("%w: byte group op %s", ErrInvalid, in.Op)
+		ext := x86GrpExt[in.Op]
+		if ext == noEnc {
+			return dst, fmt.Errorf("%w: byte group op %s", ErrInvalid, in.Op)
 		}
-		modrm, err := encodeModRM(ext, in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		return cat(0x80, modrm, byte(in.Src.Imm)), nil
+		out, err := appendOpModRM(dst, 0x80, ext, in.Dst)
+		return withImm(out, err, in.Src.Imm, false)
 	case in.Dst.Kind == OpdReg && in.Src.Kind != OpdReg:
-		op, ok := x86ByteRM[in.Op]
-		if !ok {
-			return nil, fmt.Errorf("%w: byte rm op %s", ErrInvalid, in.Op)
+		op := x86ByteRM[in.Op]
+		if op == noEnc {
+			return dst, fmt.Errorf("%w: byte rm op %s", ErrInvalid, in.Op)
 		}
-		modrm, err := encodeModRM(byte(in.Dst.Reg), in.Src)
-		if err != nil {
-			return nil, err
-		}
-		return cat(op, modrm), nil
+		return appendOpModRM(dst, op, byte(in.Dst.Reg), in.Src)
 	case in.Src.Kind == OpdReg:
-		op, ok := x86ByteMR[in.Op]
-		if !ok {
-			return nil, fmt.Errorf("%w: byte mr op %s", ErrInvalid, in.Op)
+		op := x86ByteMR[in.Op]
+		if op == noEnc {
+			return dst, fmt.Errorf("%w: byte mr op %s", ErrInvalid, in.Op)
 		}
-		modrm, err := encodeModRM(byte(in.Src.Reg), in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		return cat(op, modrm), nil
+		return appendOpModRM(dst, op, byte(in.Src.Reg), in.Dst)
 	}
-	return nil, fmt.Errorf("%w: byte operand shape", ErrInvalid)
+	return dst, fmt.Errorf("%w: byte operand shape", ErrInvalid)
 }
 
-// EncodeX86 encodes in into its x86 byte representation. Direct control
-// transfers are encoded with rel32 displacements computed from in.Addr
-// (the address the instruction will be placed at) and in.Target.
-func EncodeX86(in *Inst) ([]byte, error) {
+// encodeX86 appends the x86 byte representation of in to dst. Direct
+// control transfers are encoded with rel32 displacements computed from
+// in.Addr (the address the instruction will be placed at) and in.Target.
+func encodeX86(in *Inst, dst []byte) ([]byte, error) {
 	if in.ByteOp {
-		return encodeX86Byte(in)
-	}
-	cat := func(op byte, modrm []byte, tail ...byte) []byte {
-		out := append([]byte{op}, modrm...)
-		return append(out, tail...)
+		return encodeX86Byte(in, dst)
 	}
 	switch in.Op {
 	case OpNop:
-		return []byte{xopNop}, nil
+		return append(dst, xopNop), nil
 	case OpHlt:
-		return []byte{xopHlt}, nil
+		return append(dst, xopHlt), nil
 	case OpRet:
 		if in.Imm > 0 {
-			return []byte{0xC2, byte(in.Imm), byte(in.Imm >> 8)}, nil
+			return append(dst, 0xC2, byte(in.Imm), byte(in.Imm>>8)), nil
 		}
-		return []byte{xopRet}, nil
+		return append(dst, xopRet), nil
 	case OpLeave:
-		return []byte{xopLeave}, nil
+		return append(dst, xopLeave), nil
 	case OpSys:
-		return []byte{xopInt, byte(in.Imm)}, nil
+		return append(dst, xopInt, byte(in.Imm)), nil
 	case OpInc, OpDec:
 		if in.Dst.Kind != OpdReg || in.Dst.Reg > 7 {
-			return nil, fmt.Errorf("%w: inc/dec needs x86 register dst", ErrInvalid)
+			return dst, fmt.Errorf("%w: inc/dec needs x86 register dst", ErrInvalid)
 		}
 		base := byte(xopInc)
 		if in.Op == OpDec {
 			base = xopDec
 		}
-		return []byte{base + byte(in.Dst.Reg)}, nil
+		return append(dst, base+byte(in.Dst.Reg)), nil
 	case OpPush:
 		switch in.Src.Kind {
 		case OpdReg:
 			if in.Src.Reg > 7 {
-				return nil, fmt.Errorf("%w: push register %d", ErrInvalid, in.Src.Reg)
+				return dst, fmt.Errorf("%w: push register %d", ErrInvalid, in.Src.Reg)
 			}
-			return []byte{xopPush + byte(in.Src.Reg)}, nil
+			return append(dst, xopPush+byte(in.Src.Reg)), nil
 		case OpdImm:
-			return append([]byte{xopPushI}, imm32(in.Src.Imm)...), nil
+			return appendImm32(append(dst, xopPushI), in.Src.Imm), nil
 		case OpdMem:
-			modrm, err := encodeModRM(6, in.Src)
-			if err != nil {
-				return nil, err
-			}
-			return cat(xopFF, modrm), nil
+			return appendOpModRM(dst, xopFF, 6, in.Src)
 		}
-		return nil, fmt.Errorf("%w: push operand", ErrInvalid)
+		return dst, fmt.Errorf("%w: push operand", ErrInvalid)
 	case OpPop:
 		switch in.Dst.Kind {
 		case OpdReg:
 			if in.Dst.Reg > 7 {
-				return nil, fmt.Errorf("%w: pop register %d", ErrInvalid, in.Dst.Reg)
+				return dst, fmt.Errorf("%w: pop register %d", ErrInvalid, in.Dst.Reg)
 			}
-			return []byte{xopPop + byte(in.Dst.Reg)}, nil
+			return append(dst, xopPop+byte(in.Dst.Reg)), nil
 		case OpdMem:
-			modrm, err := encodeModRM(0, in.Dst)
-			if err != nil {
-				return nil, err
-			}
-			return cat(xopPopM, modrm), nil
+			return appendOpModRM(dst, xopPopM, 0, in.Dst)
 		}
-		return nil, fmt.Errorf("%w: pop operand", ErrInvalid)
+		return dst, fmt.Errorf("%w: pop operand", ErrInvalid)
 	case OpMov:
 		switch {
 		case in.Dst.Kind == OpdReg && in.Src.Kind == OpdImm:
 			if in.Dst.Reg > 7 {
-				return nil, fmt.Errorf("%w: mov register %d", ErrInvalid, in.Dst.Reg)
+				return dst, fmt.Errorf("%w: mov register %d", ErrInvalid, in.Dst.Reg)
 			}
-			return append([]byte{xopMovRI + byte(in.Dst.Reg)}, imm32(in.Src.Imm)...), nil
+			return appendImm32(append(dst, xopMovRI+byte(in.Dst.Reg)), in.Src.Imm), nil
 		case in.Src.Kind == OpdImm:
-			modrm, err := encodeModRM(0, in.Dst)
-			if err != nil {
-				return nil, err
-			}
-			return cat(xopMovMI, modrm, imm32(in.Src.Imm)...), nil
+			out, err := appendOpModRM(dst, xopMovMI, 0, in.Dst)
+			return withImm(out, err, in.Src.Imm, true)
 		case in.Dst.Kind == OpdReg && in.Src.Kind != OpdReg:
-			modrm, err := encodeModRM(byte(in.Dst.Reg), in.Src)
-			if err != nil {
-				return nil, err
-			}
-			return cat(xopMovRM, modrm), nil
+			return appendOpModRM(dst, xopMovRM, byte(in.Dst.Reg), in.Src)
 		case in.Src.Kind == OpdReg:
-			modrm, err := encodeModRM(byte(in.Src.Reg), in.Dst)
-			if err != nil {
-				return nil, err
-			}
-			return cat(xopMovMR, modrm), nil
+			return appendOpModRM(dst, xopMovMR, byte(in.Src.Reg), in.Dst)
 		}
-		return nil, fmt.Errorf("%w: mov mem,mem", ErrInvalid)
+		return dst, fmt.Errorf("%w: mov mem,mem", ErrInvalid)
 	case OpLea:
 		if in.Dst.Kind != OpdReg || in.Src.Kind != OpdMem {
-			return nil, fmt.Errorf("%w: lea operands", ErrInvalid)
+			return dst, fmt.Errorf("%w: lea operands", ErrInvalid)
 		}
-		modrm, err := encodeModRM(byte(in.Dst.Reg), in.Src)
-		if err != nil {
-			return nil, err
-		}
-		return cat(xopLea, modrm), nil
+		return appendOpModRM(dst, xopLea, byte(in.Dst.Reg), in.Src)
 	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpCmp:
 		if in.Src.Kind == OpdImm {
-			ext := x86GrpExt[in.Op]
-			modrm, err := encodeModRM(ext, in.Dst)
-			if err != nil {
-				return nil, err
-			}
 			if in.Src.Imm >= -128 && in.Src.Imm <= 127 {
-				return cat(xopGrpI8, modrm, byte(int8(in.Src.Imm))), nil
+				out, err := appendOpModRM(dst, xopGrpI8, x86GrpExt[in.Op], in.Dst)
+				return withImm(out, err, in.Src.Imm, false)
 			}
-			return cat(xopGrpI32, modrm, imm32(in.Src.Imm)...), nil
+			out, err := appendOpModRM(dst, xopGrpI32, x86GrpExt[in.Op], in.Dst)
+			return withImm(out, err, in.Src.Imm, true)
 		}
 		if in.Dst.Kind == OpdReg && in.Src.Kind == OpdMem {
-			modrm, err := encodeModRM(byte(in.Dst.Reg), in.Src)
-			if err != nil {
-				return nil, err
-			}
-			return cat(x86ALURM[in.Op], modrm), nil
+			return appendOpModRM(dst, x86ALURM[in.Op], byte(in.Dst.Reg), in.Src)
 		}
 		if in.Src.Kind == OpdReg {
-			modrm, err := encodeModRM(byte(in.Src.Reg), in.Dst)
-			if err != nil {
-				return nil, err
-			}
-			return cat(x86ALUMR[in.Op], modrm), nil
+			return appendOpModRM(dst, x86ALUMR[in.Op], byte(in.Src.Reg), in.Dst)
 		}
-		return nil, fmt.Errorf("%w: %s operands", ErrInvalid, in.Op)
+		return dst, fmt.Errorf("%w: %s operands", ErrInvalid, in.Op)
 	case OpTest:
 		if in.Src.Kind != OpdReg {
-			return nil, fmt.Errorf("%w: test needs register src", ErrInvalid)
+			return dst, fmt.Errorf("%w: test needs register src", ErrInvalid)
 		}
-		modrm, err := encodeModRM(byte(in.Src.Reg), in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		return cat(xopTestMR, modrm), nil
+		return appendOpModRM(dst, xopTestMR, byte(in.Src.Reg), in.Dst)
 	case OpShl, OpShr:
 		ext := byte(4)
 		if in.Op == OpShr {
 			ext = 5
 		}
-		modrm, err := encodeModRM(ext, in.Dst)
-		if err != nil {
-			return nil, err
+		switch {
+		case in.Src.Kind == OpdImm:
+			out, err := appendOpModRM(dst, xopShGrp, ext, in.Dst)
+			return withImm(out, err, in.Src.Imm, false)
+		case in.Src.IsReg(ECX):
+			return appendOpModRM(dst, xopShCL, ext, in.Dst)
 		}
-		if in.Src.Kind == OpdImm {
-			return cat(xopShGrp, modrm, byte(in.Src.Imm)), nil
+		if _, err := appendModRM(dst, ext, in.Dst); err != nil {
+			return dst, err
 		}
-		if in.Src.IsReg(ECX) {
-			return cat(xopShCL, modrm), nil
-		}
-		return nil, fmt.Errorf("%w: shift count must be imm or cl", ErrInvalid)
+		return dst, fmt.Errorf("%w: shift count must be imm or cl", ErrInvalid)
 	case OpMul:
 		if in.Dst.Kind == OpdReg && in.Src.Kind == OpdImm {
 			// imul r, r/m, imm: r = r/m * imm (r/m defaults to dst).
@@ -437,68 +434,39 @@ func EncodeX86(in *Inst) ([]byte, error) {
 			if rm.Kind == OpdNone {
 				rm = in.Dst
 			}
-			modrm, err := encodeModRM(byte(in.Dst.Reg), rm)
-			if err != nil {
-				return nil, err
-			}
 			if in.Src.Imm >= -128 && in.Src.Imm <= 127 {
-				return cat(0x6B, modrm, byte(int8(in.Src.Imm))), nil
+				out, err := appendOpModRM(dst, 0x6B, byte(in.Dst.Reg), rm)
+				return withImm(out, err, in.Src.Imm, false)
 			}
-			return cat(0x69, modrm, imm32(in.Src.Imm)...), nil
+			out, err := appendOpModRM(dst, 0x69, byte(in.Dst.Reg), rm)
+			return withImm(out, err, in.Src.Imm, true)
 		}
 		if in.Dst.Kind == OpdReg {
-			modrm, err := encodeModRM(byte(in.Dst.Reg), in.Src)
-			if err != nil {
-				return nil, err
-			}
-			return append([]byte{xopTwo, 0xAF}, modrm...), nil
+			return appendModRM(append(dst, xopTwo, 0xAF), byte(in.Dst.Reg), in.Src)
 		}
-		return nil, fmt.Errorf("%w: imul needs register dst", ErrInvalid)
+		return dst, fmt.Errorf("%w: imul needs register dst", ErrInvalid)
 	case OpDiv:
-		modrm, err := encodeModRM(6, in.Src)
-		if err != nil {
-			return nil, err
-		}
-		return cat(xopF7, modrm), nil
+		return appendOpModRM(dst, xopF7, 6, in.Src)
 	case OpNeg:
-		modrm, err := encodeModRM(3, in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		return cat(xopF7, modrm), nil
+		return appendOpModRM(dst, xopF7, 3, in.Dst)
 	case OpNot:
-		modrm, err := encodeModRM(2, in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		return cat(xopF7, modrm), nil
+		return appendOpModRM(dst, xopF7, 2, in.Dst)
 	case OpJmp:
-		rel := int32(in.Target) - int32(in.Addr) - 5
-		return append([]byte{xopJmp}, imm32(rel)...), nil
+		return appendImm32(append(dst, xopJmp), int32(in.Target)-int32(in.Addr)-5), nil
 	case OpCall:
-		rel := int32(in.Target) - int32(in.Addr) - 5
-		return append([]byte{xopCall}, imm32(rel)...), nil
+		return appendImm32(append(dst, xopCall), int32(in.Target)-int32(in.Addr)-5), nil
 	case OpJcc:
-		cc, ok := condCC[in.Cond]
-		if !ok {
-			return nil, fmt.Errorf("%w: jcc condition %s", ErrInvalid, in.Cond)
+		if int(in.Cond) >= len(condCC) || condCC[in.Cond] == noEnc {
+			return dst, fmt.Errorf("%w: jcc condition %s", ErrInvalid, in.Cond)
 		}
 		rel := int32(in.Target) - int32(in.Addr) - 6
-		return append([]byte{xopTwo, 0x80 + cc}, imm32(rel)...), nil
+		return appendImm32(append(dst, xopTwo, 0x80+condCC[in.Cond]), rel), nil
 	case OpJmpI:
-		modrm, err := encodeModRM(4, in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		return cat(xopFF, modrm), nil
+		return appendOpModRM(dst, xopFF, 4, in.Dst)
 	case OpCallI:
-		modrm, err := encodeModRM(2, in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		return cat(xopFF, modrm), nil
+		return appendOpModRM(dst, xopFF, 2, in.Dst)
 	}
-	return nil, fmt.Errorf("%w: op %s not encodable on x86", ErrInvalid, in.Op)
+	return dst, fmt.Errorf("%w: op %s not encodable on x86", ErrInvalid, in.Op)
 }
 
 // decodeModRM decodes a ModRM byte sequence starting at b[0] into the r/m

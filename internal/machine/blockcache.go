@@ -122,6 +122,11 @@ type blockCache struct {
 	gen    uint64                // mem.CodeGen value the cache is synced to
 	win    []byte                // reusable fetch window for refills
 	shared *SharedBlocks         // predecodes shared with sibling forks, or nil
+	// insts and fused are the refill's decode and fusion scratch, BlockCap
+	// slots each: a refill decodes and fuses into them, then keeps the
+	// block in storage sized to it (see keep), so no refill grows a slice.
+	insts []isa.Inst
+	fused []isa.FusedInst
 	// free recycles evicted blocks' instruction storage into refills
 	// (freeFused and freeTiming do the same for their fused lowerings and
 	// timing summaries). Hooks receive *isa.Inst only for the duration of
@@ -394,6 +399,8 @@ func (bc *blockCache) lookup(k isa.Kind, pc uint32) *Block {
 func (bc *blockCache) refill(m *Machine) (*Block, error) {
 	if bc.win == nil {
 		bc.win = make([]byte, BlockCap*MaxInstLen)
+		bc.insts = make([]isa.Inst, 0, BlockCap)
+		bc.fused = make([]isa.FusedInst, 0, BlockCap)
 	}
 	n, err := m.Mem.FetchInto(m.PC, bc.win)
 	if err != nil {
@@ -405,27 +412,17 @@ func (bc *blockCache) refill(m *Machine) (*Block, error) {
 			return b, nil
 		}
 	}
-	var dst []isa.Inst
-	if l := len(bc.free); l > 0 {
-		dst = bc.free[l-1]
-		bc.free = bc.free[:l-1]
-	}
-	insts, err := isa.DecodeBlock(m.ISA, bc.win[:n], m.PC, dst, BlockCap)
+	insts, err := isa.DecodeBlock(m.ISA, bc.win[:n], m.PC, bc.insts[:0], BlockCap)
 	if err != nil {
 		return nil, fmt.Errorf("machine: decode at %#x: %w", m.PC, err)
 	}
 	bc.misses++
-	var fdst []isa.FusedInst
-	if l := len(bc.freeFused); l > 0 {
-		fdst = bc.freeFused[l-1]
-		bc.freeFused = bc.freeFused[:l-1]
-	}
-	fused, pairs := isa.FuseBlock(insts, fdst)
+	fused, pairs := isa.FuseBlock(insts, bc.fused[:0])
 	bc.pairsFused += uint64(pairs)
 	last := &insts[len(insts)-1]
 	b := &Block{
-		Insts: insts,
-		Fused: fused,
+		Insts: keep(&bc.free, insts),
+		Fused: keep(&bc.freeFused, fused),
 		lo:    m.PC,
 		hi:    last.Addr + uint32(last.Size),
 	}
@@ -434,6 +431,30 @@ func (bc *blockCache) refill(m *Machine) (*Block, error) {
 	}
 	bc.insert(m.ISA, b)
 	return b, nil
+}
+
+// keepScan bounds how far down a free pool keep looks for storage that
+// fits, so a pool of short blocks' storage costs a long block a few
+// compares, not a walk of the whole pool.
+const keepScan = 8
+
+// keep copies a refill's scratch result src into the most recently
+// recycled storage of pool that fits it, taken from among the top
+// keepScan entries, or else into one exact-size allocation.
+func keep[T any](pool *[][]T, src []T) []T {
+	p := *pool
+	for i := len(p) - 1; i >= max(0, len(p)-keepScan); i-- {
+		if cap(p[i]) >= len(src) {
+			dst := p[i][:len(src)]
+			p[i] = p[len(p)-1]
+			*pool = p[:len(p)-1]
+			copy(dst, src)
+			return dst
+		}
+	}
+	dst := make([]T, len(src))
+	copy(dst, src)
+	return dst
 }
 
 // insert caches b under ISA k and indexes it under every page it spans.

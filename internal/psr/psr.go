@@ -164,6 +164,37 @@ func (m *Map) Relocated(r isa.Reg) bool {
 type Randomizer struct {
 	rng *rand.Rand
 	cfg Config
+	// occupied marks the frame bytes Build has placed a word at, one bit
+	// per byte offset; it is scratch reused across Builds.
+	occupied bitset
+}
+
+// bitset is a set of small non-negative integers.
+type bitset []uint64
+
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int32)      { b[i>>6] |= 1 << (i & 63) }
+
+// reset empties b and sizes it to hold [0, n).
+func (b *bitset) reset(n int32) {
+	words := int(n+63) >> 6
+	if cap(*b) < words {
+		*b = make(bitset, words)
+		return
+	}
+	*b = (*b)[:words]
+	clear(*b)
+}
+
+// freeNear reports whether no member lies within 3 of off, so a word at
+// off overlaps none placed at a member.
+func (b bitset) freeNear(off int32) bool {
+	for d := int32(-3); d <= 3; d++ {
+		if b.has(off + d) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewRandomizer returns a Randomizer with the given seed and config.
@@ -190,7 +221,7 @@ func relocatableRegs(k isa.Kind) []isa.Reg {
 // translator's fixups for implicit-register instructions (div, variable
 // shifts) rely on being able to reload them without displacing another
 // architectural register's home.
-var x86SpecialRegs = map[isa.Reg]bool{isa.EAX: true, isa.ECX: true, isa.EDX: true}
+var x86SpecialRegs = [16]bool{isa.EAX: true, isa.ECX: true, isa.EDX: true}
 
 // BuildPair builds the relocation maps of fn for both ISAs with a common
 // randomization-space size, as the PSR virtual machines translate each
@@ -227,7 +258,8 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	// Fixed (address-taken) slots keep their canonical offsets; mark them
 	// occupied so random choices avoid them. They must lie below
 	// ArgReserved, where no caller's randomized argument can land.
-	occupied := map[int32]bool{}
+	occupied := &r.occupied
+	occupied.reset(hi)
 	for s, fixed := range fn.FixedSlot {
 		if fixed {
 			off := int32(fn.SlotOff(s))
@@ -236,7 +268,7 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 					fn.Name, off, ArgReserved))
 			}
 			m.OffTo[off] = off
-			occupied[off] = true
+			occupied.set(off)
 		}
 	}
 
@@ -250,15 +282,8 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 			if off+4 > hi {
 				continue
 			}
-			conflict := false
-			for d := int32(-3); d <= 3; d++ {
-				if occupied[off+d] {
-					conflict = true
-					break
-				}
-			}
-			if !conflict {
-				occupied[off] = true
+			if occupied.freeNear(off) {
+				occupied.set(off)
 				return off
 			}
 		}
@@ -275,19 +300,13 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	// avoid the canonical fixed-slot range of every function (a single
 	// conservative reservation: the maximum canonical local extent).
 	m.ArgOff = make([]int32, fn.NumArgs)
-	argUsed := map[int32]bool{}
+	var argWords [ArgWindow / 64]uint64
+	argUsed := bitset(argWords[:])
 	for i := range m.ArgOff {
 		for {
 			off := ArgReserved + int32(r.rng.Intn(ArgWindow-ArgReserved-4))
-			ok := true
-			for d := int32(-3); d <= 3; d++ {
-				if argUsed[off+d] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				argUsed[off] = true
+			if argUsed.freeNear(off) {
+				argUsed.set(off)
 				m.ArgOff[i] = off
 				break
 			}
@@ -311,7 +330,7 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	regs := relocatableRegs(k)
 	var normal, special []isa.Reg
 	for _, reg := range regs {
-		if k == isa.X86 && x86SpecialRegs[reg] {
+		if k == isa.X86 && x86SpecialRegs[reg&0xF] {
 			special = append(special, reg)
 		} else {
 			normal = append(normal, reg)
@@ -355,9 +374,13 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 			// registers; tight loops then run at native register speed.
 			keepN = len(special)
 		}
-		kept := map[int]bool{}
-		for len(kept) < keepN {
-			kept[r.rng.Intn(len(special))] = true
+		// Draw distinct indices until keepN are kept.
+		var kept [16]bool
+		for n := 0; n < keepN; {
+			if i := r.rng.Intn(len(special)); !kept[i] {
+				kept[i] = true
+				n++
+			}
 		}
 		for i, reg := range special {
 			if !kept[i] {
@@ -367,17 +390,7 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	}
 
 	// Free registers: physical registers nobody relocated into.
-	hosts := map[isa.Reg]bool{}
-	for i := 0; i < 16; i++ {
-		if l := m.RegTo[i]; l.Kind == LocReg {
-			hosts[l.Reg] = true
-		}
-	}
-	for _, reg := range regs {
-		if !hosts[reg] {
-			m.FreeRegs = append(m.FreeRegs, reg)
-		}
-	}
+	m.FreeRegs = freeRegs(m, regs)
 	if k == isa.ARM {
 		m.FreeRegs = append(m.FreeRegs, armTemp)
 	}
@@ -394,18 +407,7 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	for k == isa.X86 && len(m.FreeRegs) < minFree {
 		victim := toStackVictim(resident, special, m)
 		m.RegTo[victim] = StackLoc(pick())
-		hosts = map[isa.Reg]bool{}
-		for i := 0; i < 16; i++ {
-			if l := m.RegTo[i]; l.Kind == LocReg {
-				hosts[l.Reg] = true
-			}
-		}
-		m.FreeRegs = nil
-		for _, reg := range regs {
-			if !hosts[reg] {
-				m.FreeRegs = append(m.FreeRegs, reg)
-			}
-		}
+		m.FreeRegs = freeRegs(m, regs)
 	}
 
 	// Entropy accounting: each stack-relocated object draws from ~span
@@ -415,6 +417,24 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	stackBits := math.Log2(float64(span))
 	m.EntropyBits = stackBits
 	return m
+}
+
+// freeRegs returns the registers of regs that no RegTo entry of m
+// relocates into.
+func freeRegs(m *Map, regs []isa.Reg) []isa.Reg {
+	var hosts [16]bool
+	for _, l := range m.RegTo {
+		if l.Kind == LocReg {
+			hosts[l.Reg&0xF] = true
+		}
+	}
+	var free []isa.Reg
+	for _, reg := range regs {
+		if !hosts[reg] {
+			free = append(free, reg)
+		}
+	}
+	return free
 }
 
 // armTemp is the ARM translator's dedicated temporary.
