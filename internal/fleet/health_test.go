@@ -15,7 +15,9 @@ import (
 // monitorHost runs a libquantum fleet with a health monitor sampling its
 // aggregate registry every interval from a dedicated goroutine (the
 // hipstr-fleet wiring in miniature), keeps sampling after the drain until
-// stop returns true or the deadline passes, and returns the host+monitor.
+// stop returns true or settle has passed since h.Wait returned, and
+// returns the host+monitor. The settle window starts at the drain's end,
+// so a drain slowed by a loaded machine does not eat into it.
 func monitorHost(t *testing.T, cfg Config, n int, interval time.Duration,
 	settle time.Duration, stop func(*health.Monitor) bool) (*Host, *health.Monitor) {
 	t.Helper()
@@ -40,21 +42,31 @@ func monitorHost(t *testing.T, cfg Config, n int, interval time.Duration,
 	}
 
 	done := make(chan struct{})
+	drained := make(chan time.Time, 1) // when h.Wait returned
 	go func() {
 		defer close(done)
-		deadline := time.Now().Add(settle)
+		var deadline time.Time // zero until the drain ends
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for range tick.C {
 			mon.ObserveNow(h.Telemetry().Snapshot())
-			if time.Now().After(deadline) || stop(mon) {
+			if deadline.IsZero() {
+				select {
+				case end := <-drained:
+					deadline = end.Add(settle)
+				default:
+				}
+			}
+			if !deadline.IsZero() && time.Now().After(deadline) || stop(mon) {
 				return
 			}
 		}
 	}()
 
 	h.Close()
-	if err := h.Wait(); err != nil {
+	err := h.Wait()
+	drained <- time.Now()
+	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	<-done

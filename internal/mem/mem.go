@@ -8,7 +8,12 @@
 // entries but no page data. Invariant: nothing writes the zero page. Every
 // write path (Write, WriteWord, StoreByte, WriteForce) goes through the
 // write barrier, ensureOwned, that also breaks copy-on-write sharing with
-// snapshots and forks.
+// snapshots and forks; WriteWord's fast path writes only a frame the
+// barrier has already made this Memory's own.
+//
+// A 64-entry direct-mapped page TLB caches translations and, for word
+// access, page frames: a ReadWord or WriteWord that hits it costs one
+// compare and no page-table lookup (see tlbSlot).
 //
 // Named regions record the process layout (per-ISA text sections, data,
 // heap, stack, per-ISA code caches) so higher layers — the PSR virtual
@@ -17,6 +22,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -128,19 +134,68 @@ type Memory struct {
 	// cowBroken counts pages this Memory has privatized: shared page data
 	// copied because of a write (see ensureOwned).
 	cowBroken uint64
-	// tlb is a direct-mapped translation cache over the page table. Pages
-	// are never removed from the table and *page pointers are stable for
-	// the life of the Memory (Map re-permissions in place, ensureOwned
-	// swaps the data slice inside the struct), so entries never need
-	// invalidation: permissions and the frame state live on the page and
-	// are still checked on every access. A nil tlbPG slot is empty.
-	tlbPN [tlbSize]uint32
-	tlbPG [tlbSize]*page
+	// tlb is a direct-mapped translation cache over the page table,
+	// indexed by page number modulo tlbSize (see tlbSlot).
+	tlb [tlbSize]tlbSlot
 }
 
 // tlbSize is the number of direct-mapped page-translation slots per
 // Memory; must be a power of two.
 const tlbSize = 64
+
+// tlbSlot is one page-TLB entry: page pn's struct and, for word access,
+// its frame. Pages are never removed from the table and *page pointers
+// are stable for the life of the Memory (Map re-permissions in place,
+// ensureOwned swaps the data slice inside the struct), so the translation
+// itself never goes stale; pageFor still checks permissions, and the
+// write paths the frame state, on every access. A nil pg is an empty
+// slot.
+//
+// rbase is pn*PageSize while ReadWord may read frame directly (the page
+// is readable), and wbase while WriteWord may write it directly (the page
+// is writable, owned and not executable, so the write needs neither the
+// write barrier nor a code-generation bump); otherwise each is
+// noBase(slot). A word access at addr takes the frame when addr-base is at
+// most PageSize-4, one unsigned compare that checks both the page and
+// that the word does not cross its end. Whatever swaps the frame or
+// changes what it may be used for refills the slot: ensureOwned and a Map
+// that re-permissions the page. Snapshot clears every wbase, since every
+// page becomes shared, and Fork starts with every slot empty.
+type tlbSlot struct {
+	pn           uint32
+	rbase, wbase uint32
+	pg           *page
+	frame        *[PageSize]byte
+}
+
+// noBase is the base of an unusable frame in TLB slot i: the base of a
+// page that maps to another slot, so no address of slot i lies within a
+// page of it.
+func noBase(i uint32) uint32 { return (i + 1) % tlbSize * PageSize }
+
+// emptyTLB is the page TLB of a new Memory: every slot empty.
+var emptyTLB = func() (t [tlbSize]tlbSlot) {
+	for i := range t {
+		t[i].rbase = noBase(uint32(i))
+		t[i].wbase = t[i].rbase
+	}
+	return t
+}()
+
+// fillTLB loads page pn, pg, into its TLB slot, with the frame bases its
+// permissions and frame state allow.
+func (m *Memory) fillTLB(pn uint32, pg *page) {
+	e := &m.tlb[pn%tlbSize]
+	none := noBase(pn % tlbSize)
+	e.pn, e.pg, e.frame = pn, pg, (*[PageSize]byte)(pg.data)
+	e.rbase, e.wbase = none, none
+	if pg.perm&PermR != 0 {
+		e.rbase = pn * PageSize
+	}
+	if pg.perm&(PermW|PermX) == PermW && pg.frame == owned {
+		e.wbase = pn * PageSize
+	}
+}
 
 // CodeWriteLogSize is the number of recent ranged code mutations the
 // memory remembers for byte-exact cache invalidation.
@@ -180,6 +235,7 @@ func New() *Memory {
 		pages:   make(map[uint32]*page),
 		regions: make(map[string]Region),
 		codeGen: 1,
+		tlb:     emptyTLB,
 	}
 }
 
@@ -225,6 +281,7 @@ func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
 				bumped = true
 			}
 			pg.perm = perm
+			m.fillTLB(pn, pg)
 			continue
 		}
 		if len(slab) == 0 {
@@ -254,13 +311,14 @@ func (m *Memory) Regions() []Region {
 	return out
 }
 
-// ensureOwned is the write barrier: it gives a page a private frame before
-// its first write. A never-written page gets a zeroed frame in place of the
-// zero page; a page aliased by a snapshot or a sibling fork gets a copy of
-// its bytes and counts one copy-on-write break. Either way the write about
-// to happen cannot reach the zero page or another address space. Owned
+// ensureOwned is the write barrier: it gives page pn, pg, a private frame
+// before its first write. A never-written page gets a zeroed frame in place
+// of the zero page; a page aliased by a snapshot or a sibling fork gets a
+// copy of its bytes and counts one copy-on-write break. Either way the
+// write about to happen cannot reach the zero page or another address
+// space, and the page's TLB slot is refilled with the new frame. Owned
 // pages (the common case after warm-up) cost one predictable branch.
-func (m *Memory) ensureOwned(pg *page) {
+func (m *Memory) ensureOwned(pn uint32, pg *page) {
 	if pg.frame == owned {
 		return
 	}
@@ -271,6 +329,7 @@ func (m *Memory) ensureOwned(pg *page) {
 	}
 	pg.data = nd
 	pg.frame = owned
+	m.fillTLB(pn, pg)
 }
 
 // CowBroken returns how many shared pages this Memory has privatized
@@ -293,16 +352,15 @@ func (m *Memory) SharedPages() int {
 
 func (m *Memory) pageFor(addr uint32, access Perm) (*page, error) {
 	pn := addr / PageSize
-	slot := pn & (tlbSize - 1)
-	pg := m.tlbPG[slot]
-	if pg == nil || m.tlbPN[slot] != pn {
+	e := &m.tlb[pn%tlbSize]
+	pg := e.pg
+	if pg == nil || e.pn != pn {
 		var ok bool
 		pg, ok = m.pages[pn]
 		if !ok {
 			return nil, &Fault{Addr: addr, Access: access}
 		}
-		m.tlbPN[slot] = pn
-		m.tlbPG[slot] = pg
+		m.fillTLB(pn, pg)
 	}
 	if pg.perm&access != access {
 		return nil, &Fault{Addr: addr, Access: access, Mapped: true}
@@ -336,7 +394,7 @@ func (m *Memory) Write(addr uint32, buf []byte) error {
 		if err != nil {
 			return err
 		}
-		m.ensureOwned(pg)
+		m.ensureOwned(off/PageSize, pg)
 		if pg.perm&PermX != 0 && !bumped {
 			m.codeGen++
 			m.logCodeWrite(addr, n0)
@@ -363,7 +421,7 @@ func (m *Memory) WriteForce(addr uint32, buf []byte) {
 			pg = &page{data: make([]byte, PageSize)}
 			m.pages[pn] = pg
 		}
-		m.ensureOwned(pg)
+		m.ensureOwned(pn, pg)
 		if pg.perm&PermX != 0 && !bumped {
 			m.codeGen++
 			m.logCodeWrite(addr, n0)
@@ -391,7 +449,7 @@ func (m *Memory) StoreByte(addr uint32, v byte) error {
 	if err != nil {
 		return err
 	}
-	m.ensureOwned(pg)
+	m.ensureOwned(addr/PageSize, pg)
 	if pg.perm&PermX != 0 {
 		m.codeGen++
 		m.logCodeWrite(addr, 1)
@@ -400,8 +458,19 @@ func (m *Memory) StoreByte(addr uint32, v byte) error {
 	return nil
 }
 
-// ReadWord reads a little-endian 32-bit word.
+// ReadWord reads a little-endian 32-bit word. A word inside a readable
+// page whose TLB slot holds it is one compare away (see tlbSlot).
 func (m *Memory) ReadWord(addr uint32) (uint32, error) {
+	e := &m.tlb[addr/PageSize%tlbSize]
+	if po := addr - e.rbase; po <= PageSize-4 {
+		return binary.LittleEndian.Uint32(e.frame[po:]), nil
+	}
+	return m.readWord(addr)
+}
+
+// readWord is ReadWord through the page table: a TLB slot miss, an
+// unreadable page, or a word that crosses a page boundary.
+func (m *Memory) readWord(addr uint32) (uint32, error) {
 	if po := addr % PageSize; po <= PageSize-4 {
 		pg, err := m.pageFor(addr, PermR)
 		if err != nil {
@@ -417,14 +486,29 @@ func (m *Memory) ReadWord(addr uint32) (uint32, error) {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
 }
 
-// WriteWord writes a little-endian 32-bit word.
+// WriteWord writes a little-endian 32-bit word. A word inside a
+// writable, owned, non-executable page whose TLB slot holds it is one
+// compare away (see tlbSlot).
 func (m *Memory) WriteWord(addr uint32, v uint32) error {
+	e := &m.tlb[addr/PageSize%tlbSize]
+	if po := addr - e.wbase; po <= PageSize-4 {
+		binary.LittleEndian.PutUint32(e.frame[po:], v)
+		return nil
+	}
+	return m.writeWord(addr, v)
+}
+
+// writeWord is WriteWord through the page table and the write barrier: a
+// TLB slot miss, a page that is not writable, owned and non-executable,
+// or a word that crosses a page boundary. Writes to executable pages bump
+// the code generation here.
+func (m *Memory) writeWord(addr uint32, v uint32) error {
 	if po := addr % PageSize; po <= PageSize-4 {
 		pg, err := m.pageFor(addr, PermW)
 		if err != nil {
 			return err
 		}
-		m.ensureOwned(pg)
+		m.ensureOwned(addr/PageSize, pg)
 		if pg.perm&PermX != 0 {
 			m.codeGen++
 			m.logCodeWrite(addr, 4)
@@ -515,6 +599,9 @@ func (m *Memory) Snapshot() *Snapshot {
 		pg.frame = shared
 		s.pages[pn] = snapPage{data: pg.data, perm: pg.perm}
 	}
+	for i := range m.tlb {
+		m.tlb[i].wbase = noBase(uint32(i))
+	}
 	for n, r := range m.regions {
 		s.regions[n] = r
 	}
@@ -533,6 +620,7 @@ func (s *Snapshot) Fork() *Memory {
 		regions:  make(map[string]Region, len(s.regions)),
 		codeGen:  s.codeGen,
 		writeLog: s.writeLog,
+		tlb:      emptyTLB,
 	}
 	slab := make([]page, len(s.pages))
 	i := 0

@@ -143,8 +143,8 @@ func requireSameModel(t *testing.T, label string, ref, got *Model) {
 func cloneModel(mo *Model) *Model {
 	c := *mo
 	ic, dc, bp := *mo.ICache, *mo.DCache, *mo.Bpred
-	ic.tags, ic.lru = append([]uint32(nil), ic.tags...), append([]uint64(nil), ic.lru...)
-	dc.tags, dc.lru = append([]uint32(nil), dc.tags...), append([]uint64(nil), dc.lru...)
+	ic.tags = append([]uint32(nil), ic.tags...)
+	dc.tags = append([]uint32(nil), dc.tags...)
 	bp.table = append([]uint8(nil), bp.table...)
 	c.ICache, c.DCache, c.Bpred = &ic, &dc, &bp
 	return &c

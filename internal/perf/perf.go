@@ -8,7 +8,10 @@
 // The model attaches to a running machine as an execution observer and
 // charges cycles per event. It is calibrated for *relative* comparisons
 // (native vs PSR optimization levels, HIPStR vs Isomeron), which is what
-// every performance figure in the paper reports.
+// every performance figure in the paper reports. Fused blocks are charged
+// once per block from a timing summary (commitSummary), and each cache
+// set keeps its lines in recency order, so the common cache access — a
+// hit on the set's most recently used line — is one compare (cacheSim).
 package perf
 
 import (
@@ -84,29 +87,26 @@ func CoreFor(k isa.Kind) CoreConfig {
 	return ARMCore()
 }
 
-// cacheSim is a set-associative cache with LRU replacement.
+// cacheSim is a set-associative cache with LRU replacement. Each set
+// keeps its lines in recency order, most recently used first, so a hit on
+// the front way — the common case in block-structured code — is one
+// compare that writes nothing. A hit further down moves its way to the
+// front; a miss evicts the last way, the least recently used, and puts
+// the new line at the front. Hit and miss depend only on each set's order
+// of last touches, so this is exactly LRU.
 type cacheSim struct {
 	cfg      CacheConfig
 	sets     int
 	setMask  int // sets-1 when sets is a power of two, else -1
 	lineBits uint
 	ways     int
-	hitLat   float64 // cfg.HitLat, lifted so access stays inlineable
-	// tags and lru are set-major flat arrays (sets*ways entries): one
+	// tags is a set-major flat array (sets*ways entries): one
 	// bounds-checked slice per access instead of a per-set pointer chase.
+	// An empty way holds ^0, which no line number equals when lines are
+	// wider than a byte (the address is shifted right), and stays behind
+	// every filled way of its set, so a miss fills empty ways first.
 	tags []uint32
-	lru  []uint64
-	tick uint64
-	// lastLine/lastIdx memoize the most recently accessed line and its
-	// flat-array slot. The last-touched way is always the set's newest, so
-	// it can never be the LRU victim of an intervening miss — the memo is
-	// stale-proof, and a repeated access applies the exact same effects
-	// as the search loop would. Its LRU timestamp is written lazily:
-	// memo hits bump only tick, and accessSlow flushes the final value
-	// before any set search reads it, so observable LRU state is
-	// unchanged (intermediate per-hit timestamps are never read).
-	lastLine uint32
-	lastIdx  int
+	tick uint64 // accesses
 
 	Misses uint64
 }
@@ -126,89 +126,59 @@ func newCacheSim(cfg CacheConfig) *cacheSim {
 	for 1<<lb < cfg.LineB {
 		lb++
 	}
-	c := &cacheSim{cfg: cfg, sets: sets, setMask: -1, lineBits: lb, ways: cfg.Ways, hitLat: cfg.HitLat}
+	c := &cacheSim{cfg: cfg, sets: sets, setMask: -1, lineBits: lb, ways: cfg.Ways}
 	if sets&(sets-1) == 0 {
 		c.setMask = sets - 1
 	}
 	c.tags = make([]uint32, sets*cfg.Ways)
-	c.lru = make([]uint64, sets*cfg.Ways)
 	for i := range c.tags {
 		c.tags[i] = ^uint32(0)
-	}
-	// Seed the memo with a real resident entry so access needs no
-	// validity check: every fresh tag is ^0, so line ^0 maps to way 0 of
-	// its set and a hit there is exactly what the search loop would
-	// report for that line on an untouched cache.
-	c.lastLine = ^uint32(0)
-	if c.setMask >= 0 {
-		c.lastIdx = (int(c.lastLine) & c.setMask) * cfg.Ways
-	} else {
-		c.lastIdx = (int(c.lastLine) % sets) * cfg.Ways
 	}
 	return c
 }
 
-// access touches addr and returns the latency. The body stays under the
-// inlining budget: the memo-hit path (the overwhelmingly common case in
-// block-structured code) runs without a call, and only genuine set
-// searches reach accessSlow.
-func (c *cacheSim) access(addr uint32) float64 {
-	if addr>>c.lineBits == c.lastLine {
-		c.tick++
-		return c.hitLat
-	}
-	return c.accessSlow(addr)
-}
-
-// outcome touches addr like access and returns 0 for a hit, 1 for a miss.
-func (c *cacheSim) outcome(addr uint32) int {
-	if c.access(addr) == c.hitLat {
-		return 0
-	}
-	return 1
-}
-
-// accessSlow is the non-memoized set search and LRU fill for access.
-func (c *cacheSim) accessSlow(addr uint32) float64 {
-	line := addr >> c.lineBits
-	// Flush the memoized way's deferred LRU timestamp (the tick of its
-	// most recent touch, which is the previous access) before any LRU
-	// state is read below.
-	c.lru[c.lastIdx] = c.tick
-	c.tick++
-	// Power-of-two set counts (every Table 1 config) index with a mask;
-	// the modulo fallback keeps arbitrary configs working. Same index
-	// either way, so simulated state evolution is unchanged.
-	var set int
+// set returns the index in tags of the front way of line's set.
+// Power-of-two set counts (every Table 1 config) index with a mask; the
+// modulo fallback keeps arbitrary configs working.
+func (c *cacheSim) set(line uint32) int {
 	if c.setMask >= 0 {
-		set = int(line) & c.setMask
-	} else {
-		set = int(line) % c.sets
+		return (int(line) & c.setMask) * c.ways
 	}
-	tag := line
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-	lru := c.lru[base : base+c.ways]
-	for w, t := range tags {
-		if t == tag {
-			lru[w] = c.tick
-			c.lastLine = line
-			c.lastIdx = base + w
-			return c.cfg.HitLat
-		}
+	return int(line) % c.sets * c.ways
+}
+
+// access touches addr and returns the latency. It serves the
+// per-instruction path; commitSummary writes the same front compare
+// inline, since access itself is over the inlining budget.
+func (c *cacheSim) access(addr uint32) float64 {
+	c.tick++
+	line := addr >> c.lineBits
+	if i := c.set(line); c.tags[i] != line && c.promote(i, line) {
+		return c.cfg.MissLat
 	}
-	c.Misses++
-	victim, oldest := 0, lru[0]
-	for w := 1; w < len(lru); w++ {
-		if lru[w] < oldest {
-			victim, oldest = w, lru[w]
-		}
+	return c.cfg.HitLat
+}
+
+// promote moves line to the front of the set whose front way is
+// tags[i] and does not hold it, and reports whether the access missed.
+// On a hit the ways in front of line's shift back by one; on a miss all
+// of them do, and the last one is evicted.
+func (c *cacheSim) promote(i int, line uint32) bool {
+	set := c.tags[i : i+c.ways]
+	w := 1
+	for w < len(set) && set[w] != line {
+		w++
 	}
-	tags[victim] = tag
-	lru[victim] = c.tick
-	c.lastLine = line
-	c.lastIdx = base + victim
-	return c.cfg.MissLat
+	miss := w == len(set)
+	if miss {
+		c.Misses++
+		w--
+	}
+	for ; w > 0; w-- {
+		set[w] = set[w-1]
+	}
+	set[0] = line
+	return miss
 }
 
 // predictor is a gshare-style branch direction predictor.
@@ -499,14 +469,13 @@ func (mo *Model) CommitBlock(m *machine.Machine, insts []isa.Inst, bt *isa.Block
 // address, and only a block's last instruction can be a jcc. Instruction
 // starts are contiguous and no instruction is wider than a line, so the
 // block fetches exactly the I-cache lines from its first start to its
-// last: the first through access (it may be the memoized line), each
-// further one through accessSlow, and the remaining same-line memo hits
-// are added to the tick at the end. Deferring those ticks lowers the LRU
-// stamps written inside the block without changing their order relative
-// to each other or to any stamp before or after the block, so every
-// future victim — and the hit and miss counts at every commit — is
-// unchanged. Data-cache accesses follow the summary's charge program,
-// which lists them in per-instruction order.
+// last, each once in address order; every other fetch is to the line
+// just fetched, a front-way hit that changes nothing but the access
+// count, so the tick grows by the instruction count at the end.
+// Data-cache accesses follow the summary's charge program, which lists
+// them in per-instruction order. Both caches' front compares are written
+// here rather than through access, which is over the inlining budget, so
+// the common access costs one compare and no call.
 func (mo *Model) commitSummary(insts []isa.Inst, bt *isa.BlockTiming, eas []uint32) bool {
 	fx := &mo.fix
 	cy := mo.Cycles
@@ -545,11 +514,12 @@ func (mo *Model) commitSummary(insts []isa.Inst, bt *isa.BlockTiming, eas []uint
 	}
 
 	misses := ic.Misses
-	ic.access(insts[0].Addr)
-	for l := firstLine + 1; l <= lastLine; l++ {
-		ic.accessSlow(l << ic.lineBits)
+	for l := firstLine; l <= lastLine; l++ {
+		if i := ic.set(l); ic.tags[i] != l {
+			ic.promote(i, l)
+		}
 	}
-	ic.tick += uint64(n - lines)
+	ic.tick += uint64(n)
 	icMisses := int64(ic.Misses - misses)
 	sum += n*fx.issue + (n-icMisses)*fx.icHit + icMisses*fx.icMiss
 	sum += int64(bt.Muls)*fx.mul + int64(bt.Divs)*fx.div + int64(bt.Calls)*fx.call
@@ -559,28 +529,33 @@ func (mo *Model) commitSummary(insts []isa.Inst, bt *isa.BlockTiming, eas []uint
 
 	dc := mo.DCache
 	f := cy
+	accesses := uint64(len(bt.Charges))
 	for _, ch := range bt.Charges {
 		ea := eas[ch.Slot]
+		if ch.Kind == isa.ChargePush {
+			ea -= 4
+		}
+		line, o := ea>>dc.lineBits, 0
+		if i := dc.set(line); dc.tags[i] != line && dc.promote(i, line) {
+			o = 1
+		}
 		switch ch.Kind {
 		case isa.ChargeLoad:
-			sum += fx.load[dc.outcome(ea)]
-		case isa.ChargeStore:
-			o := dc.outcome(ea)
+			sum += fx.load[o]
+		case isa.ChargeStore, isa.ChargePush:
 			sum += fx.storeFix[o]
 			f += fx.storeFlt[o]
 		case isa.ChargeLoadStore:
-			sum += fx.load[dc.outcome(ea)]
-			o := dc.outcome(ea)
-			sum += fx.storeFix[o]
-			f += fx.storeFlt[o]
-		case isa.ChargePush:
-			o := dc.outcome(ea - 4)
-			sum += fx.storeFix[o]
-			f += fx.storeFlt[o]
+			// The store touches the line the load just put in front: a
+			// hit that changes nothing but the access count.
+			sum += fx.load[o] + fx.storeFix[0]
+			f += fx.storeFlt[0]
+			accesses++
 		case isa.ChargeMulti:
-			sum += int64(ch.Regs) * fx.push[dc.outcome(ea)]
+			sum += int64(ch.Regs) * fx.push[o]
 		}
 	}
+	dc.tick += accesses
 
 	c := &mo.Counts
 	c.Instrs += uint64(bt.Instrs)
