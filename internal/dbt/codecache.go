@@ -53,8 +53,7 @@ type CodeCache struct {
 	// cache folds it into its content-addressed key.
 	chain uint64
 
-	Flushes      int
-	Translations int
+	Flushes int
 	// Lookups and Hits count Lookup calls cumulatively (they survive
 	// flushes, like the RAT's counters) for hit-ratio telemetry.
 	Lookups uint64
@@ -146,26 +145,17 @@ func (c *CodeCache) Reserve(n, align uint32) (uint32, bool) {
 	return c.Base + start, true
 }
 
-// Commit records a completed translation unit and writes its bytes into
-// memory (the cache region is mapped read+execute; the VM writes with
-// loader privilege, modeling W^X with a privileged JIT writer).
-func (c *CodeCache) Commit(m *mem.Memory, src, cacheAddr uint32, code []byte) {
+// Commit records a completed translation unit, whose trap-stub region
+// starts stubOff bytes in, and writes its bytes into memory (the cache
+// region is mapped read+execute; the VM writes with loader privilege,
+// modeling W^X with a privileged JIT writer).
+func (c *CodeCache) Commit(m *mem.Memory, src, cacheAddr uint32, code []byte, stubOff uint32) {
 	m.WriteForce(cacheAddr, code)
 	c.srcToCache[src] = cacheAddr
 	c.cacheToSrc[cacheAddr] = src
 	c.units = append(c.units, cacheAddr)
-	c.stubStarts = append(c.stubStarts, cacheAddr+uint32(len(code)))
+	c.stubStarts = append(c.stubStarts, cacheAddr+stubOff)
 	c.chain = foldDigest(foldDigest(c.chain, uint64(src)), uint64(cacheAddr))
-	c.Translations++
-}
-
-// SetStubStart records where the most recently committed unit's trap-stub
-// region begins (the translator learns it from the assembler's label map
-// after Commit).
-func (c *CodeCache) SetStubStart(stubAddr uint32) {
-	if n := len(c.stubStarts); n > 0 {
-		c.stubStarts[n-1] = stubAddr
-	}
 }
 
 // StubAt reports whether cache address addr falls inside its unit's
@@ -259,7 +249,6 @@ func (c *CodeCache) Clone() *CodeCache {
 		stubStarts:      append([]uint32(nil), c.stubStarts...),
 		chain:           c.chain,
 		Flushes:         c.Flushes,
-		Translations:    c.Translations,
 		Lookups:         c.Lookups,
 		Hits:            c.Hits,
 	}

@@ -5,6 +5,62 @@ import (
 	"hipstr/internal/psr"
 )
 
+// rewriteControl lowers the control transfers both ISAs share — foreign
+// trap vectors, direct jumps, branches and calls, indirect calls, and
+// indirect jumps (x86 jmp*, ARM bx through any register but lr) — and
+// reports whether in was one of them. The program's syscall vector and
+// returns (x86 ret, ARM bx lr) stay with rewriteX86 and rewriteARM.
+func (t *translator) rewriteControl(in *isa.Inst, idx int) bool {
+	switch in.Op {
+	case isa.OpSys:
+		if in.Imm == vecSyscall {
+			return false
+		}
+		// Foreign int vectors (including attempts to forge VM traps) are
+		// software-fault-isolated away.
+		t.emitKill()
+	case isa.OpJmp:
+		t.emitChain(in.Target, isa.OpJmp, isa.CondAlways)
+	case isa.OpJcc:
+		t.emitChain(in.Target, isa.OpJcc, in.Cond)
+		t.emitChain(in.Addr+uint32(in.Size), isa.OpJmp, isa.CondAlways)
+	case isa.OpCall:
+		t.emitDirectCall(in)
+	case isa.OpCallI:
+		// Stage the call target from relocated state before the boundary
+		// marshal rearranges registers, then trap for dispatch.
+		slot := t.stageIndirectTarget(in, idx)
+		t.emitDeRelocate()
+		t.emitTrapHere(trapMeta{
+			vec:        vecIndirect,
+			isCall:     true,
+			srcRet:     in.Addr + uint32(in.Size),
+			delta:      t.delta,
+			fnIndex:    t.fn.Index,
+			targetSlot: slot,
+		})
+		t.emitReRelocate() // RAT resume point
+		// The unit ends here; straight-line flow continues at the source
+		// return address in its own unit.
+		t.emitChain(in.Addr+uint32(in.Size), isa.OpJmp, isa.CondAlways)
+	case isa.OpBx:
+		if in.Dst.IsReg(isa.LR) {
+			return false
+		}
+		fallthrough
+	case isa.OpJmpI:
+		t.emitTrapHere(trapMeta{
+			vec:     vecIndirect,
+			operand: in.Dst,
+			delta:   t.delta,
+			fnIndex: t.fn.Index,
+		})
+	default:
+		return false
+	}
+	return true
+}
+
 // rewriteX86 emits the PSR transformation of one x86 instruction: the
 // addressing-mode transformation of §5.1, plus the procedure-call,
 // implicit-register, and stack-pointer fixups.
@@ -143,45 +199,8 @@ func (t *translator) rewriteX86(in *isa.Inst, idx int) {
 			a.Emit(isa.Inst{Op: isa.OpMov, Dst: isa.MB(isa.ESP, l.Off), Src: isa.R(tmp)})
 		}
 		t.delta = 0
-	case isa.OpSys:
-		if in.Imm == vecSyscall {
-			t.emitSyscallMarshalX86()
-			return
-		}
-		// Foreign int vectors (including attempts to forge VM traps) are
-		// software-fault-isolated away.
-		t.emitKill()
-	case isa.OpJmp:
-		t.emitChain(in.Target, isa.OpJmp, isa.CondAlways)
-	case isa.OpJcc:
-		t.emitChain(in.Target, isa.OpJcc, in.Cond)
-		t.emitChain(in.Addr+uint32(in.Size), isa.OpJmp, isa.CondAlways)
-	case isa.OpCall:
-		t.emitDirectCall(in)
-	case isa.OpCallI:
-		// Stage the call target from relocated state before the boundary
-		// marshal rearranges registers, then trap for dispatch.
-		slot := t.stageIndirectTarget(in, idx)
-		t.emitDeRelocate()
-		t.emitTrapHere(trapMeta{
-			vec:        vecIndirect,
-			isCall:     true,
-			srcRet:     in.Addr + uint32(in.Size),
-			delta:      t.delta,
-			fnIndex:    t.fn.Index,
-			targetSlot: slot,
-		})
-		t.emitReRelocate() // RAT resume point
-		// The unit ends here; straight-line flow continues at the source
-		// return address in its own unit.
-		t.emitChain(in.Addr+uint32(in.Size), isa.OpJmp, isa.CondAlways)
-	case isa.OpJmpI:
-		t.emitTrapHere(trapMeta{
-			vec:     vecIndirect,
-			operand: in.Dst,
-			delta:   t.delta,
-			fnIndex: t.fn.Index,
-		})
+	case isa.OpSys: // the program's own vector (rewriteControl took the rest)
+		t.emitSyscallMarshalX86()
 	case isa.OpRet:
 		a.Emit(isa.Inst{Op: isa.OpRet, Imm: in.Imm})
 	default:
@@ -332,44 +351,10 @@ func (t *translator) rewriteARM(in *isa.Inst, idx int) {
 			a.Emit(isa.Inst{Op: isa.OpMov, Dst: isa.R(vr), Src: val})
 		}
 		a.StoreWord(vr, dst.Mem.Base, dst.Mem.Disp, armScratchFor(isa.ARM, vr))
-	case isa.OpSys:
-		if in.Imm == vecSyscall {
-			t.emitSyscallMarshalARM()
-			return
-		}
-		t.emitKill()
-	case isa.OpJmp:
-		t.emitChain(in.Target, isa.OpJmp, isa.CondAlways)
-	case isa.OpJcc:
-		t.emitChain(in.Target, isa.OpJcc, in.Cond)
-		t.emitChain(in.Addr+uint32(in.Size), isa.OpJmp, isa.CondAlways)
-	case isa.OpCall:
-		t.emitDirectCall(in)
-	case isa.OpCallI:
-		slot := t.stageIndirectTarget(in, idx)
-		t.emitDeRelocate()
-		t.emitTrapHere(trapMeta{
-			vec:        vecIndirect,
-			isCall:     true,
-			srcRet:     in.Addr + uint32(in.Size),
-			delta:      t.delta,
-			fnIndex:    t.fn.Index,
-			targetSlot: slot,
-		})
-		t.emitReRelocate()
-		t.emitChain(in.Addr+uint32(in.Size), isa.OpJmp, isa.CondAlways)
-	case isa.OpBx:
-		if in.Dst.IsReg(isa.LR) {
-			a.Emit(isa.Inst{Op: isa.OpBx, Dst: isa.R(isa.LR)})
-			return
-		}
-		t.emitTrapHere(trapMeta{
-			vec:     vecIndirect,
-			operand: in.Dst,
-			isCall:  false,
-			delta:   t.delta,
-			fnIndex: t.fn.Index,
-		})
+	case isa.OpSys: // the program's own vector (rewriteControl took the rest)
+		t.emitSyscallMarshalARM()
+	case isa.OpBx: // bx lr, the return (rewriteControl took the rest)
+		a.Emit(isa.Inst{Op: isa.OpBx, Dst: isa.R(isa.LR)})
 	case isa.OpPushM:
 		// Store each architectural register's (relocated) value.
 		n := int32(0)

@@ -82,6 +82,67 @@ type pendingCall struct {
 	srcRet uint32
 }
 
+// translateUnit runs the translator on src and packages its output,
+// assembled for cache address base, as a base-relative unit. The unit also
+// records the relocation maps the translator built and its warm-target
+// cache lookups, which a shared-cache hit replays.
+func (vm *VM) translateUnit(k isa.Kind, fn *fatbin.FuncMeta, src, base uint32) (*unitEntry, error) {
+	c := vm.caches[k]
+	mapN := len(vm.mapOrder)
+	lk0, ht0 := c.Lookups, c.Hits
+	if vm.xs.asm == nil {
+		vm.xs.asm = isa.NewAsm(k, base)
+	} else {
+		vm.xs.asm.Reset(k, base)
+	}
+	m := vm.mapOf(fn)[k]
+	t := &translator{
+		vm:       vm,
+		k:        k,
+		fn:       fn,
+		m:        m,
+		a:        vm.xs.asm,
+		tmps:     m.FreeRegs,
+		insts:    vm.xs.insts[:0],
+		callCtx:  vm.xs.callCtx[:0],
+		newTraps: vm.xs.newTraps[:0],
+		newCalls: vm.xs.newCalls[:0],
+	}
+	// Hand the (possibly grown) buffers on to the next translation.
+	defer func() {
+		vm.xs.insts, vm.xs.callCtx = t.insts, t.callCtx
+		vm.xs.newTraps, vm.xs.newCalls = t.newTraps, t.newCalls
+	}()
+	if err := t.run(src); err != nil {
+		return nil, err
+	}
+	t.flushStubs()
+	code, labels, err := t.a.Assemble()
+	if err != nil {
+		return nil, fmt.Errorf("dbt: assembling unit for %#x: %w", src, err)
+	}
+	u := &unitEntry{
+		code:        append([]byte(nil), code...),
+		stubOff:     labels[stubsLabel] - base,
+		covered:     t.srcRanges(),
+		mapBuilds:   append([]int(nil), vm.mapOrder[mapN:]...),
+		lookupDelta: c.Lookups - lk0,
+		hitDelta:    c.Hits - ht0,
+	}
+	for _, pt := range t.newTraps {
+		ut := unitTrap{off: labels[pt.label] - base, meta: pt.meta}
+		if pt.patchLabel != "" {
+			ut.patchOff = labels[pt.patchLabel] - base
+			ut.hasPatch = true
+		}
+		u.traps = append(u.traps, ut)
+	}
+	for _, pc := range t.newCalls {
+		u.calls = append(u.calls, unitCall{off: labels[pc.label] - base, srcRet: pc.srcRet})
+	}
+	return u, nil
+}
+
 func (t *translator) tmp() isa.Reg {
 	if len(t.tmps) == 0 {
 		panic("dbt: relocation map provided no translator temporaries")
@@ -302,9 +363,11 @@ func (t *translator) run(src uint32) error {
 			continue
 		}
 		in := t.insts[i]
-		if t.k == isa.X86 {
+		switch {
+		case t.rewriteControl(&in, i):
+		case t.k == isa.X86:
 			t.rewriteX86(&in, i)
-		} else {
+		default:
 			t.rewriteARM(&in, i)
 		}
 		i++

@@ -1,6 +1,7 @@
 package dbt
 
 import (
+	"fmt"
 	"sync"
 
 	"hipstr/internal/isa"
@@ -28,12 +29,14 @@ import (
 //     that are already warm, so emitted bytes depend on exactly which
 //     units were committed, in order, since the last flush).
 //
-// Hits replay every side effect of a cold translation — map builds (which
-// advance the shared RNG stream), cache-lookup counter deltas, trap/call
-// registration, covered ranges — so a VM that hits is byte- and
-// stats-identical to one that translated. That equivalence is what keeps
-// experiment tables deterministic with a process-global cache shared
-// across concurrently running cells.
+// A hit and a cold translation commit the same base-relative unit through
+// one install (commit, covered ranges, stub start, trap/call registration,
+// the translation count); a hit only adds the replay of the map builds
+// (which advance the shared RNG stream) and cache-lookup counts its
+// translator made. So a VM that hits is byte- and stats-identical to one
+// that translated. That equivalence is what keeps experiment tables
+// deterministic with a process-global cache shared across concurrently
+// running cells.
 type UnitCache struct {
 	mu      sync.Mutex
 	entries map[unitKey]*unitEntry
@@ -53,8 +56,9 @@ type unitKey struct {
 	env    uint64
 }
 
-// unitEntry is one immutable finished translation unit plus everything
-// needed to replay the translator's side effects on install.
+// unitEntry is one finished translation unit, relative to the cache
+// address it was assembled for, plus everything needed to replay the
+// translator's side effects on install. It is immutable once published.
 type unitEntry struct {
 	code    []byte
 	stubOff uint32 // deferred trap-stub region start, relative to unit base
@@ -166,28 +170,33 @@ func foldDigest(h, v uint64) uint64 {
 	return h
 }
 
-// installShared commits a shared unit into this VM's code cache and
-// replays every side effect a cold translation would have had: map builds
-// (advancing the PSR RNG stream identically), warm-target lookup counter
-// deltas, trap and call registration, covered source ranges, and the
-// translation counter. After install the VM is indistinguishable from one
-// that ran the translator — that equivalence keeps experiment tables
-// deterministic no matter which VM populated the cache first.
-func (vm *VM) installShared(k isa.Kind, src uint32, u *unitEntry) (uint32, bool) {
+// install commits unit u, assembled for cache address base, into ISA k's
+// code cache: it reserves and commits the bytes, records the covered
+// source ranges and the stub start, registers the unit's traps (under the
+// cache's current generation) and call sites, and counts the translation.
+// replay marks a shared-cache hit, which also redoes the map builds (they
+// advance the PSR RNG stream) and warm-target lookups of the translator
+// that made the unit, so the VM ends up exactly as if it had translated
+// the unit itself. It reports false when the unit does not fit before a
+// flush.
+func (vm *VM) install(k isa.Kind, src, base uint32, u *unitEntry, replay bool) (bool, error) {
 	c := vm.caches[k]
 	addr, ok := c.Reserve(uint32(len(u.code)), vm.unitAlign())
 	if !ok {
-		return 0, false
+		return false, nil
 	}
-	c.Commit(vm.P.Mem, src, addr, u.code)
+	if addr != base {
+		return false, fmt.Errorf("dbt: allocation raced: %#x != %#x", addr, base)
+	}
+	c.Commit(vm.P.Mem, src, addr, u.code, u.stubOff)
 	c.AddCovered(u.covered)
-	c.SetStubStart(addr + u.stubOff)
-	for _, idx := range u.mapBuilds {
-		vm.mapOf(vm.Bin.Funcs[idx])
+	if replay {
+		for _, idx := range u.mapBuilds {
+			vm.mapOf(vm.Bin.Funcs[idx])
+		}
+		c.Lookups += u.lookupDelta
+		c.Hits += u.hitDelta
 	}
-	c.Lookups += u.lookupDelta
-	c.Hits += u.hitDelta
-	vm.Stats.Translations[k]++
 	for _, ut := range u.traps {
 		meta := ut.meta
 		meta.gen = vm.gen[k]
@@ -199,36 +208,8 @@ func (vm *VM) installShared(k isa.Kind, src uint32, u *unitEntry) (uint32, bool)
 	for _, uc := range u.calls {
 		vm.calls[k][addr+uc.off] = callMeta{srcRet: uc.srcRet}
 	}
-	return addr, true
-}
-
-// publishShared packages a just-committed translation into an immutable
-// entry under the key computed before the translator ran. mapN and
-// lk0/ht0 are the map-order length and cache Lookup counters captured at
-// that same point; the differences are the side effects installs replay.
-func (vm *VM) publishShared(key unitKey, addr uint32, code []byte, labels map[string]uint32, t *translator, mapN int, lk0, ht0 uint64) {
-	c := vm.caches[t.k]
-	e := &unitEntry{
-		code:        append([]byte(nil), code...),
-		stubOff:     labels[stubsLabel] - addr,
-		covered:     append([][2]uint32(nil), t.srcRanges()...),
-		mapBuilds:   append([]int(nil), vm.mapOrder[mapN:]...),
-		lookupDelta: c.Lookups - lk0,
-		hitDelta:    c.Hits - ht0,
-	}
-	for _, pt := range t.newTraps {
-		ut := unitTrap{off: labels[pt.label] - addr, meta: pt.meta}
-		if pt.patchLabel != "" {
-			ut.patchOff = labels[pt.patchLabel] - addr
-			ut.hasPatch = true
-		}
-		e.traps = append(e.traps, ut)
-	}
-	for _, pc := range t.newCalls {
-		e.calls = append(e.calls, unitCall{off: labels[pc.label] - addr, srcRet: pc.srcRet})
-	}
-	vm.shared.publish(key, e)
-	vm.Stats.SharedInstalls++
+	vm.Stats.Translations[k]++
+	return true, nil
 }
 
 // unitKeyFor computes the content-addressed key for translating src on ISA

@@ -16,8 +16,9 @@ import (
 )
 
 // ErrSecurityKill reports a software-fault-isolation termination: an
-// indirect transfer into the code cache, a forged trap vector, or
-// untranslatable code.
+// indirect transfer into a code cache or to a non-text address, a forged
+// or stale trap, an unregistered call site, or untranslatable code. The
+// VM raises every one through kill.
 var ErrSecurityKill = errors.New("dbt: process killed by security policy")
 
 // OptLevel selects the PSR performance optimizations of Table 3.
@@ -403,13 +404,11 @@ func (vm *VM) mapOf(fn *fatbin.FuncMeta) [2]*psr.Map {
 }
 
 func (vm *VM) flush(k isa.Kind) {
+	detail := fmt.Sprintf("%d units evicted", vm.caches[k].NumUnits())
 	sp := vm.tel.StartSpan("dbt", "cache-flush")
 	sp.SetISA(k.String())
-	sp.SetDetail(fmt.Sprintf("%d units evicted", vm.caches[k].NumUnits()))
-	vm.tel.Emit(telemetry.Event{
-		Type: telemetry.EvCacheFlush, ISA: k.String(),
-		Detail: fmt.Sprintf("%d units evicted", vm.caches[k].NumUnits()),
-	})
+	sp.SetDetail(detail)
+	vm.tel.Emit(telemetry.Event{Type: telemetry.EvCacheFlush, ISA: k.String(), Detail: detail})
 	vm.caches[k].Flush()
 	vm.rats[k].Flush()
 	vm.traps[k] = make(map[uint32]trapMeta)
@@ -445,20 +444,18 @@ func (vm *VM) require(k isa.Kind, src uint32, dual bool) (uint32, error) {
 		other := k.Other()
 		if fn, blk := vm.Bin.BlockAt(k, src); fn != nil && blk != nil && blk.Addr[k] == src {
 			if _, ok := vm.caches[other].Lookup(blk.Addr[other]); !ok {
-				if _, err := vm.translate(other, blk.Addr[other]); err == nil {
-					// Best effort; failures surface when actually executed.
-					_ = err
-				}
+				// Best effort; failures surface when actually executed.
+				_, _ = vm.translate(other, blk.Addr[other])
 			}
 		}
 	}
 	return addr, nil
 }
 
-// translate builds, assembles, and commits one translation unit — or, when
-// the shared unit cache already holds a byte-identical unit for this exact
-// (binary, ISA, src, PSR layout, cache state) point, installs the shared
-// copy without running the translator at all.
+// translate commits one translation unit for src on ISA k. The unit comes
+// from the shared unit cache when it holds one for this exact (binary,
+// ISA, src, PSR layout, cache state) point, else from the translator, and
+// a fresh unit is then published there. Both commit through install.
 func (vm *VM) translate(k isa.Kind, src uint32) (uint32, error) {
 	fn := vm.Bin.FuncAt(k, src)
 	if fn == nil {
@@ -470,117 +467,53 @@ func (vm *VM) translate(k isa.Kind, src uint32) (uint32, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		base := vm.caches[k].NextAddr(vm.unitAlign())
 		var key unitKey
+		var u *unitEntry
 		if vm.shared != nil {
 			key = vm.unitKeyFor(k, src, base)
-			if u := vm.shared.lookup(key); u != nil {
-				addr, ok := vm.installShared(k, src, u)
-				if !ok {
-					// Shouldn't happen (the key pins base and cache size),
-					// but fall back to the cold path's flush-and-retry.
-					vm.flush(k)
-					continue
-				}
-				vm.Stats.SharedHits++
-				vm.Stats.SharedBytesSaved += uint64(len(u.code))
-				us := float64(time.Since(start)) / float64(time.Microsecond)
-				vm.histTranslate[k].Observe(us)
-				vm.histUnitBytes[k].Observe(float64(len(u.code)))
-				vm.tel.Emit(telemetry.Event{
-					Type: telemetry.EvTranslate, ISA: k.String(), Addr: src, Cost: us,
-					Detail: fmt.Sprintf("%d bytes (shared)", len(u.code)),
-				})
-				if sp.Active() {
-					sp.SetCostUS(us)
-					sp.SetDetail(fmt.Sprintf("src %#x, %d bytes (shared)", src, len(u.code)))
-					sp.End()
-				}
-				return addr, nil
+			if u = vm.shared.lookup(key); u == nil {
+				vm.Stats.SharedMisses++
 			}
-			vm.Stats.SharedMisses++
 		}
-		mapN := len(vm.mapOrder)
-		lk0, ht0 := vm.caches[k].Lookups, vm.caches[k].Hits
-		if vm.xs.asm == nil {
-			vm.xs.asm = isa.NewAsm(k, base)
-		} else {
-			vm.xs.asm.Reset(k, base)
+		hit := u != nil
+		if !hit {
+			var err error
+			if u, err = vm.translateUnit(k, fn, src, base); err != nil {
+				return 0, err
+			}
 		}
-		t := &translator{
-			vm:       vm,
-			k:        k,
-			fn:       fn,
-			m:        vm.mapOf(fn)[k],
-			a:        vm.xs.asm,
-			tmps:     vm.mapOf(fn)[k].FreeRegs,
-			insts:    vm.xs.insts[:0],
-			callCtx:  vm.xs.callCtx[:0],
-			newTraps: vm.xs.newTraps[:0],
-			newCalls: vm.xs.newCalls[:0],
-		}
-		if err := t.run(src); err != nil {
-			vm.saveScratch(t)
+		fits, err := vm.install(k, src, base, u, hit)
+		if err != nil {
 			return 0, err
 		}
-		t.flushStubs()
-		code, labels, err := t.a.Assemble()
-		if err != nil {
-			vm.saveScratch(t)
-			return 0, fmt.Errorf("dbt: assembling unit for %#x: %w", src, err)
-		}
-		addr, ok := vm.caches[k].Reserve(uint32(len(code)), vm.unitAlign())
-		if !ok {
-			vm.saveScratch(t)
+		if !fits {
 			vm.flush(k)
 			continue
 		}
-		if addr != base {
-			return 0, fmt.Errorf("dbt: allocation raced: %#x != %#x", addr, base)
-		}
-		vm.caches[k].Commit(vm.P.Mem, src, addr, code)
-		vm.caches[k].AddCovered(t.srcRanges())
-		if stubAddr, ok := labels[stubsLabel]; ok {
-			vm.caches[k].SetStubStart(stubAddr)
-		}
-		vm.Stats.Translations[k]++
-		for _, pt := range t.newTraps {
-			meta := pt.meta
-			meta.gen = vm.gen[k]
-			if pt.patchLabel != "" {
-				meta.patchAddr = labels[pt.patchLabel]
-			}
-			vm.traps[k][labels[pt.label]] = meta
-		}
-		for _, pc := range t.newCalls {
-			vm.calls[k][labels[pc.label]] = callMeta{srcRet: pc.srcRet}
-		}
-		if vm.shared != nil {
-			vm.publishShared(key, addr, code, labels, t, mapN, lk0, ht0)
+		format := "%d bytes"
+		switch {
+		case hit:
+			vm.Stats.SharedHits++
+			vm.Stats.SharedBytesSaved += uint64(len(u.code))
+			format = "%d bytes (shared)"
+		case vm.shared != nil:
+			vm.shared.publish(key, u)
+			vm.Stats.SharedInstalls++
 		}
 		us := float64(time.Since(start)) / float64(time.Microsecond)
 		vm.histTranslate[k].Observe(us)
-		vm.histUnitBytes[k].Observe(float64(len(code)))
+		vm.histUnitBytes[k].Observe(float64(len(u.code)))
+		detail := fmt.Sprintf(format, len(u.code))
 		vm.tel.Emit(telemetry.Event{
-			Type: telemetry.EvTranslate, ISA: k.String(), Addr: src, Cost: us,
-			Detail: fmt.Sprintf("%d bytes", len(code)),
+			Type: telemetry.EvTranslate, ISA: k.String(), Addr: src, Cost: us, Detail: detail,
 		})
-		vm.saveScratch(t)
 		if sp.Active() {
 			sp.SetCostUS(us)
-			sp.SetDetail(fmt.Sprintf("src %#x, %d bytes", src, len(code)))
+			sp.SetDetail(fmt.Sprintf("src %#x, %s", src, detail))
 			sp.End()
 		}
-		return addr, nil
+		return base, nil
 	}
 	return 0, fmt.Errorf("dbt: unit for %#x exceeds code cache", src)
-}
-
-// saveScratch returns a finished translator's (possibly grown) buffers to
-// the scratch pool for the next translation.
-func (vm *VM) saveScratch(t *translator) {
-	vm.xs.insts = t.insts
-	vm.xs.callCtx = t.callCtx
-	vm.xs.newTraps = t.newTraps
-	vm.xs.newCalls = t.newCalls
 }
 
 // onControl implements the modified call/return macro-ops (paper §5.1)
@@ -594,7 +527,7 @@ func (vm *VM) onControl(m *machine.Machine, in *isa.Inst, kind machine.ControlKi
 	case machine.CtlCall:
 		meta, ok := vm.calls[k][in.Addr]
 		if !ok {
-			return 0, 0, fmt.Errorf("%w: unregistered call site %#x", ErrSecurityKill, in.Addr)
+			return 0, 0, vm.kill(k, in.Addr, "unregistered call site %#x", in.Addr)
 		}
 		cacheRet := in.Addr + uint32(in.Size)
 		vm.rats[k].Insert(meta.srcRet, cacheRet)
@@ -614,22 +547,27 @@ func (vm *VM) onControl(m *machine.Machine, in *isa.Inst, kind machine.ControlKi
 				return vm.P.M.PC, retAddr, nil
 			}
 		}
-		if cacheRet, ok := vm.rats[k].Lookup(target); ok {
-			return cacheRet, retAddr, nil
-		}
-		// RAT miss: either an evicted translation (legitimate) or a
-		// corrupted return address (attack). The VM makes no attempt to
-		// distinguish (paper §3.5): this is a code-cache-miss security
-		// event.
-		vm.Stats.ReturnMisses++
-		vm.tel.Emit(telemetry.Event{Type: telemetry.EvRATMiss, ISA: k.String(), Addr: target})
-		newPC, err := vm.securityEvent(k, target, true)
+		pc, err := vm.resolveReturn(k, target)
 		if err != nil {
 			return 0, 0, err
 		}
-		return newPC, retAddr, nil
+		return pc, retAddr, nil
 	}
 	return target, retAddr, nil
+}
+
+// resolveReturn routes a source return address (x86 ret, ARM bx lr or
+// pop {..., pc}) through ISA k's RAT. A miss is either an evicted
+// translation (legitimate) or a corrupted return address (attack); the VM
+// makes no attempt to distinguish (paper §3.5): it is a code-cache-miss
+// security event, resolved in the boundary convention.
+func (vm *VM) resolveReturn(k isa.Kind, srcRet uint32) (uint32, error) {
+	if cacheRet, ok := vm.rats[k].Lookup(srcRet); ok {
+		return cacheRet, nil
+	}
+	vm.Stats.ReturnMisses++
+	vm.tel.Emit(telemetry.Event{Type: telemetry.EvRATMiss, ISA: k.String(), Addr: srcRet})
+	return vm.securityEvent(k, srcRet, true)
 }
 
 // applyReRelocate performs the physical->relocated register marshal in
@@ -652,39 +590,63 @@ func (vm *VM) applyReRelocate(pmap *psr.Map) error {
 	return nil
 }
 
-// securityEvent handles an indirect control transfer that missed the code
+// kill terminates the guest under the software-fault-isolation policy
+// (§5.1): it counts the kill and traces it at addr on ISA k, with the
+// formatted message as the event's detail, and returns that message
+// wrapping ErrSecurityKill. Every ErrSecurityKill is raised here.
+func (vm *VM) kill(k isa.Kind, addr uint32, format string, args ...any) error {
+	msg := fmt.Sprintf(format, args...)
+	vm.Stats.Kills++
+	vm.tel.Emit(telemetry.Event{Type: telemetry.EvKill, ISA: k.String(), Addr: addr, Detail: msg})
+	return fmt.Errorf("%w: %s", ErrSecurityKill, msg)
+}
+
+// securityMiss counts and traces a security event: an indirect transfer
+// to target on ISA k that missed the code cache.
+func (vm *VM) securityMiss(k isa.Kind, target uint32) {
+	vm.Stats.CodeCacheMisses++
+	vm.Stats.SecurityEvents++
+	vm.tel.Emit(telemetry.Event{Type: telemetry.EvSecurity, ISA: k.String(), Addr: target})
+}
+
+// securityMigrate draws the migration policy for a security event at
+// target (paper §3.5): with probability MigrateProb it traces detail and
+// calls migrate, counting a migration that succeeds; otherwise it traces
+// "stay". It reports whether execution moved to the other ISA.
+func (vm *VM) securityMigrate(k isa.Kind, target uint32, detail string, migrate func() bool) bool {
+	if vm.Migrator == nil {
+		return false
+	}
+	stay := vm.policyRng.Float64() >= vm.Cfg.MigrateProb
+	if stay {
+		detail = "stay"
+	}
+	vm.tel.Emit(telemetry.Event{Type: telemetry.EvPolicy, ISA: k.String(), Addr: target, Detail: detail})
+	if stay || !migrate() {
+		return false
+	}
+	vm.Stats.Migrations++
+	vm.Stats.SecurityMigrations++
+	return true
+}
+
+// securityEvent handles an indirect jump or a return that missed the code
 // cache: probabilistically migrate to the other ISA, then translate the
 // target (wherever it points — legitimate block or gadget) and continue.
 // returnBoundary marks events raised by returns, whose register state is
 // in the boundary (physical) convention and must be re-relocated before
 // entering a freshly translated continuation.
 func (vm *VM) securityEvent(k isa.Kind, srcTarget uint32, returnBoundary bool) (uint32, error) {
-	vm.Stats.CodeCacheMisses++
-	vm.Stats.SecurityEvents++
+	vm.securityMiss(k, srcTarget)
 	vm.LastEventTarget = srcTarget
-	vm.tel.Emit(telemetry.Event{Type: telemetry.EvSecurity, ISA: k.String(), Addr: srcTarget})
-	srcTarget, k2, err := vm.securityEventNormalize(k, srcTarget)
+	srcTarget, err := vm.normalizeCodeAddr(k, srcTarget)
 	if err != nil {
 		return 0, err
 	}
-	k = k2
-	if vm.Migrator != nil {
-		if vm.policyRng.Float64() < vm.Cfg.MigrateProb {
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvPolicy, ISA: k.String(), Addr: srcTarget,
-				Detail: "security-migrate",
-			})
-			if vm.Migrator.Migrate(vm, srcTarget, returnBoundary) {
-				vm.Stats.Migrations++
-				vm.Stats.SecurityMigrations++
-				return vm.P.M.PC, nil
-			}
-		} else {
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvPolicy, ISA: k.String(), Addr: srcTarget,
-				Detail: "stay",
-			})
-		}
+	if vm.securityMigrate(k, srcTarget, "security-migrate", func() bool {
+		return vm.Migrator.Migrate(vm, srcTarget, returnBoundary)
+	}) {
+		return vm.P.M.PC, nil
 	}
 	pc, err := vm.require(k, srcTarget, true)
 	if err != nil {
@@ -700,51 +662,30 @@ func (vm *VM) securityEvent(k isa.Kind, srcTarget uint32, returnBoundary bool) (
 	return pc, nil
 }
 
-// securityEventNormalize validates a security event's target, counting and
-// tracing the kill when validation fails.
-func (vm *VM) securityEventNormalize(k isa.Kind, srcTarget uint32) (uint32, isa.Kind, error) {
-	t2, k2, err := vm.normalizeCodeAddr(k, srcTarget)
-	if err != nil {
-		vm.Stats.Kills++
-		vm.tel.Emit(telemetry.Event{
-			Type: telemetry.EvKill, ISA: k.String(), Addr: srcTarget, Detail: err.Error(),
-		})
-		return 0, k, err
-	}
-	return t2, k2, nil
-}
-
-// normalizeCodeAddr validates a code address and, when it points into the
-// other ISA's text (a function pointer materialized before a migration),
-// maps it to the current ISA via the symbol table. Targets inside either
-// code cache are rejected outright (software fault isolation, §5.1).
-func (vm *VM) normalizeCodeAddr(k isa.Kind, addr uint32) (uint32, isa.Kind, error) {
+// normalizeCodeAddr validates a code address on ISA k and, when it points
+// into the other ISA's text (a function pointer materialized before a
+// migration), maps it to ISA k via the symbol table. Targets inside either
+// code cache or outside both texts are killed (software fault isolation,
+// §5.1).
+func (vm *VM) normalizeCodeAddr(k isa.Kind, addr uint32) (uint32, error) {
 	for _, kk := range isa.Kinds {
 		if vm.caches[kk].Contains(addr) {
-			vm.Stats.Kills++
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvKill, ISA: k.String(), Addr: addr,
-				Detail: "indirect transfer into code cache",
-			})
-			return 0, k, fmt.Errorf("%w: indirect transfer into code cache at %#x", ErrSecurityKill, addr)
+			return 0, vm.kill(k, addr, "indirect transfer into code cache at %#x", addr)
 		}
 	}
 	if vm.Bin.FuncAt(k, addr) != nil {
-		return addr, k, nil
+		return addr, nil
 	}
 	other := k.Other()
 	if fn := vm.Bin.FuncAt(other, addr); fn != nil {
 		// Cross-ISA code pointer: prefer exact block correspondence, then
 		// function entry.
 		if _, blk := vm.Bin.BlockAt(other, addr); blk != nil && blk.Addr[other] == addr {
-			return blk.Addr[k], k, nil
+			return blk.Addr[k], nil
 		}
-		if fn.Entry[other] == addr {
-			return fn.Entry[k], k, nil
-		}
-		return fn.Entry[k], k, nil
+		return fn.Entry[k], nil
 	}
-	return 0, k, fmt.Errorf("%w: indirect transfer to non-text address %#x", ErrSecurityKill, addr)
+	return 0, vm.kill(k, addr, "indirect transfer to non-text address %#x", addr)
 }
 
 // onSyscall dispatches program syscalls and VM traps.
@@ -762,16 +703,11 @@ func (vm *VM) onSyscall(m *machine.Machine, vector int32) error {
 		key := m.PC - instrSize
 		meta, ok := vm.traps[k][key]
 		if !ok {
-			return fmt.Errorf("%w: forged or stale trap at %#x", ErrSecurityKill, key)
+			return vm.kill(k, key, "forged or stale trap at %#x", key)
 		}
 		switch vector {
 		case vecKill:
-			vm.Stats.Kills++
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvKill, ISA: k.String(), Addr: key,
-				Detail: "untranslatable code reached",
-			})
-			return fmt.Errorf("%w: untranslatable code reached (trap at %#x)", ErrSecurityKill, key)
+			return vm.kill(k, key, "untranslatable code reached (trap at %#x)", key)
 		case vecChain:
 			return vm.handleChain(m, k, &meta)
 		case vecIndirect:
@@ -822,40 +758,28 @@ func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) err
 	if err != nil {
 		return fmt.Errorf("dbt: indirect target unavailable: %w", err)
 	}
-	target, k, err = vm.normalizeCodeAddr(k, target)
-	if err != nil {
+	if target, err = vm.normalizeCodeAddr(k, target); err != nil {
 		return err
 	}
 	cacheAddr, hit := vm.caches[k].Lookup(target)
 	if !meta.isCall {
-		if hit {
-			vm.caches[k].MarkIndirectTarget(target)
-			m.PC = cacheAddr
-			return nil
+		if !hit {
+			// Code-cache miss on an indirect jump: the security event (may
+			// migrate; register state is in relocated form).
+			if cacheAddr, err = vm.securityEvent(k, target, false); err != nil {
+				return err
+			}
 		}
-		// Code-cache miss on an indirect jump: the security event (may
-		// migrate; register state is in relocated form).
-		newPC, err := vm.securityEvent(k, target, false)
-		if err != nil {
-			return err
-		}
-		vm.caches[vm.P.M.ISA].MarkIndirectTarget(target)
-		m.PC = newPC
+		vm.caches[m.ISA].MarkIndirectTarget(target)
+		m.PC = cacheAddr
 		return nil
 	}
 	// Indirect call: complete the dispatch on the current ISA first.
 	genBefore := vm.gen[k]
 	if !hit {
-		vm.Stats.CodeCacheMisses++
-		vm.Stats.SecurityEvents++
-		vm.tel.Emit(telemetry.Event{Type: telemetry.EvSecurity, ISA: k.String(), Addr: target})
-		cacheAddr, err = vm.require(k, target, true)
-		if err != nil {
-			vm.Stats.Kills++
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvKill, ISA: k.String(), Addr: target, Detail: err.Error(),
-			})
-			return fmt.Errorf("%w: %v", ErrSecurityKill, err)
+		vm.securityMiss(k, target)
+		if cacheAddr, err = vm.require(k, target, true); err != nil {
+			return vm.kill(k, target, "%v", err)
 		}
 	}
 	vm.caches[k].MarkIndirectTarget(target)
@@ -895,22 +819,10 @@ func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) err
 	// A missing indirect call target is a potential breach: migrate to
 	// the other ISA with some probability (paper §3.5), at the callee
 	// entry boundary.
-	if !hit && vm.Migrator != nil {
-		if vm.policyRng.Float64() < vm.Cfg.MigrateProb {
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvPolicy, ISA: k.String(), Addr: target,
-				Detail: "security-migrate-entry",
-			})
-			if vm.Migrator.MigrateEntry(vm, target) {
-				vm.Stats.Migrations++
-				vm.Stats.SecurityMigrations++
-			}
-		} else {
-			vm.tel.Emit(telemetry.Event{
-				Type: telemetry.EvPolicy, ISA: k.String(), Addr: target,
-				Detail: "stay",
-			})
-		}
+	if !hit {
+		vm.securityMigrate(k, target, "security-migrate-entry", func() bool {
+			return vm.Migrator.MigrateEntry(vm, target)
+		})
 	}
 	return nil
 }
@@ -930,17 +842,11 @@ func (vm *VM) handlePopPC(m *machine.Machine, k isa.Kind) error {
 		vm.P.ExitCode = m.Regs[isa.R0]
 		return nil
 	}
-	if cacheRet, ok := vm.rats[k].Lookup(srcRet); ok {
-		m.PC = cacheRet
-		return nil
-	}
-	vm.Stats.ReturnMisses++
-	vm.tel.Emit(telemetry.Event{Type: telemetry.EvRATMiss, ISA: k.String(), Addr: srcRet})
-	newPC, err := vm.securityEvent(k, srcRet, true)
+	pc, err := vm.resolveReturn(k, srcRet)
 	if err != nil {
 		return err
 	}
-	m.PC = newPC
+	m.PC = pc
 	return nil
 }
 

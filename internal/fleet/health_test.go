@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -113,33 +114,52 @@ func TestFleetRespawnStormIncident(t *testing.T) {
 	if h.Aggregates().Respawns == 0 {
 		t.Fatal("storm config produced no respawns; the test premise is broken")
 	}
-	var storm *health.Incident
-	for _, inc := range mon.Recorder.Incidents() {
-		if inc.Rule.Name == "respawn-storm" {
-			inc := inc
-			storm = &inc
+	// Read the incident the way an operator does: the /incidents listing,
+	// then the forensic bundle behind it.
+	srv := httptest.NewServer(mon.Recorder.Handler())
+	defer srv.Close()
+	list := getIncidents(t, srv.URL)
+	if list.Opened < 1 {
+		t.Fatalf("/incidents opened %d, want at least 1", list.Opened)
+	}
+	id := -1
+	for _, inc := range list.Incidents {
+		if inc.Rule == "respawn-storm" {
+			if inc.State != "resolved" {
+				t.Fatalf("respawn-storm incident %d is %s after the drain settle", inc.ID, inc.State)
+			}
+			if inc.Offenders < 1 {
+				t.Fatalf("respawn-storm incident %d lists %d offenders", inc.ID, inc.Offenders)
+			}
+			id = inc.ID
 			break
 		}
 	}
-	if storm == nil {
-		t.Fatalf("no respawn-storm incident; incidents: %+v", mon.Recorder.Incidents())
+	if id < 0 {
+		t.Fatalf("no respawn-storm incident in /incidents: %+v", list)
 	}
-	if len(storm.Offenders) == 0 {
-		t.Fatal("respawn-storm incident has no offender tenants")
+	var bundle struct {
+		Window    []json.RawMessage `json:"window"`
+		Offenders []struct {
+			ID    string  `json:"id"`
+			Score float64 `json:"score"`
+		} `json:"offenders"`
+		Events []json.RawMessage `json:"events"`
 	}
-	for _, o := range storm.Offenders {
+	getJSON(t, fmt.Sprintf("%s/incidents/%d", srv.URL, id), &bundle)
+	if len(bundle.Window) == 0 {
+		t.Fatal("respawn-storm bundle lost the triggering series window")
+	}
+	if len(bundle.Offenders) == 0 {
+		t.Fatal("respawn-storm bundle has no offender tenants")
+	}
+	for _, o := range bundle.Offenders {
 		if o.Score <= 0 {
 			t.Fatalf("offender %s has score %v", o.ID, o.Score)
 		}
 	}
-	if len(storm.Window) == 0 {
-		t.Fatal("respawn-storm incident captured no triggering window")
-	}
-	if len(storm.Events) == 0 {
-		t.Fatal("respawn-storm incident captured no trace events")
-	}
-	if storm.Open() {
-		t.Fatal("respawn-storm incident never resolved after the drain settle")
+	if len(bundle.Events) == 0 {
+		t.Fatal("respawn-storm bundle captured no trace events")
 	}
 }
 
@@ -150,9 +170,31 @@ func TestFleetQuietRunNoIncidents(t *testing.T) {
 	cfg := quotaConfig(4)
 	_, mon := monitorHost(t, cfg, 32, 5*time.Millisecond, 500*time.Millisecond,
 		func(*health.Monitor) bool { return false })
-	if opened, _, _ := mon.Recorder.Counts(); opened != 0 {
-		t.Fatalf("quiet fleet opened %d incidents: %+v", opened, mon.Recorder.Incidents())
+	srv := httptest.NewServer(mon.Recorder.Handler())
+	defer srv.Close()
+	if list := getIncidents(t, srv.URL); list.Opened != 0 {
+		t.Fatalf("quiet fleet opened %d incidents: %+v", list.Opened, list.Incidents)
 	}
+}
+
+// incidentList is the part of the /incidents listing the incident tests
+// read, under its JSON names.
+type incidentList struct {
+	Opened    uint64 `json:"opened"`
+	Incidents []struct {
+		ID        int    `json:"id"`
+		Rule      string `json:"rule"`
+		State     string `json:"state"`
+		Offenders int    `json:"offenders"`
+	} `json:"incidents"`
+}
+
+// getIncidents fetches the /incidents listing of the server at base.
+func getIncidents(t *testing.T, base string) incidentList {
+	t.Helper()
+	var list incidentList
+	getJSON(t, base+"/incidents", &list)
+	return list
 }
 
 // TestFleetHistoryScrapeDuringExecution hammers /history and /incidents
