@@ -607,8 +607,8 @@ func BenchmarkAblationOnDemandMigration(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		on := migrate.AnalyzeSafety(bin, migrate.DefaultPolicy())
-		off := migrate.AnalyzeSafety(bin, migrate.Policy{OnDemand: false})
+		on := migrate.AnalyzeSafety(bin, migrate.OnDemandCapacity)
+		off := migrate.AnalyzeSafety(bin, 0)
 		b.ReportMetric(100*on.Fraction(isa.X86), "%safe-ondemand")
 		b.ReportMetric(100*off.Fraction(isa.X86), "%safe-legacy")
 	}

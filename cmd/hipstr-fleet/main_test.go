@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"hipstr/internal/telemetry"
 )
@@ -59,6 +65,102 @@ func TestRunQuietFleet(t *testing.T) {
 	}
 	if strings.Contains(stdout[summary:], "fleet: admitted ") {
 		t.Errorf("status line printed after the summary:\n%s", stdout[summary:])
+	}
+}
+
+// lockedBuffer is a stdout run can write while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunServesDrainedFleet lingers a drained quiet fleet behind -listen
+// and reads what its server reports: ready, every guest retired, and the
+// fleet aggregates and per-tenant series in /metrics. Canceling the
+// context then ends the run cleanly.
+func TestRunServesDrainedFleet(t *testing.T) {
+	const guests = 40
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out lockedBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-workloads", "libquantum", "-guests", strconv.Itoa(guests), "-quota", "10000",
+			"-attack-prob", "0", "-seed", "11", "-report", "0",
+			"-listen", "127.0.0.1:0", "-linger",
+		}, &out)
+	}()
+	deadline := time.Now().Add(2 * time.Minute)
+	for !strings.Contains(out.String(), "drain complete") {
+		select {
+		case err := <-done:
+			t.Fatalf("run returned %v before the drain completed:\n%s", err, out.String())
+		case <-time.After(20 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no drain after 2m:\n%s", out.String())
+		}
+	}
+	m := regexp.MustCompile(`serving (http://[^/]+)/`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no serving line in:\n%s", out.String())
+	}
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(m[1] + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+
+	if code, body := get("/readyz"); code != http.StatusOK ||
+		!strings.HasPrefix(body, "ready\n") || !strings.Contains(body, "fleet prototypes warmed") {
+		t.Errorf("/readyz = %d %q, want 200, ready, prototypes warmed", code, body)
+	}
+	retired := fmt.Sprintf("%d/%d retired", guests, guests)
+	if _, body := get("/healthz"); !strings.Contains(body, retired) {
+		t.Errorf("/healthz = %q, want %q", body, retired)
+	}
+	_, prom := get("/metrics")
+	if !regexp.MustCompile(fmt.Sprintf(`(?m)^fleet_admitted %d$`, guests)).MatchString(prom) {
+		t.Errorf("/metrics lacks fleet_admitted %d", guests)
+	}
+	if rps := regexp.MustCompile(`(?m)^fleet_rps (\S+)$`).FindStringSubmatch(prom); rps == nil {
+		t.Error("/metrics lacks fleet_rps")
+	} else if v, err := strconv.ParseFloat(rps[1], 64); err != nil || v <= 0 {
+		t.Errorf("fleet_rps = %s, want > 0", rps[1])
+	}
+	if !regexp.MustCompile(`(?m)^fleet_tenant_`).MatchString(prom) {
+		t.Error("/metrics has no fleet_tenant_ series")
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after cancel: %v\n%s", err, out.String())
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("run did not return after cancel")
 	}
 }
 

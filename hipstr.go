@@ -335,7 +335,7 @@ type MigrationSafety = migrate.SafetyReport
 
 // AnalyzeMigrationSafety classifies every basic block by migration safety.
 func AnalyzeMigrationSafety(bin *Binary) MigrationSafety {
-	return migrate.AnalyzeSafety(bin, migrate.DefaultPolicy())
+	return migrate.AnalyzeSafety(bin, migrate.OnDemandCapacity)
 }
 
 // Measurement is a work-normalized timing result.

@@ -164,7 +164,7 @@ func layoutFrame(f *prog.Func, index int, ana *analysis) *fatbin.FuncMeta {
 		NumArgs: f.NParams,
 		NVRegs:  f.NVRegs,
 		NSlots:  f.NSlots,
-		RetReg:  retRegs,
+		RetReg:  [2]isa.Reg{isa.RetReg(isa.X86), isa.RetReg(isa.ARM)},
 	}
 	m.OutArgOff = 0
 	m.LocalOff = 4 * uint32(maxOut)

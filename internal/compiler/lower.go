@@ -10,27 +10,15 @@ import (
 	"hipstr/internal/prog"
 )
 
-// Per-ISA lowering conventions.
-var (
-	scratchRegs = [2][]isa.Reg{
-		isa.X86: {isa.EAX, isa.ECX, isa.EDX},
-		isa.ARM: {isa.R0, isa.R1, isa.R2, isa.R3},
-	}
-	retRegs = [2]isa.Reg{isa.X86: isa.EAX, isa.ARM: isa.R0}
-	// sysArgRegs carries syscall arguments; the number register is the
-	// return register (EAX / R0).
-	sysArgRegs = [2][]isa.Reg{
-		isa.X86: {isa.EBX, isa.ECX, isa.EDX, isa.ESI, isa.EDI},
-		isa.ARM: {isa.R1, isa.R2, isa.R3, isa.R4},
-	}
-)
+// scratchRegs is each ISA's pool for the block-local register cache.
+var scratchRegs = [2][]isa.Reg{
+	isa.X86: {isa.EAX, isa.ECX, isa.EDX},
+	isa.ARM: {isa.R0, isa.R1, isa.R2, isa.R3},
+}
 
 // armScratch is reserved exclusively for the emitter's address/constant
 // legalization sequences.
 const armScratch = isa.R12
-
-// SyscallVector is the software-interrupt vector for program syscalls.
-const SyscallVector = 0x80
 
 // scratchCache is the block-local, write-through register cache: canonical
 // memory homes are always current for vregs it tracks, so invalidation
@@ -182,7 +170,7 @@ func newLowerer(a *isa.Asm, k isa.Kind, mod *prog.Module, f *prog.Func, meta *fa
 		cache:  newScratchCache(scratchRegs[k]),
 		pins:   make(map[isa.Reg]bool),
 		sp:     isa.StackReg(k),
-		retReg: retRegs[k],
+		retReg: isa.RetReg(k),
 	}
 }
 
@@ -601,7 +589,7 @@ func (lo *lowerer) storeCallArgs(args []prog.VReg) {
 }
 
 func (lo *lowerer) lowerSyscall(in *prog.Instr) {
-	argRegs := sysArgRegs[lo.k]
+	argRegs := isa.SyscallArgRegs(lo.k)
 	if len(in.Args) > len(argRegs) {
 		panic(fmt.Sprintf("compiler: syscall with %d args (max %d)", len(in.Args), len(argRegs)))
 	}
@@ -625,7 +613,7 @@ func (lo *lowerer) lowerSyscall(in *prog.Instr) {
 	}
 	numReg := lo.retReg // EAX / R0 carries the syscall number
 	lo.a.Const32(numReg, uint32(in.Imm))
-	lo.a.Emit(isa.Inst{Op: isa.OpSys, Imm: SyscallVector})
+	lo.a.Emit(isa.Inst{Op: isa.OpSys, Imm: isa.SyscallVector})
 	// Restore loop bindings before routing the result, so a bound
 	// destination is not re-clobbered by its own (stale) reload.
 	for _, s := range spilled {

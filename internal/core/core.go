@@ -36,19 +36,17 @@ func (m Mode) String() string {
 
 // Config configures a protected process.
 type Config struct {
-	Mode      Mode
-	StartISA  isa.Kind
-	DBT       dbt.Config
-	Migration migrate.Policy
+	Mode     Mode
+	StartISA isa.Kind
+	DBT      dbt.Config
 }
 
 // DefaultConfig returns the paper's main HIPStR configuration.
 func DefaultConfig() Config {
 	return Config{
-		Mode:      ModeHIPStR,
-		StartISA:  isa.X86,
-		DBT:       dbt.DefaultConfig(),
-		Migration: migrate.DefaultPolicy(),
+		Mode:     ModeHIPStR,
+		StartISA: isa.X86,
+		DBT:      dbt.DefaultConfig(),
 	}
 }
 
@@ -85,7 +83,7 @@ func assemble(vm *dbt.VM, cfg Config) *System {
 	cfg.DBT = vm.Cfg
 	s := &System{Bin: vm.Bin, VM: vm, Cfg: cfg, tel: vm.Telemetry()}
 	if cfg.Mode == ModeHIPStR {
-		s.Engine = &migrate.Engine{Policy: cfg.Migration}
+		s.Engine = migrate.New()
 		s.Engine.BindTelemetry(s.tel)
 		vm.Migrator = s.Engine
 	}

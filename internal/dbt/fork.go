@@ -127,7 +127,7 @@ func (s *VMSnapshot) Fork(fc ForkConfig) (*VM, error) {
 	// in the same position — translations after the fork match the ones
 	// the prototype would have produced.
 	for _, idx := range s.mapOrder {
-		vm.mapOf(vm.Bin.Funcs[idx])
+		vm.MapOf(vm.Bin.Funcs[idx])
 	}
 	return vm, nil
 }

@@ -107,7 +107,7 @@ func TestSrcRangesMergesAdjacent(t *testing.T) {
 			{Addr: 204, Size: 2},
 		},
 	}
-	rs := tr.srcRanges()
+	rs := tr.srcRanges(nil)
 	if len(rs) != 2 {
 		t.Fatalf("ranges %v", rs)
 	}

@@ -5,16 +5,17 @@ import (
 	"hipstr/internal/psr"
 )
 
-// rewriteControl lowers the control transfers both ISAs share — foreign
-// trap vectors, direct jumps, branches and calls, indirect calls, and
-// indirect jumps (x86 jmp*, ARM bx through any register but lr) — and
-// reports whether in was one of them. The program's syscall vector and
-// returns (x86 ret, ARM bx lr) stay with rewriteX86 and rewriteARM.
+// rewriteControl lowers the control transfers both ISAs share — program
+// syscalls and foreign trap vectors, direct jumps, branches and calls,
+// indirect calls, and indirect jumps (x86 jmp*, ARM bx through any register
+// but lr) — and reports whether in was one of them. Returns (x86 ret, ARM
+// bx lr) stay with rewriteX86 and rewriteARM.
 func (t *translator) rewriteControl(in *isa.Inst, idx int) bool {
 	switch in.Op {
 	case isa.OpSys:
 		if in.Imm == vecSyscall {
-			return false
+			t.emitSyscallMarshal()
+			break
 		}
 		// Foreign int vectors (including attempts to forge VM traps) are
 		// software-fault-isolated away.
@@ -199,8 +200,6 @@ func (t *translator) rewriteX86(in *isa.Inst, idx int) {
 			a.Emit(isa.Inst{Op: isa.OpMov, Dst: isa.MB(isa.ESP, l.Off), Src: isa.R(tmp)})
 		}
 		t.delta = 0
-	case isa.OpSys: // the program's own vector (rewriteControl took the rest)
-		t.emitSyscallMarshalX86()
 	case isa.OpRet:
 		a.Emit(isa.Inst{Op: isa.OpRet, Imm: in.Imm})
 	default:
@@ -351,8 +350,6 @@ func (t *translator) rewriteARM(in *isa.Inst, idx int) {
 			a.Emit(isa.Inst{Op: isa.OpMov, Dst: isa.R(vr), Src: val})
 		}
 		a.StoreWord(vr, dst.Mem.Base, dst.Mem.Disp, armScratchFor(isa.ARM, vr))
-	case isa.OpSys: // the program's own vector (rewriteControl took the rest)
-		t.emitSyscallMarshalARM()
 	case isa.OpBx: // bx lr, the return (rewriteControl took the rest)
 		a.Emit(isa.Inst{Op: isa.OpBx, Dst: isa.R(isa.LR)})
 	case isa.OpPushM:

@@ -11,9 +11,10 @@ import (
 )
 
 // VM trap vectors embedded in translated code. Program syscalls keep their
-// native vector (0x80); everything else traps into the virtual machine.
+// native vector (isa.SyscallVector); everything else traps into the
+// virtual machine.
 const (
-	vecSyscall  = 0x80
+	vecSyscall  = isa.SyscallVector
 	vecIndirect = 0x81 // indirect call/jump dispatch
 	vecChain    = 0x82 // direct branch to untranslated target (patch site)
 	vecKill     = 0x83 // untranslatable/forbidden code reached
@@ -85,7 +86,9 @@ type pendingCall struct {
 // translateUnit runs the translator on src and packages its output,
 // assembled for cache address base, as a base-relative unit. The unit also
 // records the relocation maps the translator built and its warm-target
-// cache lookups, which a shared-cache hit replays.
+// cache lookups, which a shared-cache hit replays. The unit is the VM's
+// scratch unit, whose storage the next translation reuses (its code is the
+// assembler's buffer); publishing it takes a clone.
 func (vm *VM) translateUnit(k isa.Kind, fn *fatbin.FuncMeta, src, base uint32) (*unitEntry, error) {
 	c := vm.caches[k]
 	mapN := len(vm.mapOrder)
@@ -95,7 +98,7 @@ func (vm *VM) translateUnit(k isa.Kind, fn *fatbin.FuncMeta, src, base uint32) (
 	} else {
 		vm.xs.asm.Reset(k, base)
 	}
-	m := vm.mapOf(fn)[k]
+	m := vm.MapOf(fn)[k]
 	t := &translator{
 		vm:       vm,
 		k:        k,
@@ -121,14 +124,13 @@ func (vm *VM) translateUnit(k isa.Kind, fn *fatbin.FuncMeta, src, base uint32) (
 	if err != nil {
 		return nil, fmt.Errorf("dbt: assembling unit for %#x: %w", src, err)
 	}
-	u := &unitEntry{
-		code:        append([]byte(nil), code...),
-		stubOff:     labels[stubsLabel] - base,
-		covered:     t.srcRanges(),
-		mapBuilds:   append([]int(nil), vm.mapOrder[mapN:]...),
-		lookupDelta: c.Lookups - lk0,
-		hitDelta:    c.Hits - ht0,
-	}
+	u := &vm.xs.unit
+	u.code = code
+	u.stubOff = labels[stubsLabel] - base
+	u.covered = t.srcRanges(u.covered[:0])
+	u.mapBuilds = append(u.mapBuilds[:0], vm.mapOrder[mapN:]...)
+	u.lookupDelta, u.hitDelta = c.Lookups-lk0, c.Hits-ht0
+	u.traps, u.calls = u.traps[:0], u.calls[:0]
 	for _, pt := range t.newTraps {
 		ut := unitTrap{off: labels[pt.label] - base, meta: pt.meta}
 		if pt.patchLabel != "" {
@@ -278,7 +280,7 @@ func (t *translator) calleeCtx(i int) (*psr.Map, bool) {
 		return nil, true
 	}
 	if fn := t.vm.Bin.FuncAt(t.k, call.Target); fn != nil {
-		return t.vm.mapOf(fn)[t.k], false
+		return t.vm.MapOf(fn)[t.k], false
 	}
 	return nil, false
 }
@@ -492,10 +494,9 @@ func (t *translator) emitKill() {
 	t.emitTrapHere(trapMeta{vec: vecKill, fnIndex: t.fn.Index})
 }
 
-// srcRanges merges the decoded source instructions into contiguous
-// address ranges (superblock inlining produces gaps).
-func (t *translator) srcRanges() [][2]uint32 {
-	var out [][2]uint32
+// srcRanges appends to out the decoded source instructions merged into
+// contiguous address ranges (superblock inlining produces gaps).
+func (t *translator) srcRanges(out [][2]uint32) [][2]uint32 {
 	for i := range t.insts {
 		in := &t.insts[i]
 		end := in.Addr + uint32(in.Size)

@@ -2,6 +2,7 @@ package dbt
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"hipstr/internal/isa"
@@ -73,6 +74,18 @@ type unitEntry struct {
 	// lookupDelta/hitDelta are the code-cache Lookup counter effects of
 	// the translator's warm-target probes, replayed for stats parity.
 	lookupDelta, hitDelta uint64
+}
+
+// clone returns a copy of u that shares no storage with it, for
+// publishing the VM's scratch unit.
+func (u *unitEntry) clone() *unitEntry {
+	c := *u
+	c.code = slices.Clone(u.code)
+	c.traps = slices.Clone(u.traps)
+	c.calls = slices.Clone(u.calls)
+	c.covered = slices.Clone(u.covered)
+	c.mapBuilds = slices.Clone(u.mapBuilds)
+	return &c
 }
 
 type unitTrap struct {
@@ -192,7 +205,7 @@ func (vm *VM) install(k isa.Kind, src, base uint32, u *unitEntry, replay bool) (
 	c.AddCovered(u.covered)
 	if replay {
 		for _, idx := range u.mapBuilds {
-			vm.mapOf(vm.Bin.Funcs[idx])
+			vm.MapOf(vm.Bin.Funcs[idx])
 		}
 		c.Lookups += u.lookupDelta
 		c.Hits += u.hitDelta

@@ -195,7 +195,8 @@ type translateScratch struct {
 	callCtx  []int
 	newTraps []pendingTrap
 	newCalls []pendingCall
-	patch    []byte // handleChain's encoded branch
+	unit     unitEntry // translateUnit's output, valid until the next unit
+	patch    []byte    // handleChain's encoded branch
 }
 
 // New boots bin under a fresh PSR virtual machine pair starting on ISA k.
@@ -279,7 +280,7 @@ func (vm *VM) emptyCaches() {
 func (vm *VM) Start(k isa.Kind) error {
 	vm.P.Reset(k)
 	entry := vm.Bin.Func(vm.Bin.EntryFunc).Entry[k]
-	cacheAddr, err := vm.require(k, entry, true)
+	cacheAddr, err := vm.EnsureTranslated(k, entry)
 	if err != nil {
 		return err
 	}
@@ -378,21 +379,7 @@ func (vm *VM) registerTelemetry() {
 }
 
 // MapOf returns (building on demand) the relocation map pair of fn.
-func (vm *VM) MapOf(fn *fatbin.FuncMeta) [2]*psr.Map { return vm.mapOf(fn) }
-
-// EnsureTranslated returns the cache address of src's translation on ISA
-// k, translating on demand. The migration engine uses it to land on warm
-// code after a switch.
-func (vm *VM) EnsureTranslated(k isa.Kind, src uint32) (uint32, error) {
-	return vm.require(k, src, true)
-}
-
-// ApplyReRelocate marshals the boundary (physical) register state into
-// pmap's relocated form in software — used by the migration engine when
-// resuming at a freshly translated continuation.
-func (vm *VM) ApplyReRelocate(pmap *psr.Map) error { return vm.applyReRelocate(pmap) }
-
-func (vm *VM) mapOf(fn *fatbin.FuncMeta) [2]*psr.Map {
+func (vm *VM) MapOf(fn *fatbin.FuncMeta) [2]*psr.Map {
 	if pair, ok := vm.maps[fn.Index]; ok {
 		return pair
 	}
@@ -427,9 +414,11 @@ func (vm *VM) unitAlign() uint32 {
 	return 16
 }
 
-// require returns the cache address of the translation of src on ISA k,
-// translating (and optionally dual-translating) on a miss.
-func (vm *VM) require(k isa.Kind, src uint32, dual bool) (uint32, error) {
+// EnsureTranslated returns the cache address of src's translation on ISA
+// k, translating (and, under DualTranslate, translating the same block for
+// the other ISA) on a miss. The migration engine uses it to land on warm
+// code after a switch.
+func (vm *VM) EnsureTranslated(k isa.Kind, src uint32) (uint32, error) {
 	if a, ok := vm.caches[k].Lookup(src); ok {
 		return a, nil
 	}
@@ -438,7 +427,7 @@ func (vm *VM) require(k isa.Kind, src uint32, dual bool) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	if dual && vm.Cfg.DualTranslate {
+	if vm.Cfg.DualTranslate {
 		// Translate the equivalent block for the other ISA so a future
 		// migration lands on warm code (paper §3.5).
 		other := k.Other()
@@ -496,7 +485,7 @@ func (vm *VM) translate(k isa.Kind, src uint32) (uint32, error) {
 			vm.Stats.SharedBytesSaved += uint64(len(u.code))
 			format = "%d bytes (shared)"
 		case vm.shared != nil:
-			vm.shared.publish(key, u)
+			vm.shared.publish(key, u.clone())
 			vm.Stats.SharedInstalls++
 		}
 		us := float64(time.Since(start)) / float64(time.Microsecond)
@@ -570,11 +559,11 @@ func (vm *VM) resolveReturn(k isa.Kind, srcRet uint32) (uint32, error) {
 	return vm.securityEvent(k, srcRet, true)
 }
 
-// applyReRelocate performs the physical->relocated register marshal in
-// software: recovery paths (RAT misses) enter freshly translated units
-// that expect relocated state, while returns leave state in the boundary
-// convention.
-func (vm *VM) applyReRelocate(pmap *psr.Map) error {
+// ApplyReRelocate performs the physical->relocated register marshal in
+// software: recovery paths (RAT misses) and the migration engine enter
+// freshly translated units that expect pmap's relocated state, while
+// returns leave state in the boundary convention.
+func (vm *VM) ApplyReRelocate(pmap *psr.Map) error {
 	m := vm.P.M
 	sp := m.SP()
 	var snap [16]uint32
@@ -648,13 +637,13 @@ func (vm *VM) securityEvent(k isa.Kind, srcTarget uint32, returnBoundary bool) (
 	}) {
 		return vm.P.M.PC, nil
 	}
-	pc, err := vm.require(k, srcTarget, true)
+	pc, err := vm.EnsureTranslated(k, srcTarget)
 	if err != nil {
 		return 0, err
 	}
 	if returnBoundary {
 		if fn := vm.Bin.FuncAt(k, srcTarget); fn != nil {
-			if err := vm.applyReRelocate(vm.mapOf(fn)[k]); err != nil {
+			if err := vm.ApplyReRelocate(vm.MapOf(fn)[k]); err != nil {
 				return 0, err
 			}
 		}
@@ -694,7 +683,7 @@ func (vm *VM) onSyscall(m *machine.Machine, vector int32) error {
 	switch vector {
 	case vecSyscall:
 		vm.Stats.SyscallsForwarded++
-		return vm.progSyscall(m, 0x80)
+		return vm.progSyscall(m, vector)
 	case vecIndirect, vecChain, vecKill, vecPopPC:
 		instrSize := uint32(2) // x86 int imm8
 		if k == isa.ARM {
@@ -722,7 +711,7 @@ func (vm *VM) onSyscall(m *machine.Machine, vector int32) error {
 // handleChain translates the target of a direct branch and patches the
 // branch site to jump straight into the cache next time.
 func (vm *VM) handleChain(m *machine.Machine, k isa.Kind, meta *trapMeta) error {
-	cacheAddr, err := vm.require(k, meta.srcTarget, true)
+	cacheAddr, err := vm.EnsureTranslated(k, meta.srcTarget)
 	if err != nil {
 		return err
 	}
@@ -746,7 +735,7 @@ func (vm *VM) handleChain(m *machine.Machine, k isa.Kind, meta *trapMeta) error 
 func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) error {
 	vm.Stats.IndirectDispatch++
 	fn := vm.Bin.Funcs[meta.fnIndex]
-	pmap := vm.mapOf(fn)[k]
+	pmap := vm.MapOf(fn)[k]
 	var target uint32
 	var err error
 	if meta.targetSlot != 0 {
@@ -778,7 +767,7 @@ func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) err
 	genBefore := vm.gen[k]
 	if !hit {
 		vm.securityMiss(k, target)
-		if cacheAddr, err = vm.require(k, target, true); err != nil {
+		if cacheAddr, err = vm.EnsureTranslated(k, target); err != nil {
 			return vm.kill(k, target, "%v", err)
 		}
 	}
@@ -787,7 +776,7 @@ func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) err
 	// save the source return address per the ISA, update the RAT.
 	callee := vm.Bin.FuncAt(k, target)
 	if callee != nil && callee.Entry[k] == target {
-		cmap := vm.mapOf(callee)[k]
+		cmap := vm.MapOf(callee)[k]
 		sp := m.SP()
 		for i := 0; i < callee.NumArgs; i++ {
 			v, err := m.Mem.ReadWord(sp + uint32(pmap.StageOff+4*int32(i)-meta.delta))
@@ -806,14 +795,8 @@ func (vm *VM) handleIndirect(m *machine.Machine, k isa.Kind, meta *trapMeta) err
 		cacheRet := m.PC // instruction after the trap
 		vm.rats[m.ISA].Insert(meta.srcRet, cacheRet)
 	}
-	if m.ISA == isa.X86 {
-		sp := m.SP() - 4
-		if err := m.Mem.WriteWord(sp, meta.srcRet); err != nil {
-			return err
-		}
-		m.SetSP(sp)
-	} else {
-		m.Regs[isa.LR] = meta.srcRet
+	if err := m.SaveRetAddr(meta.srcRet); err != nil {
+		return err
 	}
 	m.PC = cacheAddr
 	// A missing indirect call target is a potential breach: migrate to
@@ -839,7 +822,7 @@ func (vm *VM) handlePopPC(m *machine.Machine, k isa.Kind) error {
 	if srcRet == proc.ExitAddr {
 		m.Halted = true
 		vm.P.Exited = true
-		vm.P.ExitCode = m.Regs[isa.R0]
+		vm.P.ExitCode = m.Regs[isa.RetReg(k)]
 		return nil
 	}
 	pc, err := vm.resolveReturn(k, srcRet)

@@ -216,8 +216,8 @@ func (s *Suite) Fig6(ctx context.Context) ([]Fig6Row, error) {
 		if err != nil {
 			return err
 		}
-		onDemand := migrate.AnalyzeSafety(bin, migrate.DefaultPolicy())
-		legacy := migrate.AnalyzeSafety(bin, migrate.Policy{OnDemand: false})
+		onDemand := migrate.AnalyzeSafety(bin, migrate.OnDemandCapacity)
+		legacy := migrate.AnalyzeSafety(bin, 0)
 		rows[i] = Fig6Row{
 			Benchmark: p.Name,
 			X86ToARM:  onDemand.Fraction(isa.X86),

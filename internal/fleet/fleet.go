@@ -149,7 +149,6 @@ func stateName(s int32) string {
 type Tenant struct {
 	id       uint64
 	workload string
-	policy   Policy
 	seed     int64
 	proto    *proto
 	admitted time.Time
@@ -341,12 +340,13 @@ func (h *Host) MarkReady() { h.ready.Store(true) }
 // Ready reports whether the host's prototypes are warmed (MarkReady).
 func (h *Host) Ready() bool { return h.ready.Load() }
 
-// protoConfig builds the boot config for a workload prototype.
+// protoConfig builds the boot config for a workload prototype. Every
+// tenant's guest keeps it: forks and respawns inherit it from the
+// snapshot, cold admissions boot from it.
 func (h *Host) protoConfig(prof workload.Profile) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Mode = h.cfg.Mode
 	cfg.DBT.Seed = h.cfg.Seed ^ prof.Seed<<16
-	// Forks and respawns of the prototype inherit its small event ring.
 	cfg.DBT.TraceCap = tenantTraceCap
 	if q := h.cfg.Policy.CacheQuotaBytes; q > 0 {
 		cfg.DBT.CodeCacheSize = q
@@ -425,11 +425,9 @@ func (h *Host) Admit(name string) (*Tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: admit %s: %w", name, err)
 	}
-	h.applyPolicy(sys)
 	t := &Tenant{
 		id:       id,
 		workload: name,
-		policy:   h.cfg.Policy,
 		seed:     tseed,
 		proto:    p,
 		admitted: time.Now(),
@@ -452,15 +450,6 @@ func (h *Host) Admit(name string) (*Tenant, error) {
 	}
 	h.pushFresh(t)
 	return t, nil
-}
-
-// applyPolicy imposes the per-tenant envelope on a freshly forked or
-// booted system. MigrateProb is read by the VM at security-event time,
-// so setting it here takes effect for the tenant's whole life.
-func (h *Host) applyPolicy(sys *core.System) {
-	if h.cfg.Mode == core.ModeHIPStR {
-		sys.VM.Cfg.MigrateProb = h.cfg.Policy.MigrateProb
-	}
 }
 
 // Start launches the worker pool. Admission may begin before or after.
@@ -540,7 +529,7 @@ func (h *Host) sliceContained(t *Tenant) (retired bool) {
 // sliceLocked advances t by one slice. Returns true when the tenant was
 // retired (finalized). Caller holds t.mu.
 func (h *Host) sliceLocked(t *Tenant) bool {
-	p := &t.policy
+	p := &h.cfg.Policy
 	if p.AttackProb > 0 && t.rng.Float64() < p.AttackProb {
 		h.cBreaches.Inc()
 		if h.breachLocked(t, "injected breach detection") {
@@ -587,7 +576,7 @@ func (h *Host) breachLocked(t *Tenant, reason string) bool {
 		Type:   telemetry.EvSecurity,
 		Detail: fmt.Sprintf("tenant %d (%s): %s", t.id, t.workload, reason),
 	})
-	if t.respawns >= t.policy.RespawnLimit {
+	if t.respawns >= h.cfg.Policy.RespawnLimit {
 		return h.finalizeLocked(t, tenantKilled, "respawn limit: "+reason)
 	}
 	t.respawns++
@@ -598,7 +587,6 @@ func (h *Host) breachLocked(t *Tenant, reason string) bool {
 	if err != nil {
 		return h.finalizeLocked(t, tenantKilled, "respawn: "+err.Error())
 	}
-	h.applyPolicy(sys)
 	t.sys = sys
 	t.lifeSteps = 0
 	h.cRespawns.Inc()

@@ -174,10 +174,7 @@ func (a *Analyzer) run(g *Gadget, sp0 uint32) Effect {
 	}
 	a.m.Syscall = func(m *machine.Machine, vector int32) error {
 		e.DidSyscall = true
-		e.SyscallNum = m.Regs[isa.EAX]
-		if m.ISA == isa.ARM {
-			e.SyscallNum = m.Regs[isa.R0]
-		}
+		e.SyscallNum = m.Regs[isa.RetReg(m.ISA)]
 		return nil
 	}
 	for steps := 0; steps < g.Len+4 && !done; steps++ {

@@ -127,3 +127,30 @@ func StackReg(k Kind) Reg {
 	}
 	return SP
 }
+
+// The guest kernel ABI, shared by the compiler, the native process, the
+// PSR translator's syscall marshal and the migration engine: a program
+// syscall is a software interrupt at SyscallVector with its number in
+// RetReg and its arguments in SyscallArgRegs; the result returns in
+// RetReg, as a function's does.
+
+// SyscallVector is the software-interrupt vector of program syscalls.
+const SyscallVector = 0x80
+
+// RetReg returns ISA k's return register (EAX / R0): it carries a
+// function's result, and a syscall's number in and result out.
+func RetReg(k Kind) Reg {
+	if k == X86 {
+		return EAX
+	}
+	return R0
+}
+
+var syscallArgRegs = [2][]Reg{
+	X86: {EBX, ECX, EDX, ESI, EDI},
+	ARM: {R1, R2, R3, R4},
+}
+
+// SyscallArgRegs returns the registers carrying syscall arguments on ISA k,
+// in argument order. The slice is shared; callers must not modify it.
+func SyscallArgRegs(k Kind) []Reg { return syscallArgRegs[k] }

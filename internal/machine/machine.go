@@ -562,7 +562,7 @@ func (m *Machine) exec(in *isa.Inst) error {
 		if err != nil {
 			return err
 		}
-		if err := m.saveRetAddr(ra); err != nil {
+		if err := m.SaveRetAddr(ra); err != nil {
 			return err
 		}
 		m.PC = t
@@ -576,7 +576,7 @@ func (m *Machine) exec(in *isa.Inst) error {
 		if err != nil {
 			return err
 		}
-		if err := m.saveRetAddr(ra); err != nil {
+		if err := m.SaveRetAddr(ra); err != nil {
 			return err
 		}
 		m.PC = t
@@ -637,9 +637,10 @@ func (m *Machine) exec(in *isa.Inst) error {
 	return nil
 }
 
-// saveRetAddr stores a call's return address per the ISA convention: pushed
-// on x86, placed in LR on ARM.
-func (m *Machine) saveRetAddr(ra uint32) error {
+// SaveRetAddr stores a call's return address per the ISA convention: pushed
+// on x86, placed in LR on ARM. Calls, the bootstrap frame, the PSR VM's
+// indirect-call dispatch and a callee-entry migration all save through it.
+func (m *Machine) SaveRetAddr(ra uint32) error {
 	if m.ISA == isa.X86 {
 		return m.push(ra)
 	}

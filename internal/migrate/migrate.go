@@ -25,24 +25,13 @@ import (
 // migration-safe.
 var ErrUnsafe = errors.New("migrate: not a migration-safe point")
 
-// Policy controls migration-safety decisions.
-type Policy struct {
-	// OnDemand enables the on-demand transformation of §5.2: register-
-	// resident live values are fetched and transformed at migration time.
-	// Without it, only points whose live state is entirely memory-
-	// resident are migration-safe (the prior work's ~45% regime).
-	OnDemand bool
-	// Capacity bounds how many register-resident live-ins the on-demand
-	// transformer can move per frame before clobbering its scratch space.
-	Capacity int
-	// MaxFrames bounds the stack walk (runaway protection).
-	MaxFrames int
-}
+// OnDemandCapacity bounds how many register-resident live-ins the on-demand
+// transformation of §5.2 fetches and moves per frame before clobbering its
+// scratch space. A frame whose block holds more is not migration-safe.
+const OnDemandCapacity = 6
 
-// DefaultPolicy mirrors the paper's on-demand configuration.
-func DefaultPolicy() Policy {
-	return Policy{OnDemand: true, Capacity: 6, MaxFrames: 4096}
-}
+// maxFrames bounds the stack walk (runaway protection).
+const maxFrames = 4096
 
 // Stats counts migration outcomes.
 type Stats struct {
@@ -59,18 +48,15 @@ type Stats struct {
 
 // Engine implements dbt.Migrator.
 type Engine struct {
-	Policy Policy
-	Stats  Stats
-	// DebugLastErr records why the most recent attempt was refused.
-	DebugLastErr error
+	Stats Stats
 
 	tel       *telemetry.Telemetry
 	histCost  [2]*telemetry.Histogram // per target ISA
 	histPhase [NumPhases]*telemetry.Histogram
 }
 
-// New returns a migration engine with the default policy.
-func New() *Engine { return &Engine{Policy: DefaultPolicy()} }
+// New returns a migration engine.
+func New() *Engine { return &Engine{} }
 
 // BindTelemetry points the engine at a registry + tracer: per-direction
 // migration-cost histograms are pushed as migrations complete, and a
@@ -111,62 +97,47 @@ type frame struct {
 // Migrate implements dbt.Migrator for resume-point migrations (returns and
 // indirect jumps).
 func (e *Engine) Migrate(vm *dbt.VM, resumeSrc uint32, boundary bool) bool {
-	e.Stats.Attempts++
-	e.tel.Emit(telemetry.Event{
-		Type: telemetry.EvMigrateBegin, ISA: vm.Active().String(), Addr: resumeSrc,
+	return e.attempt(vm, resumeSrc, "", func(sp telemetry.Span) error {
+		return e.migrateResume(vm, resumeSrc, boundary, sp)
 	})
-	sp := e.tel.StartSpan("migrate", "migrate")
-	sp.SetISA(vm.Active().String())
-	if err := e.migrateResume(vm, resumeSrc, boundary, sp); err != nil {
-		sp.SetDetail(err.Error())
-		sp.End()
-		e.refused(err)
-		return false
-	}
-	e.Stats.Migrations++
-	sp.SetISA(vm.Active().String())
-	sp.SetCostUS(e.Stats.LastCostMicros)
-	sp.End()
-	e.completed(vm, resumeSrc)
-	return true
 }
 
 // MigrateEntry implements dbt.Migrator for callee-entry migrations
 // (indirect call dispatch).
 func (e *Engine) MigrateEntry(vm *dbt.VM, calleeEntry uint32) bool {
+	return e.attempt(vm, calleeEntry, "callee-entry", func(sp telemetry.Span) error {
+		return e.migrateEntry(vm, calleeEntry, sp)
+	})
+}
+
+// attempt runs one migration at addr: it counts the attempt, traces its
+// begin with kind as the detail, and calls run under the "migrate"
+// span. On refusal or success it ends the span, counts the outcome and
+// traces the end: the refusal reason, or the target ISA and modeled cost.
+func (e *Engine) attempt(vm *dbt.VM, addr uint32, kind string, run func(telemetry.Span) error) bool {
 	e.Stats.Attempts++
 	e.tel.Emit(telemetry.Event{
-		Type: telemetry.EvMigrateBegin, ISA: vm.Active().String(), Addr: calleeEntry,
-		Detail: "callee-entry",
+		Type: telemetry.EvMigrateBegin, ISA: vm.Active().String(), Addr: addr, Detail: kind,
 	})
 	sp := e.tel.StartSpan("migrate", "migrate")
 	sp.SetISA(vm.Active().String())
-	sp.SetDetail("callee-entry")
-	if err := e.migrateEntry(vm, calleeEntry, sp); err != nil {
+	sp.SetDetail(kind)
+	if err := run(sp); err != nil {
 		sp.SetDetail(err.Error())
 		sp.End()
-		e.refused(err)
+		e.Stats.Unsafe++
+		e.tel.Emit(telemetry.Event{Type: telemetry.EvMigrateEnd, Detail: err.Error()})
 		return false
 	}
 	e.Stats.Migrations++
 	sp.SetISA(vm.Active().String())
 	sp.SetCostUS(e.Stats.LastCostMicros)
 	sp.End()
-	e.completed(vm, calleeEntry)
-	return true
-}
-
-func (e *Engine) refused(err error) {
-	e.Stats.Unsafe++
-	e.DebugLastErr = err
-	e.tel.Emit(telemetry.Event{Type: telemetry.EvMigrateEnd, Detail: err.Error()})
-}
-
-func (e *Engine) completed(vm *dbt.VM, addr uint32) {
 	e.tel.Emit(telemetry.Event{
 		Type: telemetry.EvMigrateEnd, ISA: vm.Active().String(), Addr: addr,
 		Cost: e.Stats.LastCostMicros,
 	})
+	return true
 }
 
 func (e *Engine) migrateResume(vm *dbt.VM, resumeSrc uint32, boundary bool, parent telemetry.Span) error {
@@ -217,11 +188,11 @@ func (e *Engine) migrateResume(vm *dbt.VM, resumeSrc uint32, boundary bool, pare
 	// Install the target register file: callee-saved state plus the
 	// return register and the stack pointer.
 	sp := m.SP()
-	retVal := regs0[retRegOf(a)]
+	retVal := regs0[isa.RetReg(a)]
 	copy(m.Regs[:], regsB[:])
 	m.ISA = b
 	m.SetSP(sp)
-	m.Regs[retRegOf(b)] = retVal
+	m.Regs[isa.RetReg(b)] = retVal
 	m.Flags = machine.Flags{}
 	child.SetCostUS(CostPhases(b, 0, objects)[PhaseTransform])
 	child.End()
@@ -335,19 +306,14 @@ func (e *Engine) migrateEntry(vm *dbt.VM, calleeEntry uint32, parent telemetry.S
 		objects++
 	}
 
-	// Install registers and switch the return-address convention.
+	// Install registers and save the return address per the target's
+	// convention.
 	copy(m.Regs[:], regsB[:])
 	m.ISA = b
 	m.Flags = machine.Flags{}
-	if b == isa.X86 {
-		// Target pushes the return address.
-		m.SetSP(callerBase - 4)
-		if err := m.Mem.WriteWord(callerBase-4, srcRetB); err != nil {
-			return err
-		}
-	} else {
-		m.SetSP(callerBase)
-		m.Regs[isa.LR] = srcRetB
+	m.SetSP(callerBase)
+	if err := m.SaveRetAddr(srcRetB); err != nil {
+		return err
 	}
 	child.SetCostUS(CostPhases(b, 0, objects)[PhaseTransform])
 	child.End()
@@ -406,18 +372,9 @@ func (e *Engine) transform(vm *dbt.VM, a isa.Kind, frames []frame, regs0 [16]uin
 	var regsB [16]uint32
 
 	for _, fr := range frames {
-		regResident := 0
-		for _, h := range fr.block.LiveIn {
-			if h.InReg(a) {
-				regResident++
-			}
-		}
-		if regResident > 0 && !e.Policy.OnDemand {
-			return regsB, 0, fmt.Errorf("%w: register-resident state without on-demand transform", ErrUnsafe)
-		}
-		if regResident > e.Policy.Capacity {
+		if n := liveInRegs(fr.block, a); n > OnDemandCapacity {
 			return regsB, 0, fmt.Errorf("%w: %d register-resident live-ins exceed capacity %d",
-				ErrUnsafe, regResident, e.Policy.Capacity)
+				ErrUnsafe, n, OnDemandCapacity)
 		}
 	}
 
@@ -532,7 +489,7 @@ func (e *Engine) walk(vm *dbt.VM, a isa.Kind, fn *fatbin.FuncMeta, blk *fatbin.B
 	base := sp
 	cur := fn
 	curBlk := blk
-	for len(frames) < e.Policy.MaxFrames {
+	for len(frames) < maxFrames {
 		mapA := vm.MapOf(cur)[a]
 		retOff := int32(cur.RetAddrOff())
 		retA, err := m.Mem.ReadWord(base + uint32(mapA.OffTo[retOff]))
@@ -563,7 +520,7 @@ func (e *Engine) walk(vm *dbt.VM, a isa.Kind, fn *fatbin.FuncMeta, blk *fatbin.B
 		cur = caller
 		curBlk = callerBlk
 	}
-	return nil, fmt.Errorf("%w: stack walk exceeded %d frames", ErrUnsafe, e.Policy.MaxFrames)
+	return nil, fmt.Errorf("%w: stack walk exceeded %d frames", ErrUnsafe, maxFrames)
 }
 
 func (e *Engine) account(target isa.Kind, frames, objects int) {
@@ -579,13 +536,6 @@ func (e *Engine) account(target isa.Kind, frames, objects int) {
 			e.histPhase[i].Observe(v)
 		}
 	}
-}
-
-func retRegOf(k isa.Kind) isa.Reg {
-	if k == isa.X86 {
-		return isa.EAX
-	}
-	return isa.R0
 }
 
 // Migration cost model (Figure 12): a fixed translation-infrastructure
@@ -677,33 +627,37 @@ func (r SafetyReport) Fraction(src isa.Kind) float64 {
 }
 
 // AnalyzeSafety computes the static migration-safety of every basic block
-// in bin under policy p: a block is safe in direction src->dst when its
-// live-in register-resident state is within the on-demand transformer's
-// reach (memory-resident state is always transformable thanks to the
-// common frame layout).
-func AnalyzeSafety(bin *fatbin.Binary, p Policy) SafetyReport {
+// in bin: a block is safe in direction src->dst when at most capacity of
+// its live-ins are register-resident on src (memory-resident state is
+// always transformable thanks to the common frame layout). capacity is
+// OnDemandCapacity for the on-demand transformation, or 0 for the prior
+// work's regime, which moves memory-resident state only.
+func AnalyzeSafety(bin *fatbin.Binary, capacity int) SafetyReport {
 	var rep SafetyReport
 	for _, f := range bin.Funcs {
 		for i := range f.Blocks {
-			blk := &f.Blocks[i]
 			rep.Total++
 			for _, src := range isa.Kinds {
-				regResident := 0
-				for _, h := range blk.LiveIn {
-					if h.InReg(src) {
-						regResident++
-					}
-				}
-				switch {
-				case regResident == 0:
-					rep.Safe[src]++
-				case p.OnDemand && regResident <= p.Capacity:
+				if liveInRegs(&f.Blocks[i], src) <= capacity {
 					rep.Safe[src]++
 				}
 			}
 		}
 	}
 	return rep
+}
+
+// liveInRegs counts blk's live-ins that ISA k holds in registers: the
+// values an on-demand transformation must fetch. Migration safety is this
+// count against a capacity, in the engine and in AnalyzeSafety alike.
+func liveInRegs(blk *fatbin.BlockMeta, k isa.Kind) int {
+	n := 0
+	for _, h := range blk.LiveIn {
+		if h.InReg(k) {
+			n++
+		}
+	}
+	return n
 }
 
 // Ensure Engine satisfies the VM's interface.

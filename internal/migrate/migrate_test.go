@@ -167,8 +167,8 @@ func TestSafetyAnalysisShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDemand := migrate.AnalyzeSafety(bin, migrate.DefaultPolicy())
-	legacy := migrate.AnalyzeSafety(bin, migrate.Policy{OnDemand: false})
+	onDemand := migrate.AnalyzeSafety(bin, migrate.OnDemandCapacity)
+	legacy := migrate.AnalyzeSafety(bin, 0)
 	for _, k := range isa.Kinds {
 		od, lg := onDemand.Fraction(k), legacy.Fraction(k)
 		if od < lg {

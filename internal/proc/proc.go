@@ -19,9 +19,8 @@ import (
 // to it terminates the process.
 const ExitAddr = 0xFFFFFFF0
 
-// Syscall numbers of the simulated kernel ABI. The number is passed in
-// EAX/R0; arguments in EBX,ECX,EDX,ESI,EDI (x86) or R1-R4 (ARM); the
-// result returns in EAX/R0.
+// Syscall numbers of the simulated kernel ABI, whose vector and registers
+// isa defines (isa.SyscallVector, isa.RetReg, isa.SyscallArgRegs).
 const (
 	SysExit   = 1
 	SysWrite  = 4  // record args[0] in the process trace
@@ -59,12 +58,6 @@ type Process struct {
 	extraControl machine.ControlHook
 }
 
-// sysArgRegs mirrors the compiler's syscall argument registers.
-var sysArgRegs = [2][]isa.Reg{
-	isa.X86: {isa.EBX, isa.ECX, isa.EDX, isa.ESI, isa.EDI},
-	isa.ARM: {isa.R1, isa.R2, isa.R3, isa.R4},
-}
-
 // New boots bin for native execution on ISA k.
 func New(bin *fatbin.Binary, k isa.Kind) (*Process, error) {
 	if bin.Func(bin.EntryFunc) == nil {
@@ -99,18 +92,10 @@ func (p *Process) Reset(k isa.Kind) {
 	entryFn := p.Bin.Func(p.Bin.EntryFunc)
 	p.M.State = machine.State{ISA: k}
 	p.M.PC = entryFn.Entry[k]
-	sp := uint32(fatbin.StackTop - 64)
-	if k == isa.X86 {
-		sp -= 4
-		p.M.Regs[isa.ESP] = sp
-		// The bootstrap "caller" pushes the exit sentinel.
-		if err := p.Mem.WriteWord(sp, ExitAddr); err != nil {
-			panic(fmt.Sprintf("proc: bootstrap stack unmapped: %v", err))
-		}
-	} else {
-		// ARM callees store LR themselves.
-		p.M.Regs[isa.SP] = sp
-		p.M.Regs[isa.LR] = ExitAddr
+	p.M.SetSP(fatbin.StackTop - 64)
+	// The bootstrap "caller" returns to the exit sentinel.
+	if err := p.M.SaveRetAddr(ExitAddr); err != nil {
+		panic(fmt.Sprintf("proc: bootstrap stack unmapped: %v", err))
 	}
 	p.Exited = false
 }
@@ -130,29 +115,22 @@ func (p *Process) handleControl(m *machine.Machine, in *isa.Inst, kind machine.C
 	if kind == machine.CtlRet && target == ExitAddr {
 		m.Halted = true
 		p.Exited = true
-		p.ExitCode = m.Regs[retRegOf(m.ISA)]
+		p.ExitCode = m.Regs[isa.RetReg(m.ISA)]
 		// Park the PC on the sentinel; the machine stops before fetching.
 		return target, retAddr, nil
 	}
 	return target, retAddr, nil
 }
 
-func retRegOf(k isa.Kind) isa.Reg {
-	if k == isa.X86 {
-		return isa.EAX
-	}
-	return isa.R0
-}
-
 func (p *Process) handleSyscall(m *machine.Machine, vector int32) error {
-	if vector != 0x80 {
+	if vector != isa.SyscallVector {
 		return fmt.Errorf("proc: unknown syscall vector %#x", vector)
 	}
-	num := m.Regs[retRegOf(m.ISA)]
-	regs := sysArgRegs[m.ISA]
+	ret := isa.RetReg(m.ISA)
+	num := m.Regs[ret]
 	var args [5]uint32
-	for i := 0; i < len(regs) && i < len(args); i++ {
-		args[i] = m.Regs[regs[i]]
+	for i, r := range isa.SyscallArgRegs(m.ISA) {
+		args[i] = m.Regs[r]
 	}
 	switch num {
 	case SysExit:
@@ -161,12 +139,12 @@ func (p *Process) handleSyscall(m *machine.Machine, vector int32) error {
 		p.ExitCode = args[0]
 	case SysWrite:
 		p.Trace = append(p.Trace, args[0])
-		m.Regs[retRegOf(m.ISA)] = 4
+		m.Regs[ret] = 4
 	case SysExecve:
 		p.Execves = append(p.Execves, ExecveEvent{PathPtr: args[0], ArgvPtr: args[1], EnvpPtr: args[2]})
-		m.Regs[retRegOf(m.ISA)] = 0
+		m.Regs[ret] = 0
 	case SysGetPID:
-		m.Regs[retRegOf(m.ISA)] = 42
+		m.Regs[ret] = 42
 	default:
 		return fmt.Errorf("proc: unknown syscall %d", num)
 	}
