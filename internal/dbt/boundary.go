@@ -44,7 +44,7 @@ func (t *translator) emitDeRelocate() {
 	k := t.k
 	sp := isa.StackReg(k)
 	tmp := boundaryTemp(k)
-	regs := t.boundaryRegs()
+	regs := relocatedRegs(m, k)
 	for _, r := range regs {
 		l := m.LocOfReg(r)
 		slot := marshalSlot(m, r, t.delta)
@@ -67,7 +67,7 @@ func (t *translator) emitReRelocate() {
 	k := t.k
 	sp := isa.StackReg(k)
 	tmp := boundaryTemp(k)
-	regs := t.boundaryRegs()
+	regs := relocatedRegs(m, k)
 	for _, r := range regs {
 		t.a.StoreWord(r, sp, marshalSlot(m, r, t.delta), armScratchFor(k, r))
 	}
@@ -116,19 +116,14 @@ func (t *translator) stageIndirectTarget(in *isa.Inst, idx int) int32 {
 	return slot
 }
 
-// boundaryRegs lists the registers this function must marshal at call
-// boundaries. The full relocated set is required for soundness: a callee
-// that skipped re-relocating some caller-live physical register could
-// still clobber it through its translator temporaries or syscall
-// marshaling. (A liveness-pruned variant was evaluated and reverted: the
-// ~1% win did not justify tracking every possible physical clobber.)
-func (t *translator) boundaryRegs() []isa.Reg {
-	return relocatedRegs(t.m, t.k)
-}
-
 // relocatedRegs lists every architectural register whose map entry is not
-// the identity, in a stable order (the unpruned marshal set, also used by
-// the VM's software re-relocation on recovery paths).
+// the identity, in a stable order: the set every call boundary marshals,
+// also used by the VM's software re-relocation on recovery paths. The
+// full relocated set is required for soundness: a callee that skipped
+// re-relocating some caller-live physical register could still clobber
+// it through its translator temporaries or syscall marshaling. (A
+// liveness-pruned variant was evaluated and reverted: the ~1% win did not
+// justify tracking every possible physical clobber.)
 func relocatedRegs(m *psr.Map, k isa.Kind) []isa.Reg {
 	var out []isa.Reg
 	for i := 0; i < isa.NumRegs(k); i++ {

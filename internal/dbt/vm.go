@@ -78,9 +78,6 @@ func DefaultConfig() Config {
 
 func (c Config) psrConfig() psr.Config {
 	pc := psr.Config{RandPages: c.RandPages}
-	if c.Opt >= O1 {
-		pc.PruneBoundaryMarshal = true
-	}
 	if c.Opt >= O2 {
 		pc.GlobalRegCache = 3
 	}

@@ -282,11 +282,28 @@ func (b *Binary) Save() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// LoadBytes deserializes a binary produced by Save.
+// LoadBytes deserializes a binary produced by Save. It rejects a symbol
+// table that Func or FuncAt would trip over: a nil function entry, or a
+// FuncByName entry out of range or naming another function.
 func LoadBytes(data []byte) (*Binary, error) {
-	var b Binary
+	// A non-nil FuncByName makes gob insert entries one by one instead of
+	// presizing the map from an unchecked count in the stream.
+	b := Binary{FuncByName: map[string]int{}}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
 		return nil, fmt.Errorf("fatbin: decode: %w", err)
+	}
+	for i, f := range b.Funcs {
+		if f == nil {
+			return nil, fmt.Errorf("fatbin: function %d is missing", i)
+		}
+	}
+	for name, i := range b.FuncByName {
+		if i < 0 || i >= len(b.Funcs) {
+			return nil, fmt.Errorf("fatbin: %q maps to function %d of %d", name, i, len(b.Funcs))
+		}
+		if b.Funcs[i].Name != name {
+			return nil, fmt.Errorf("fatbin: %q maps to function %d, named %q", name, i, b.Funcs[i].Name)
+		}
 	}
 	return &b, nil
 }

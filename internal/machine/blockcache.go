@@ -195,7 +195,7 @@ type FusionStats struct {
 	PairsFused    uint64 // instruction pairs collapsed at predecode time
 	BatchedBlocks uint64 // block dispatches through the fused fast path
 	ExactBlocks   uint64 // budget tails single-stepped through Step (≤ 1 per Run)
-	Commits       uint64 // batched timing-model commits (CommitBlock calls)
+	Commits       uint64 // fused-block timing commits (Step's are not counted)
 }
 
 // FusionStats returns a snapshot of the machine's fusion counters.

@@ -29,15 +29,16 @@ import (
 // a fully logged range. The whole block's accounting is committed in one
 // CommitBlock immediately before the final architectural instruction
 // executes, so anything a terminator's hooks read from the model —
-// measurement snapshots taken inside syscall handlers, span cycle
+// measurement boundaries read inside syscall handlers, span cycle
 // sources — observes exactly the value Step would have shown. Early exits
 // (faults, self-modifying-code evictions) commit the executed prefix at
 // the exit point.
 
-// logInstEAs records the generic arm's dynamic addresses before it
-// executes: src EA, dst EA, then pre-exec SP, each when applicable. This
-// mirrors what the timing model computes from live state under Step, so
-// replaying the log is observation-identical.
+// logInstEAs records one instruction's dynamic addresses from its
+// pre-execution state: src EA, dst EA, then pre-exec SP, each when
+// applicable. The generic arm and a block's final instruction log
+// through it, and so does Step, so a single-stepped instruction reaches
+// the timing model exactly as a fused block's instructions do.
 func (m *Machine) logInstEAs(in *isa.Inst) {
 	if in.Src.Kind == isa.OpdMem {
 		m.eaLog[m.eaN] = m.ea(in.Src.Mem)

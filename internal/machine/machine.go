@@ -121,21 +121,18 @@ type SyscallHandler func(m *Machine, vector int32) error
 
 // Timing is the machine's only observer interface, the one a
 // cycle-accounting model (or a decorator around one, such as the sampling
-// profiler) is driven through. Step, and Run for the tail of a budget
-// that ends inside a block, call ObserveInst immediately before each
-// instruction executes, against live machine state. Run otherwise
-// executes a fused block while logging every instruction's dynamic
-// effective addresses (see isa.Op.StackAccess for the log layout) and
-// calls CommitBlock once per block, just before its final architectural
-// instruction executes, plus once for the executed prefix at a fault or
-// a mid-block code write. Every committed instruction's addresses are in
-// eas. bt is the block's timing summary (isa.SummarizeBlock) when insts
-// is the whole block, and nil for prefix and suffix commits; implementers
-// must not retain insts or bt past the call. Both methods must charge
-// bit-identical cycles: batching changes when accounting runs, never
+// profiler) is driven through. Every timed instruction reaches it in one
+// CommitBlock, made just before the last of insts executes, with all of
+// their dynamic effective addresses already logged in eas (layout at
+// isa.Op.StackAccess). Run commits a fused block once, plus the executed
+// prefix at a fault or a mid-block code write; Step, which also runs the
+// tail of a Run budget that ends inside a block, commits its one
+// instruction. bt is the block's timing summary (isa.SummarizeBlock) when
+// insts is a whole fused block, and nil otherwise. Implementers must not
+// retain insts, bt or eas past the call, and must charge the same however
+// instructions are batched: batching changes when accounting runs, never
 // what it sums.
 type Timing interface {
-	ObserveInst(m *Machine, in *isa.Inst)
 	CommitBlock(m *Machine, insts []isa.Inst, bt *isa.BlockTiming, eas []uint32)
 }
 
@@ -146,11 +143,11 @@ type Machine struct {
 	Syscall   SyscallHandler
 	OnControl ControlHook
 
-	// Timing, when non-nil, receives cycle-accounting callbacks. Fused
-	// blocks batch its updates into one CommitBlock at block exit, which
-	// is observation-equivalent because every point that can read the
-	// model mid-run (control hooks, syscall handlers, span cycle sources)
-	// sits at a block terminator, after the commit.
+	// Timing, when non-nil, receives cycle-accounting commits. Fused
+	// blocks batch their instructions into one CommitBlock at block exit,
+	// which is observation-equivalent because every point that can read
+	// the model mid-run (control hooks, syscall handlers, span cycle
+	// sources) sits at a block terminator, after the commit.
 	Timing Timing
 
 	// blocks is the predecoded basic-block cache driving Run. It lives on
@@ -165,14 +162,23 @@ type Machine struct {
 	// common case under DBT translation churn) record nothing.
 	Spans *telemetry.SpanTracer
 
-	// eaLog accumulates the dynamic effective addresses of a fused
-	// block's executed body (at most two entries per instruction: memory
-	// operand EAs plus the pre-exec SP of stack ops), consumed by
-	// Timing.CommitBlock. logEA gates the logging so the plain
-	// (unobserved) fast path never pays for it.
+	// eaLog accumulates the dynamic effective addresses of the
+	// instructions the next Timing.CommitBlock covers, a fused block's
+	// executed body or Step's one instruction (at most two entries per
+	// instruction: memory operand EAs plus the pre-exec SP of stack ops).
+	// logEA gates the fused arms' logging so the plain (unobserved) fast
+	// path never pays for it.
 	eaLog [2 * BlockCap]uint32
 	eaN   int
 	logEA bool
+
+	// stepInst is Step's decode slot, the one-instruction range it commits
+	// and executes. Held here rather than on Step's stack, where it would
+	// escape through the Timing call and cost an allocation per step. It
+	// relies on no hook re-entering Step on the same machine while an
+	// instruction executes (the PSR VM's and the gadget analyzer's hooks
+	// do not), and on isa.Decode overwriting every field.
+	stepInst [1]isa.Inst
 }
 
 // New returns a machine for ISA k over memory m.
@@ -261,8 +267,11 @@ func (m *Machine) control(in *isa.Inst, kind ControlKind, target, retAddr uint32
 // Step fetches, decodes, and executes one instruction. It is the
 // reference path: single-steppers (the gadget analyzer, debug harnesses)
 // use it directly, Run single-steps budget tails through it, and the
-// differential-semantics tests check the fused path against it. The fetch
-// window lives on the stack so stepping never allocates.
+// differential-semantics tests check the fused path against it. With a
+// Timing model attached, Step logs the instruction's addresses as the
+// fused generic arm does and commits it alone just before executing it.
+// The fetch window lives on the stack and the decoded instruction in the
+// Machine, so stepping never allocates.
 func (m *Machine) Step() error {
 	if m.Halted {
 		return ErrHalted
@@ -272,15 +281,17 @@ func (m *Machine) Step() error {
 	if err != nil {
 		return fmt.Errorf("machine: fetch at %#x: %w", m.PC, err)
 	}
-	var in isa.Inst
-	if err := isa.Decode(m.ISA, win[:n], m.PC, &in); err != nil {
+	in := &m.stepInst[0]
+	if err := isa.Decode(m.ISA, win[:n], m.PC, in); err != nil {
 		return fmt.Errorf("machine: decode at %#x: %w", m.PC, err)
 	}
 	if m.Timing != nil {
-		m.Timing.ObserveInst(m, &in)
+		m.eaN = 0
+		m.logInstEAs(in)
+		m.Timing.CommitBlock(m, m.stepInst[:], nil, m.eaLog[:m.eaN])
 	}
 	m.Steps++
-	if err := m.exec(&in); err != nil {
+	if err := m.exec(in); err != nil {
 		return fmt.Errorf("machine: at %#x (%s): %w", in.Addr, in.Op, err)
 	}
 	return nil

@@ -122,7 +122,7 @@ func randBlock(rng *rand.Rand, fresh *uint32, start uint32) ([]isa.Inst, []uint3
 func requireSameModel(t *testing.T, label string, ref, got *Model) {
 	t.Helper()
 	if math.Float64bits(ref.Cycles) != math.Float64bits(got.Cycles) {
-		t.Fatalf("%s: cycles %v (per-instruction) vs %v (summary), delta %g",
+		t.Fatalf("%s: cycles %v (reference) vs %v, delta %g",
 			label, ref.Cycles, got.Cycles, got.Cycles-ref.Cycles)
 	}
 	if ref.Counts != got.Counts {

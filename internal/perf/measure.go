@@ -37,7 +37,7 @@ func MeasureNative(bin *fatbin.Binary, k isa.Kind, warmWrites, measureWrites int
 	}
 	model := NewModel(CoreFor(k))
 	model.Attach(p.M)
-	return measure(p, model, warmWrites, measureWrites)
+	return measure(p, model, warmWrites, measureWrites, nil)
 }
 
 // MeasureVM runs bin under a PSR virtual machine on ISA k with the given
@@ -54,19 +54,7 @@ func MeasureVM(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measu
 	model.RATEnabled = true
 	model.Attach(vm.P.M)
 	var atWarm dbt.Stats
-	orig := vm.P.M.Syscall
-	p := vm.P
-	vm.P.M.Syscall = func(m *machine.Machine, vec int32) error {
-		before := len(p.Trace)
-		if err := orig(m, vec); err != nil {
-			return err
-		}
-		if len(p.Trace) != before && len(p.Trace) == warmWrites {
-			atWarm = vm.Stats
-		}
-		return nil
-	}
-	meas, err := measure(p, model, warmWrites, measureWrites)
+	meas, err := measure(vm.P, model, warmWrites, measureWrites, func() { atWarm = vm.Stats })
 	if err != nil {
 		return Measurement{}, dbt.Stats{}, vm, err
 	}
@@ -79,12 +67,19 @@ func MeasureVM(bin *fatbin.Binary, k isa.Kind, cfg dbt.Config, warmWrites, measu
 	return meas, delta, vm, nil
 }
 
-// measure snapshots the model exactly at the progress-write boundaries by
+// measure reads the model exactly at the progress-write boundaries by
 // interposing on the syscall handler, so overshooting a boundary inside a
-// run chunk cannot blur the window.
-func measure(p *proc.Process, model *Model, warmWrites, measureWrites int) (Measurement, error) {
-	snaps := make(map[int]Snapshot)
-	counts := make(map[int]Counts)
+// run chunk cannot blur the window. atWarm, when non-nil, runs at the
+// warm boundary, in the same handler call.
+func measure(p *proc.Process, model *Model, warmWrites, measureWrites int, atWarm func()) (Measurement, error) {
+	// reading is the model's state at one boundary; ok once it was read.
+	type reading struct {
+		cycles float64
+		counts Counts
+		ok     bool
+	}
+	target := warmWrites + measureWrites
+	var start, end reading
 	var phaseStart float64
 	orig := p.M.Syscall
 	p.M.Syscall = func(m *machine.Machine, vec int32) error {
@@ -92,24 +87,32 @@ func measure(p *proc.Process, model *Model, warmWrites, measureWrites int) (Meas
 		if err := orig(m, vec); err != nil {
 			return err
 		}
-		if len(p.Trace) != before {
-			snaps[len(p.Trace)] = model.Snap()
-			counts[len(p.Trace)] = model.Counts
-			// Per-phase cycle accounting: each progress write closes one
-			// workload phase.
-			if model.tel != nil {
-				cyc := model.Cycles - phaseStart
-				model.histPhase.Observe(cyc)
-				model.tel.Emit(telemetry.Event{
-					Type: telemetry.EvPhase, ISA: model.Core.Name, Cost: cyc,
-					Detail: fmt.Sprintf("write %d", len(p.Trace)),
-				})
-			}
-			phaseStart = model.Cycles
+		n := len(p.Trace)
+		if n == before {
+			return nil
 		}
+		if n == warmWrites {
+			start = reading{model.Cycles, model.Counts, true}
+			if atWarm != nil {
+				atWarm()
+			}
+		}
+		if n == target {
+			end = reading{model.Cycles, model.Counts, true}
+		}
+		// Per-phase cycle accounting: each progress write closes one
+		// workload phase.
+		if model.tel != nil {
+			cyc := model.Cycles - phaseStart
+			model.histPhase.Observe(cyc)
+			model.tel.Emit(telemetry.Event{
+				Type: telemetry.EvPhase, ISA: model.Core.Name, Cost: cyc,
+				Detail: fmt.Sprintf("write %d", n),
+			})
+		}
+		phaseStart = model.Cycles
 		return nil
 	}
-	target := warmWrites + measureWrites
 	var total uint64
 	for len(p.Trace) < target {
 		if p.Exited {
@@ -124,19 +127,17 @@ func measure(p *proc.Process, model *Model, warmWrites, measureWrites int) (Meas
 			return Measurement{}, fmt.Errorf("perf: exceeded %d instructions waiting for %d writes", measureCap, target)
 		}
 	}
-	start, ok1 := snaps[warmWrites]
-	end, ok2 := snaps[target]
-	if !ok1 || !ok2 {
-		return Measurement{}, fmt.Errorf("perf: missing boundary snapshots (%v/%v)", ok1, ok2)
+	if !start.ok || !end.ok {
+		return Measurement{}, fmt.Errorf("perf: missing boundary snapshots (%v/%v)", start.ok, end.ok)
 	}
-	cyc := end.Cycles - start.Cycles
-	ins := end.Instrs - start.Instrs
+	cyc := end.cycles - start.cycles
+	ins := end.counts.Instrs - start.counts.Instrs
 	m := Measurement{
 		Core:    model.Core.Name,
 		Cycles:  cyc,
 		Instrs:  ins,
 		Seconds: cyc / (model.Core.FreqGHz * 1e9),
-		Counts:  diffCounts(counts[target], counts[warmWrites]),
+		Counts:  diffCounts(end.counts, start.counts),
 	}
 	if ins > 0 {
 		m.CPI = cyc / float64(ins)

@@ -403,30 +403,23 @@ func (mo *Model) BindTelemetry(t *telemetry.Telemetry) {
 	})
 }
 
-// Attach installs the model as the machine's timing observer. The machine
-// calls ObserveInst before each single-stepped instruction and
-// CommitBlock once per fused block; both account identically (see
+// Attach installs the model as the machine's timing observer: the machine
+// then commits every instruction it executes through CommitBlock, one at a
+// time under Step and one fused block at a time under Run (see
 // machine.Timing). Attach before any decorator that wraps m.Timing (the
 // sampling profiler). Set m.Timing to nil to stop observing.
 func (mo *Model) Attach(m *machine.Machine) {
 	m.Timing = mo
 }
 
-// ObserveInst implements machine.Timing's per-instruction observation: it
-// charges one instruction against live machine state.
-func (mo *Model) ObserveInst(m *machine.Machine, in *isa.Inst) {
-	mo.Cycles = mo.observeMem(m, in, mo.observeFront(in, mo.Cycles))
-}
-
-// CommitBlock implements machine.Timing's batched commit: it charges a
-// run of already-logged instructions in one call. A whole block (bt
-// non-nil) is charged from its summary by commitSummary when the running
-// total allows an exact fast commit; every other commit replays the
-// per-instruction path against the effective-address log — the charge
-// sequence (every float operation, cache access and predictor update, in
-// order) that per-instruction observation performs. Either way cycle
-// totals, counts and cache and predictor statistics match ObserveInst bit
-// for bit.
+// CommitBlock implements machine.Timing: it charges a run of logged
+// instructions in one call. A whole block (bt non-nil) is charged from its
+// summary by commitSummary when the running total allows an exact fast
+// commit; every other commit (Step's single instructions, prefix and
+// suffix commits, guard misses) runs the per-instruction reference,
+// observeFront then observeMemLogged, over each instruction against the
+// effective-address log. Either way cycle totals, counts and cache and
+// predictor statistics equal the per-instruction reference's bit for bit.
 func (mo *Model) CommitBlock(m *machine.Machine, insts []isa.Inst, bt *isa.BlockTiming, eas []uint32) {
 	if bt != nil {
 		mo.blockCommits++
@@ -571,9 +564,10 @@ func (mo *Model) commitSummary(insts []isa.Inst, bt *isa.BlockTiming, eas []uint
 
 // observeFront charges the state-independent part of one instruction:
 // pending branch resolution, issue bandwidth, instruction fetch, and
-// functional-unit latency. It needs no machine state, so the logged and
-// live observation paths share it verbatim. The cycle total is threaded
-// through cy so block commits keep it in a register.
+// functional-unit latency. With observeMemLogged it is the
+// per-instruction reference charge that commitSummary must match bit for
+// bit. The cycle total is threaded through cy so block commits keep it in
+// a register.
 func (mo *Model) observeFront(in *isa.Inst, cy float64) float64 {
 	c := &mo.Core
 	mo.Counts.Instrs++
@@ -625,65 +619,13 @@ func (mo *Model) observeFront(in *isa.Inst, cy float64) float64 {
 	return cy
 }
 
-func (mo *Model) observeMem(m *machine.Machine, in *isa.Inst, cy float64) float64 {
-	charge := func(o isa.Operand, store bool) {
-		if o.Kind != isa.OpdMem {
-			return
-		}
-		ea := effectiveAddr(m, o.Mem)
-		lat := mo.DCache.access(ea)
-		exp := mo.exp
-		if store {
-			mo.Counts.Stores++
-			// Stores retire through the store queue; latency mostly hidden.
-			cy += lat * exp * 0.3
-		} else {
-			mo.Counts.Loads++
-			cy += lat * exp
-		}
-	}
-	switch in.Op {
-	case isa.OpMov, isa.OpLoad, isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr,
-		isa.OpXor, isa.OpCmp, isa.OpTest, isa.OpMul, isa.OpDiv, isa.OpShl,
-		isa.OpShr, isa.OpNeg, isa.OpNot, isa.OpInc, isa.OpDec:
-		charge(in.Src, false)
-		if in.Op == isa.OpMov || in.Op == isa.OpLoad {
-			charge(in.Dst, true)
-		} else {
-			// Read-modify-write memory destination.
-			if in.Dst.Kind == isa.OpdMem {
-				charge(in.Dst, false)
-				charge(in.Dst, true)
-			}
-		}
-	case isa.OpStore:
-		charge(in.Dst, true)
-	case isa.OpPush:
-		charge(in.Src, false)
-		mo.Counts.Stores++
-		cy += mo.DCache.access(m.SP()-4) * mo.exp * 0.3
-	case isa.OpPop, isa.OpRet, isa.OpLeave:
-		mo.Counts.Loads++
-		cy += mo.DCache.access(m.SP()) * mo.exp
-	case isa.OpPushM, isa.OpPopM:
-		n := 0
-		for r := 0; r < 16; r++ {
-			if in.RegMask&(1<<r) != 0 {
-				n++
-			}
-		}
-		cy += float64(n) * mo.DCache.access(m.SP()) * mo.exp * 0.5
-	}
-	return cy
-}
-
-// observeMemLogged mirrors observeMem with dynamic addresses replayed
-// from the machine's effective-address log (layout: src EA if Src is a
-// memory operand, then dst EA if Dst is one, then pre-exec SP for
-// Op.StackAccess instructions — see isa.Op.StackAccess). Entries the
-// model does not charge (e.g. a lea's address) are still consumed, so the
-// cursor stays aligned with what the machine logged. It returns the
-// advanced cursor.
+// observeMemLogged charges one instruction's data-cache accesses at the
+// dynamic addresses the machine logged from its pre-execution state
+// (layout: src EA if Src is a memory operand, then dst EA if Dst is one,
+// then pre-exec SP for Op.StackAccess instructions — see
+// isa.Op.StackAccess). Entries the model does not charge (e.g. a lea's
+// address) are still consumed, so the cursor stays aligned with what the
+// machine logged. It returns the advanced cursor.
 func (mo *Model) observeMemLogged(in *isa.Inst, eas []uint32, c int, cy float64) (int, float64) {
 	var srcEA, dstEA, spEA uint32
 	if in.Src.Kind == isa.OpdMem {
@@ -746,21 +688,6 @@ func (mo *Model) observeMemLogged(in *isa.Inst, eas []uint32, c int, cy float64)
 	return c, cy
 }
 
-func effectiveAddr(m *machine.Machine, r isa.MemRef) uint32 {
-	var a uint32 = uint32(r.Disp)
-	if r.HasBase {
-		a += m.Regs[r.Base]
-	}
-	if r.HasIndex {
-		s := uint32(r.Scale)
-		if s == 0 {
-			s = 1
-		}
-		a += m.Regs[r.Index] * s
-	}
-	return a
-}
-
 // CPI returns cycles per instruction so far.
 func (mo *Model) CPI() float64 {
 	if mo.Counts.Instrs == 0 {
@@ -772,20 +699,4 @@ func (mo *Model) CPI() float64 {
 // Seconds converts accumulated cycles to wall time on this core.
 func (mo *Model) Seconds() float64 {
 	return mo.Cycles / (mo.Core.FreqGHz * 1e9)
-}
-
-// Snapshot captures the current cycle/instruction counters.
-type Snapshot struct {
-	Cycles float64
-	Instrs uint64
-}
-
-// Snap returns the current counters.
-func (mo *Model) Snap() Snapshot {
-	return Snapshot{Cycles: mo.Cycles, Instrs: mo.Counts.Instrs}
-}
-
-// Since returns cycles and instructions accumulated after s.
-func (mo *Model) Since(s Snapshot) (float64, uint64) {
-	return mo.Cycles - s.Cycles, mo.Counts.Instrs - s.Instrs
 }

@@ -76,9 +76,9 @@ type agg struct {
 // taken from any goroutine (the observability server serves them live).
 type Profiler struct {
 	interval uint64
-	pending  uint64 // instructions since the last sample (VM goroutine only)
-	cycles   func() float64
-	last     float64
+	pending  uint64      // instructions since the last sample (VM goroutine only)
+	model    *perf.Model // cycle source bound by BindModel; nil counts instructions
+	last     float64     // model.Cycles at the last sample
 	bin      *fatbin.Binary
 	resolve  ClassResolver
 
@@ -118,48 +118,32 @@ func (p *Profiler) Interval() uint64 { return p.interval }
 func (p *Profiler) SetClassResolver(r ClassResolver) { p.resolve = r }
 
 // BindModel attributes the timing model's simulated cycles instead of raw
-// instruction counts. Attach the model to the machine *before* the
-// profiler so every sample sees the cycles already charged for the
-// sampled instruction.
+// instruction counts: a sample costs the cycles mo charged since the
+// previous one. Without a model, each instruction costs one cycle. Attach
+// the model to the machine *before* the profiler so every sample sees the
+// cycles already charged for the sampled instruction.
 func (p *Profiler) BindModel(mo *perf.Model) {
-	p.BindCycles(func() float64 { return mo.Cycles })
-}
-
-// BindCycles installs a cumulative simulated-cycle source read at every
-// sample; deltas between samples become the attributed cost. Without one,
-// each instruction costs one cycle.
-func (p *Profiler) BindCycles(f func() float64) {
-	p.cycles = f
-	if f != nil {
-		p.last = f()
+	p.model = mo
+	if mo != nil {
+		p.last = mo.Cycles
 	}
 }
 
 // Attach wraps m's timing observer (a perf.Model, or none) in the
 // profiler's sampler. Attach after any timing model: the sampler forwards
-// each observation to the model before counting, so samples observe
+// each commit to the model before counting, so samples observe
 // post-charge cycle counts.
 func (p *Profiler) Attach(m *machine.Machine) {
 	m.Timing = &sampler{p: p, next: m.Timing}
 }
 
 // sampler is the machine.Timing decorator Attach installs. It forwards
-// every call to the wrapped model unchanged, then counts the instructions
-// the call accounted for and samples once the interval has elapsed.
+// every commit to the wrapped model unchanged, then counts the
+// instructions the commit covered and samples once the interval has
+// elapsed.
 type sampler struct {
 	p    *Profiler
 	next machine.Timing
-}
-
-func (s *sampler) ObserveInst(m *machine.Machine, in *isa.Inst) {
-	if s.next != nil {
-		s.next.ObserveInst(m, in)
-	}
-	p := s.p
-	p.pending++
-	if p.pending >= p.interval {
-		p.sample(m.ISA, in.Addr)
-	}
 }
 
 func (s *sampler) CommitBlock(m *machine.Machine, insts []isa.Inst, bt *isa.BlockTiming, eas []uint32) {
@@ -214,8 +198,8 @@ func (p *Profiler) BindTelemetry(t *telemetry.Telemetry) {
 // reads VM state) happens before taking the aggregation lock.
 func (p *Profiler) sample(k isa.Kind, pc uint32) {
 	cost := float64(p.pending)
-	if p.cycles != nil {
-		c := p.cycles()
+	if p.model != nil {
+		c := p.model.Cycles
 		cost = c - p.last
 		p.last = c
 	}

@@ -31,11 +31,6 @@ type Config struct {
 	// register-to-register relocations for the hottest registers; it is
 	// fixed at 3 in the paper.
 	GlobalRegCache int
-	// PruneBoundaryMarshal (the O1+ "eliminate redundant caller/callee
-	// register save and restore" optimization) limits call-boundary
-	// marshaling to registers carrying live values across boundaries:
-	// the callee-saved class plus the return register.
-	PruneBoundaryMarshal bool
 }
 
 // DefaultConfig mirrors the paper's main configuration: 8 KiB frames,
@@ -98,11 +93,6 @@ func (l Loc) String() string {
 func RegLoc(r isa.Reg) Loc   { return Loc{Kind: LocReg, Reg: r} }
 func StackLoc(off int32) Loc { return Loc{Kind: LocStack, Off: off} }
 
-// PruneBoundaryMarshal, when set on the map (from the O1+ optimization
-// "eliminate redundant caller/callee register save and restore"), limits
-// call-boundary marshaling to registers with live values at boundaries:
-// the callee-saved class and the return register.
-//
 // Map is the relocation map of one function on one ISA (Figure 2): the
 // randomized calling convention, register reallocation, and stack slot
 // coloring rules every translation of the function's blocks must follow.
@@ -143,10 +133,6 @@ type Map struct {
 	// accounting.
 	EntropyBits float64
 	Params      int
-
-	// PruneBoundary mirrors Config.PruneBoundaryMarshal for the
-	// translator.
-	PruneBoundary bool
 }
 
 // LocOfReg returns the relocated location of architectural register r.
@@ -237,11 +223,10 @@ func (r *Randomizer) BuildPair(fn *fatbin.FuncMeta) [2]*Map {
 // Build constructs a fresh relocation map for fn on ISA k.
 func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	m := &Map{
-		Fn:            fn,
-		ISA:           k,
-		RandSpace:     r.cfg.RandSpace(),
-		OffTo:         make(map[int32]int32),
-		PruneBoundary: r.cfg.PruneBoundaryMarshal,
+		Fn:        fn,
+		ISA:       k,
+		RandSpace: r.cfg.RandSpace(),
+		OffTo:     make(map[int32]int32),
 	}
 	m.NewFrameSize = fn.FrameSize + m.RandSpace
 
