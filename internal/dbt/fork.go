@@ -14,14 +14,16 @@ import (
 // VMSnapshot is an immutable point-in-time image of a running VM: the
 // guest address space frozen copy-on-write, the machine register state,
 // both code caches and RATs, trap/call registries, and the PSR map build
-// order. Snapshots are cheap — O(page-table), zero page copies — and safe
-// to Fork from many goroutines concurrently.
+// order. Snapshots copy no page and no page struct (the memory's page
+// table is frozen in place), and are safe to Fork from many goroutines
+// concurrently.
 //
 // A fleet host keeps one booted "prototype" VM per binary and snapshots
-// it once: admitting the Nth tenant is then a Fork (alias every page,
-// clone the translation metadata) instead of a boot (load the image,
-// translate the entry). Killing a breached guest and respawning it with a
-// fresh PSR seed reuses the same snapshot through Respawn.
+// it once: admitting the Nth tenant is then a Fork (read the frozen page
+// table in place, clone the translation metadata) instead of a boot (load
+// the image, translate the entry). Killing a breached guest and
+// respawning it with a fresh PSR seed reuses the same snapshot through
+// Respawn.
 //
 // The snapshot's forks also share one table of predecoded blocks
 // (machine.SharedBlocks): each fork's interpreter publishes the blocks it
@@ -62,7 +64,8 @@ type ForkConfig struct {
 
 // Snapshot freezes the VM's complete state. The VM keeps running
 // afterwards; its next write to any page copies first (CoW), so the
-// snapshot stays pristine. Cost is O(page-table + translation metadata).
+// snapshot stays pristine. Cost is O(translation metadata), plus one
+// copy of the frozen page table it reads when the VM is itself a fork.
 func (vm *VM) Snapshot() *VMSnapshot {
 	cfg := vm.Cfg
 	cfg.Telemetry = nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 )
@@ -178,13 +179,15 @@ func sameErr(got, want error) bool {
 // WriteForce and InvalidateCodeRange sequences, with Snapshot and Fork
 // between them, across up to four memories and four snapshots, and checks
 // each against a flat private model: every read and fetch returns the
-// model's bytes and faults, and after every op each memory's and each
-// snapshot's pages, permissions and code generation equal the model's and
-// the write log names exactly the model's recent code writes, and the
-// process-wide zero page still reads all zeros. A fork that saw a
-// sibling's or its source's later write, a snapshot that changed after it
-// was taken, or a write the barrier let through to the zero page diverges
-// from its model.
+// model's bytes and faults, and after every op each memory's pages (its
+// own over the frozen table it reads) and each snapshot's frozen structs
+// hold the model's permissions and bytes, code generations equal the
+// model's, the write log names exactly the model's recent code writes,
+// SharedPages counts the pages a walk finds shared, and the process-wide
+// zero page still reads all zeros. A fork that saw a sibling's or its
+// source's later write, a snapshot whose frozen structs changed after it
+// was taken (a write or a re-permission through one), or a write the
+// barrier let through to the zero page diverges from its model.
 func FuzzForkMatchesFlat(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 0, 0, 128, 7, // map pages 0-2 rwx
@@ -200,7 +203,6 @@ func FuzzForkMatchesFlat(f *testing.F) {
 		mems := []*Memory{New()}
 		models := []*flatMem{newFlat()}
 		var snaps []*Snapshot
-		var snapPages []map[uint32]*page // each snapshot's pages, as a Memory's
 		var snapModels []*flatMem
 		const maxOps = 128
 		for op := 0; op < maxOps && r.i < len(data); op++ {
@@ -298,15 +300,11 @@ func FuzzForkMatchesFlat(f *testing.F) {
 			case 10:
 				what = fmt.Sprintf("Snapshot(memory %d)", mi)
 				s, sm := m.Snapshot(), fm.clone()
-				sp := make(map[uint32]*page, len(s.pages))
-				for pn, pg := range s.pages {
-					sp[pn] = &page{data: pg.data, perm: pg.perm}
-				}
 				if len(snaps) < 4 {
-					snaps, snapPages, snapModels = append(snaps, s), append(snapPages, sp), append(snapModels, sm)
+					snaps, snapModels = append(snaps, s), append(snapModels, sm)
 				} else {
 					si := int(r.next()) % len(snaps)
-					snaps[si], snapPages[si], snapModels[si] = s, sp, sm
+					snaps[si], snapModels[si] = s, sm
 				}
 			case 11:
 				if len(snaps) == 0 {
@@ -323,18 +321,55 @@ func FuzzForkMatchesFlat(f *testing.F) {
 			}
 			for i, m := range mems {
 				who := fmt.Sprintf("after op %d %s: memory %d", op, what, i)
-				checkFlat(t, who, m.pages, m.codeGen, models[i], span)
+				pages := pageTable(m)
+				checkFlat(t, who, pages, m.codeGen, models[i], span)
 				checkLog(t, who, m, models[i])
+				checkShared(t, who, m, pages)
 			}
 			for i, s := range snaps {
 				who := fmt.Sprintf("after op %d %s: snapshot %d", op, what, i)
-				checkFlat(t, who, snapPages[i], s.codeGen, snapModels[i], span)
+				checkFlat(t, who, s.pages, s.codeGen, snapModels[i], span)
+				for pn, pg := range s.pages {
+					if pg.frame != frozen {
+						t.Fatalf("%s: page %#x is not frozen (state %d)", who, pn, pg.frame)
+					}
+				}
 			}
 			if zeroPage != ([PageSize]byte{}) {
 				t.Fatalf("after op %d %s: the zero page was written", op, what)
 			}
 		}
 	})
+}
+
+// pageTable returns the page table a Memory's reads see: its own pages
+// over the frozen table of the snapshot it was forked from.
+func pageTable(m *Memory) map[uint32]*page {
+	t := make(map[uint32]*page, len(m.base)+len(m.pages))
+	maps.Copy(t, m.base)
+	maps.Copy(t, m.pages)
+	return t
+}
+
+// checkShared requires SharedPages to count the pages of a Memory's
+// table whose data a snapshot also holds, and its own table to hold no
+// frozen struct, which it may not change.
+func checkShared(t *testing.T, who string, m *Memory, pages map[uint32]*page) {
+	t.Helper()
+	n := 0
+	for _, pg := range pages {
+		if pg.frame == shared || pg.frame == frozen {
+			n++
+		}
+	}
+	if got := m.SharedPages(); got != n {
+		t.Fatalf("%s: SharedPages() = %d, want %d", who, got, n)
+	}
+	for pn, pg := range m.pages {
+		if pg.frame == frozen {
+			t.Fatalf("%s: own page %#x is frozen", who, pn)
+		}
+	}
 }
 
 // checkFlat requires a page table and code generation to equal the

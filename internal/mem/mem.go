@@ -11,6 +11,11 @@
 // snapshots and forks; WriteWord's fast path writes only a frame the
 // barrier has already made this Memory's own.
 //
+// A Snapshot freezes the page structs themselves, and a Fork reads its
+// snapshot's frozen page table in place: the fork's own table holds only
+// the pages it has written or re-permissioned, so forking costs nothing
+// per page.
+//
 // A 64-entry direct-mapped page TLB caches translations and, for word
 // access, page frames: a ReadWord or WriteWord that hits it costs one
 // compare and no page-table lookup (see tlbSlot).
@@ -24,6 +29,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 )
@@ -76,10 +82,11 @@ func (f *Fault) Error() string {
 type page struct {
 	data []byte
 	perm Perm
-	// frame says whose bytes data holds. Only an owned frame may be
-	// written; the write barrier (ensureOwned) gives the page one first.
-	// The state is per-Memory and changed only by the owning goroutine,
-	// so the barrier pays a plain byte check, not an atomic.
+	// frame says whose bytes data holds, and whether the struct itself
+	// may change. Only an owned frame may be written; the write barrier
+	// (ensureOwned) gives the page one first. A Memory's own structs are
+	// changed only by the owning goroutine, so the barrier pays a plain
+	// byte check, not an atomic.
 	frame frameState
 }
 
@@ -92,10 +99,16 @@ const (
 	// zeroFilled: data is zeroPage. The page was mapped but never
 	// written, and no snapshot has seen it.
 	zeroFilled
-	// shared: data is aliased by a Snapshot or a sibling Memory (Fork),
-	// perhaps zeroPage; the bytes are immutable until this Memory copies
-	// them (copy-on-write).
+	// shared: data is a frozen page's frame, perhaps zeroPage, in a struct
+	// of this Memory's own (a frozen page it re-permissioned). The bytes
+	// are immutable until this Memory copies them (copy-on-write).
 	shared
+	// frozen: the struct belongs to a Snapshot's page table, which every
+	// fork of the snapshot reads in place. Neither the struct nor its
+	// data ever changes again: a Memory copies the struct into its own
+	// table before it re-permissions the page (Map) and gives it a fresh
+	// struct and frame before it writes it (ensureOwned).
+	frozen
 )
 
 // zeroPage is the frame of every page that has not been written yet.
@@ -115,8 +128,15 @@ func (r Region) End() uint32 { return r.Base + r.Size }
 
 // Memory is a sparse paged address space.
 type Memory struct {
+	// pages is this Memory's own page table; base is the frozen table of
+	// the snapshot it was forked from (nil for New), which every sibling
+	// fork reads too. A page in pages shadows the same page in base.
 	pages   map[uint32]*page
+	base    map[uint32]*page
 	regions map[string]Region
+	// shared counts the pages whose data a snapshot also holds: base
+	// pages no own page shadows, and own pages whose frame is shared.
+	shared int
 	// codeGen is the monotonic code-generation counter: it advances on
 	// every mutation that could change executable bytes (writes into
 	// pages with execute permission, re-mappings that touch execute
@@ -144,12 +164,14 @@ type Memory struct {
 const tlbSize = 64
 
 // tlbSlot is one page-TLB entry: page pn's struct and, for word access,
-// its frame. Pages are never removed from the table and *page pointers
-// are stable for the life of the Memory (Map re-permissions in place,
-// ensureOwned swaps the data slice inside the struct), so the translation
-// itself never goes stale; pageFor still checks permissions, and the
-// write paths the frame state, on every access. A nil pg is an empty
-// slot.
+// its frame. Pages are never removed from the table, and a page's struct
+// changes only where its slot is refilled: Map re-permissions an own
+// struct in place or copies a frozen one into the own table, and
+// ensureOwned swaps the data slice inside an own struct or replaces a
+// frozen one; Snapshot freezes the structs where they are. So the
+// translation itself never goes stale; pageFor still checks permissions,
+// and the write paths the frame state, on every access. A nil pg is an
+// empty slot.
 //
 // rbase is pn*PageSize while ReadWord may read frame directly (the page
 // is readable), and wbase while WriteWord may write it directly (the page
@@ -160,7 +182,7 @@ const tlbSize = 64
 // that the word does not cross its end. Whatever swaps the frame or
 // changes what it may be used for refills the slot: ensureOwned and a Map
 // that re-permissions the page. Snapshot clears every wbase, since every
-// page becomes shared, and Fork starts with every slot empty.
+// page becomes frozen, and Fork starts with every slot empty.
 type tlbSlot struct {
 	pn           uint32
 	rbase, wbase uint32
@@ -260,7 +282,9 @@ func (m *Memory) InvalidateCodeRange(addr, size uint32) {
 // given permissions and, when name is non-empty, records a region of that
 // name. Size is rounded up to whole pages; a zero size maps no page, and a
 // range past the top of the address space stops at its last page. Fresh
-// pages read as zeros and alias the zero page until their first write.
+// pages read as zeros and alias the zero page until their first write. A
+// frozen page is re-permissioned in a copy of its struct that keeps
+// sharing the snapshot's frame.
 func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
 	r := Region{Name: name, Base: addr, Size: size, Perm: perm}
 	if name != "" {
@@ -272,14 +296,15 @@ func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
 	first := addr / PageSize
 	last := uint32(min(uint64(addr)+uint64(size)-1, math.MaxUint32) / PageSize)
 	bumped := false
-	var slab []page // page structs for this call's fresh pages
+	var slab []page // page structs for this call's fresh and copied pages
 	for pn := first; pn <= last; pn++ {
-		if pg, ok := m.pages[pn]; ok {
-			if (pg.perm|perm)&PermX != 0 && !bumped {
-				m.codeGen++
-				m.logCodeWrite(first*PageSize, (last-first+1)*PageSize)
-				bumped = true
-			}
+		pg, ok := m.lookup(pn)
+		if ok && (pg.perm|perm)&PermX != 0 && !bumped {
+			m.codeGen++
+			m.logCodeWrite(first*PageSize, (last-first+1)*PageSize)
+			bumped = true
+		}
+		if ok && pg.frame != frozen {
 			pg.perm = perm
 			m.fillTLB(pn, pg)
 			continue
@@ -287,12 +312,28 @@ func (m *Memory) Map(name string, addr, size uint32, perm Perm) Region {
 		if len(slab) == 0 {
 			slab = make([]page, last-pn+1)
 		}
-		// A fresh page cannot have cached decodes: no generation bump.
-		slab[0] = page{data: zeroPage[:], perm: perm, frame: zeroFilled}
-		m.pages[pn] = &slab[0]
+		np := &slab[0]
 		slab = slab[1:]
+		m.pages[pn] = np
+		if !ok {
+			// A fresh page cannot have cached decodes: no generation bump.
+			*np = page{data: zeroPage[:], perm: perm, frame: zeroFilled}
+			continue
+		}
+		*np = page{data: pg.data, perm: perm, frame: shared}
+		m.fillTLB(pn, np)
 	}
 	return r
+}
+
+// lookup returns page pn: this Memory's own struct, else the frozen one
+// of the snapshot it was forked from.
+func (m *Memory) lookup(pn uint32) (*page, bool) {
+	if pg, ok := m.pages[pn]; ok {
+		return pg, true
+	}
+	pg, ok := m.base[pn]
+	return pg, ok
 }
 
 // Region returns the named region.
@@ -311,25 +352,33 @@ func (m *Memory) Regions() []Region {
 	return out
 }
 
-// ensureOwned is the write barrier: it gives page pn, pg, a private frame
-// before its first write. A never-written page gets a zeroed frame in place
-// of the zero page; a page aliased by a snapshot or a sibling fork gets a
-// copy of its bytes and counts one copy-on-write break. Either way the
-// write about to happen cannot reach the zero page or another address
-// space, and the page's TLB slot is refilled with the new frame. Owned
-// pages (the common case after warm-up) cost one predictable branch.
-func (m *Memory) ensureOwned(pn uint32, pg *page) {
+// ensureOwned is the write barrier: it returns page pn, pg, with a private
+// frame, and the write about to happen goes through the struct it
+// returns. A never-written page gets a zeroed frame in place of the zero
+// page. A page whose bytes a snapshot holds gets a copy of them and counts
+// one copy-on-write break; a frozen page gets that copy in a new struct of
+// this Memory's own table. Either way the write cannot reach the zero
+// page, a snapshot or another address space, and the page's TLB slot is
+// refilled with the new frame. Owned pages (the common case after
+// warm-up) cost one predictable branch.
+func (m *Memory) ensureOwned(pn uint32, pg *page) *page {
 	if pg.frame == owned {
-		return
+		return pg
 	}
 	nd := make([]byte, PageSize)
-	if pg.frame == shared {
+	if pg.frame != zeroFilled {
 		copy(nd, pg.data)
 		m.cowBroken++
+		m.shared--
+	}
+	if pg.frame == frozen {
+		pg = &page{perm: pg.perm}
+		m.pages[pn] = pg
 	}
 	pg.data = nd
 	pg.frame = owned
 	m.fillTLB(pn, pg)
+	return pg
 }
 
 // CowBroken returns how many shared pages this Memory has privatized
@@ -340,15 +389,7 @@ func (m *Memory) CowBroken() uint64 { return m.cowBroken }
 // owned jointly with a snapshot or sibling fork. A freshly forked Memory
 // shares everything; the count decays as the write barrier privatizes
 // pages. A never-written page of a never-snapshotted Memory is not shared.
-func (m *Memory) SharedPages() int {
-	n := 0
-	for _, pg := range m.pages {
-		if pg.frame == shared {
-			n++
-		}
-	}
-	return n
-}
+func (m *Memory) SharedPages() int { return m.shared }
 
 func (m *Memory) pageFor(addr uint32, access Perm) (*page, error) {
 	pn := addr / PageSize
@@ -356,7 +397,7 @@ func (m *Memory) pageFor(addr uint32, access Perm) (*page, error) {
 	pg := e.pg
 	if pg == nil || e.pn != pn {
 		var ok bool
-		pg, ok = m.pages[pn]
+		pg, ok = m.lookup(pn)
 		if !ok {
 			return nil, &Fault{Addr: addr, Access: access}
 		}
@@ -394,7 +435,7 @@ func (m *Memory) Write(addr uint32, buf []byte) error {
 		if err != nil {
 			return err
 		}
-		m.ensureOwned(off/PageSize, pg)
+		pg = m.ensureOwned(off/PageSize, pg)
 		if pg.perm&PermX != 0 && !bumped {
 			m.codeGen++
 			m.logCodeWrite(addr, n0)
@@ -416,12 +457,12 @@ func (m *Memory) WriteForce(addr uint32, buf []byte) {
 	bumped := false
 	for len(buf) > 0 {
 		pn := off / PageSize
-		pg, ok := m.pages[pn]
+		pg, ok := m.lookup(pn)
 		if !ok {
 			pg = &page{data: make([]byte, PageSize)}
 			m.pages[pn] = pg
 		}
-		m.ensureOwned(pn, pg)
+		pg = m.ensureOwned(pn, pg)
 		if pg.perm&PermX != 0 && !bumped {
 			m.codeGen++
 			m.logCodeWrite(addr, n0)
@@ -449,7 +490,7 @@ func (m *Memory) StoreByte(addr uint32, v byte) error {
 	if err != nil {
 		return err
 	}
-	m.ensureOwned(addr/PageSize, pg)
+	pg = m.ensureOwned(addr/PageSize, pg)
 	if pg.perm&PermX != 0 {
 		m.codeGen++
 		m.logCodeWrite(addr, 1)
@@ -508,7 +549,7 @@ func (m *Memory) writeWord(addr uint32, v uint32) error {
 		if err != nil {
 			return err
 		}
-		m.ensureOwned(addr/PageSize, pg)
+		pg = m.ensureOwned(addr/PageSize, pg)
 		if pg.perm&PermX != 0 {
 			m.codeGen++
 			m.logCodeWrite(addr, 4)
@@ -567,70 +608,60 @@ func (m *Memory) FetchInto(addr uint32, buf []byte) (int, error) {
 	return n, nil
 }
 
-// Snapshot is a frozen image of a Memory: page data aliased copy-on-write,
-// plus the region table and the code-generation state (codeGen and the
-// write log) at the moment of the snapshot. Snapshots are immutable and
-// safe to Fork from many goroutines concurrently; the source Memory keeps
-// running and privatizes pages as it writes.
+// Snapshot is a frozen image of a Memory: its frozen page table, plus the
+// region table and the code-generation state (codeGen and the write log)
+// at the moment of the snapshot. Snapshots are immutable and safe to Fork
+// from many goroutines concurrently; the source Memory keeps running over
+// the same frozen table and copies pages into its own as it writes them.
 type Snapshot struct {
-	pages    map[uint32]snapPage
+	pages    map[uint32]*page // every struct frozen
 	regions  map[string]Region
 	codeGen  uint64
 	writeLog [CodeWriteLogSize]codeWrite
 }
 
-type snapPage struct {
-	data []byte // immutable: every aliasing Memory marks it shared
-	perm Perm
-}
-
-// Snapshot freezes the current image. Every live page is marked shared,
-// never-written ones included, so the source Memory's next write to it
-// copies first — the snapshot's bytes never change after this call. Cost
-// is O(page-table), zero byte copies.
+// Snapshot freezes the current image. The Memory's own page structs,
+// never-written ones included, become frozen where they are and form the
+// snapshot's table, over a copy of the table this Memory was forked from,
+// if any. The Memory then reads that table as its base, as a fork does,
+// with an empty own table, so its next write to any page copies first and
+// the snapshot's bytes never change after this call. Cost: no page copies
+// and no page structs.
 func (m *Memory) Snapshot() *Snapshot {
-	s := &Snapshot{
-		pages:    make(map[uint32]snapPage, len(m.pages)),
-		regions:  make(map[string]Region, len(m.regions)),
-		codeGen:  m.codeGen,
-		writeLog: m.writeLog,
+	t := m.pages
+	if len(m.base) > 0 {
+		t = maps.Clone(m.base)
+		maps.Copy(t, m.pages)
 	}
-	for pn, pg := range m.pages {
-		pg.frame = shared
-		s.pages[pn] = snapPage{data: pg.data, perm: pg.perm}
+	for _, pg := range m.pages {
+		pg.frame = frozen
 	}
+	m.pages, m.base, m.shared = make(map[uint32]*page), t, len(t)
 	for i := range m.tlb {
 		m.tlb[i].wbase = noBase(uint32(i))
 	}
-	for n, r := range m.regions {
-		s.regions[n] = r
+	return &Snapshot{
+		pages:    t,
+		regions:  maps.Clone(m.regions),
+		codeGen:  m.codeGen,
+		writeLog: m.writeLog,
 	}
-	return s
 }
 
-// Fork materializes a new Memory from the snapshot. Every page aliases the
-// snapshot's bytes until the new Memory first writes it (the write barrier
-// copies on demand), so forking costs O(page-table) regardless of image
-// size: one presized map and one slab of page structs. The code generation
-// and the write log carry over, keeping block caches built against the
-// source image exactly as valid as they were at snapshot time.
+// Fork materializes a new Memory from the snapshot. It reads the
+// snapshot's frozen page table in place, and its own table holds only the
+// pages it writes (the write barrier copies on demand) or re-permissions,
+// so a fork costs its dirty pages, not the image. The code generation and
+// the write log carry over, keeping block caches built against the source
+// image exactly as valid as they were at snapshot time.
 func (s *Snapshot) Fork() *Memory {
-	c := &Memory{
-		pages:    make(map[uint32]*page, len(s.pages)),
-		regions:  make(map[string]Region, len(s.regions)),
+	return &Memory{
+		pages:    make(map[uint32]*page),
+		base:     s.pages,
+		regions:  maps.Clone(s.regions),
+		shared:   len(s.pages),
 		codeGen:  s.codeGen,
 		writeLog: s.writeLog,
 		tlb:      emptyTLB,
 	}
-	slab := make([]page, len(s.pages))
-	i := 0
-	for pn, sp := range s.pages {
-		slab[i] = page{data: sp.data, perm: sp.perm, frame: shared}
-		c.pages[pn] = &slab[i]
-		i++
-	}
-	for n, r := range s.regions {
-		c.regions[n] = r
-	}
-	return c
 }

@@ -21,9 +21,10 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // TestDemandZeroAllocs pins the allocation profile of demand-zero pages:
-// mapping allocates page-table entries but no page data, a fork allocates
-// a presized table and one slab of page structs, and a page's first write
-// allocates exactly its 4 KiB frame.
+// mapping allocates page-table entries but no page data, a snapshot and a
+// fork allocate nothing per page (the fork reads the snapshot's frozen
+// table in place), and a page's first write allocates exactly its 4 KiB
+// frame.
 func TestDemandZeroAllocs(t *testing.T) {
 	const cache = 2 << 20 // one DBT code cache
 	mapCache := func() { New().Map("cache", 0x40000000, cache, PermRWX) }
@@ -43,6 +44,10 @@ func TestDemandZeroAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { m.Snapshot().Fork() }); a > 64 {
 		t.Errorf("Snapshot().Fork() of 1024 pages: %.0f allocs, want <= 64", a)
+	}
+	s := m.Snapshot()
+	if b := bytesPerRun(10, func() { s.Fork() }); b > 8<<10 {
+		t.Errorf("Fork() of 1024 pages: %d bytes, want <= 8 KiB", b)
 	}
 
 	const writes = 100

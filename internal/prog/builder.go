@@ -72,9 +72,6 @@ type FuncBuilder struct {
 	cur *Block
 }
 
-// FuncRef returns the function being built.
-func (fb *FuncBuilder) FuncRef() *Func { return fb.f }
-
 // Param returns the vreg holding parameter i.
 func (fb *FuncBuilder) Param(i int) VReg {
 	if i >= fb.f.NParams {
@@ -120,11 +117,6 @@ func (fb *FuncBuilder) ConstTo(dst VReg, imm int32) {
 	fb.emit(Instr{Kind: OpConst, Dst: dst, Imm: imm, A: NoVReg, B: NoVReg})
 }
 
-// CopyTo emits dst = a into an existing vreg.
-func (fb *FuncBuilder) CopyTo(dst, a VReg) {
-	fb.emit(Instr{Kind: OpCopy, Dst: dst, A: a, B: NoVReg})
-}
-
 // BinTo emits dst = a op b into an existing vreg.
 func (fb *FuncBuilder) BinTo(dst VReg, op BinOp, a, b VReg) {
 	fb.emit(Instr{Kind: OpBin, Bin: op, Dst: dst, A: a, B: b})
@@ -165,20 +157,6 @@ func (fb *FuncBuilder) Bin(op BinOp, a, b VReg) VReg {
 func (fb *FuncBuilder) BinImm(op BinOp, a VReg, imm int32) VReg {
 	d := fb.NewVReg()
 	fb.emit(Instr{Kind: OpBinImm, Bin: op, Dst: d, A: a, Imm: imm, B: NoVReg})
-	return d
-}
-
-// Neg emits Dst = -a.
-func (fb *FuncBuilder) Neg(a VReg) VReg {
-	d := fb.NewVReg()
-	fb.emit(Instr{Kind: OpNeg, Dst: d, A: a, B: NoVReg})
-	return d
-}
-
-// Not emits Dst = ^a.
-func (fb *FuncBuilder) Not(a VReg) VReg {
-	d := fb.NewVReg()
-	fb.emit(Instr{Kind: OpNot, Dst: d, A: a, B: NoVReg})
 	return d
 }
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -68,10 +67,15 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // buckets the covered range is ~3.1e-6 .. 1.3e12, ample for microsecond
 // latencies through cycle counts; observations outside it clamp to the
 // extreme buckets, and observations at or below zero land in bucket 0.
+// Buckets are allocated histChunk at a time, at the first observation
+// that lands in a chunk. A chunk spans a factor of 1.02^64 ≈ 3.6 and a
+// metric's values span a few decades at most, so a histogram holds a
+// handful of chunks, not 2048 counters.
 const (
 	histBase    = 1.02
 	histBuckets = 2048
 	histZero    = 640
+	histChunk   = 64
 )
 
 // HistSchemaVersion identifies the histogram bucket layout; consumers
@@ -90,7 +94,27 @@ type Histogram struct {
 	sumBits atomic.Uint64
 	minBits atomic.Uint64 // math.Float64bits; valid only when count > 0
 	maxBits atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
+	// chunks[c] holds buckets c*histChunk .. c*histChunk+histChunk-1, or
+	// is nil while none of them has been observed.
+	chunks [histBuckets / histChunk]atomic.Pointer[bucketChunk]
+}
+
+// bucketChunk is histChunk consecutive buckets.
+type bucketChunk [histChunk]atomic.Uint64
+
+// bucket returns bucket i, allocating its chunk on first use. Racing
+// first observers each allocate one; the first to publish wins and the
+// rest count into its chunk.
+func (h *Histogram) bucket(i int) *atomic.Uint64 {
+	p := &h.chunks[i/histChunk]
+	c := p.Load()
+	if c == nil {
+		c = new(bucketChunk)
+		if !p.CompareAndSwap(nil, c) {
+			c = p.Load()
+		}
+	}
+	return &c[i%histChunk]
 }
 
 func bucketOf(v float64) int {
@@ -112,7 +136,7 @@ func BucketUpperBound(i int) float64 { return math.Pow(histBase, float64(i-histZ
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.buckets[bucketOf(v)].Add(1)
+	h.bucket(bucketOf(v)).Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -147,9 +171,10 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the running sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Snapshot returns a point-in-time view of the histogram. Safe from any
-// goroutine (all fields are atomics); concurrent observers may land in
-// or out of the view, as with any monitoring read.
+// Snapshot returns a point-in-time view of the histogram, its non-empty
+// buckets in ascending bound order. Safe from any goroutine (all fields
+// are atomics); concurrent observers may land in or out of the view, as
+// with any monitoring read.
 func (h *Histogram) Snapshot() HistSnapshot {
 	hs := HistSnapshot{Count: h.count.Load(), Sum: h.Sum()}
 	if hs.Count > 0 {
@@ -157,14 +182,17 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		hs.Max = math.Float64frombits(h.maxBits.Load())
 		hs.Mean = hs.Sum / float64(hs.Count)
 	}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			hs.Buckets = append(hs.Buckets, Bucket{UpperBound: BucketUpperBound(i), Count: n})
+	for ci := range h.chunks {
+		c := h.chunks[ci].Load()
+		if c == nil {
+			continue
+		}
+		for j := range c {
+			if n := c[j].Load(); n > 0 {
+				hs.Buckets = append(hs.Buckets, Bucket{UpperBound: BucketUpperBound(ci*histChunk + j), Count: n})
+			}
 		}
 	}
-	sort.Slice(hs.Buckets, func(a, b int) bool {
-		return hs.Buckets[a].UpperBound < hs.Buckets[b].UpperBound
-	})
 	return hs
 }
 
