@@ -18,13 +18,11 @@ import (
 	"hipstr/internal/attack"
 	"hipstr/internal/dbt"
 	"hipstr/internal/fleet"
-	"hipstr/internal/gadget"
 	"hipstr/internal/isa"
 	"hipstr/internal/machine"
 	"hipstr/internal/mem"
 	"hipstr/internal/migrate"
 	"hipstr/internal/perf"
-	"hipstr/internal/psr"
 	"hipstr/internal/stats"
 	"hipstr/internal/workload"
 )
@@ -514,8 +512,9 @@ func BenchmarkRespawn(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// BenchmarkAblationRegCacheSize sweeps the global register cache size the
-// paper fixes at 3 (§5.4).
+// BenchmarkAblationRegCacheSize compares O1, which has no global register
+// cache, with the default config's 3-entry cache, the size the paper
+// fixes (§5.4).
 func BenchmarkAblationRegCacheSize(b *testing.B) {
 	p, _ := workload.ProfileByName("libquantum")
 	bin, err := workload.Compile(p)
@@ -571,28 +570,6 @@ func BenchmarkAblationDualTranslation(b *testing.B) {
 				b.ReportMetric(warm, "arm-units-dual")
 			} else {
 				b.ReportMetric(warm, "arm-units-single")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationRegisterBias isolates the O3 register-bias entropy/
-// performance trade (§5.4).
-func BenchmarkAblationRegisterBias(b *testing.B) {
-	p, _ := workload.ProfileByName("libquantum")
-	bin, err := workload.Compile(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, bias := range []bool{false, true} {
-			cfg := psr.DefaultConfig()
-			cfg.RegisterBias = bias
-			res := attack.SimulateBruteForce(gadget.TakeCensus(bin, isa.X86), cfg, 1)
-			if bias {
-				b.ReportMetric(res.AttemptsBias, "attempts-bias")
-			} else {
-				b.ReportMetric(res.AttemptsNoBias, "attempts-nobias")
 			}
 		}
 	}

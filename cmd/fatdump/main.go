@@ -121,13 +121,14 @@ func dumpPSR(bin *hipstr.Binary, fn *fatbin.FuncMeta, seed int64) {
 	}
 	fmt.Printf("\n-- translated entry unit at %#x --\n", cacheAddr)
 	addr := cacheAddr
+	var win [16]byte
 	for i := 0; i < 64; i++ {
-		win, err := vm.P.Mem.Fetch(addr, 16)
+		n, err := vm.P.Mem.FetchInto(addr, win[:])
 		if err != nil {
 			break
 		}
 		var in isa.Inst
-		if err := isa.Decode(isa.X86, win, addr, &in); err != nil {
+		if err := isa.Decode(isa.X86, win[:n], addr, &in); err != nil {
 			break
 		}
 		fmt.Printf("  %s\n", in.String())

@@ -62,6 +62,40 @@ func TestRunArtifacts(t *testing.T) {
 	readJSON(t, metrics, &snap)
 }
 
+// TestReportGoldens runs the quick suite and the full-size Figure 9 and
+// compares each -out report byte for byte with its recorded golden, so a
+// change that moves any printed table fails here.
+func TestReportGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"quick.txt", []string{"-quick"}},
+		{"fig9.txt", []string{"-only", "fig9"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			report := filepath.Join(t.TempDir(), tc.golden)
+			var out bytes.Buffer
+			if err := run(context.Background(), append(tc.args, "-out", report), &out); err != nil {
+				t.Fatalf("run: %v\n%s", err, out.String())
+			}
+			got, err := os.ReadFile(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("report differs from testdata/%s; if the change means to move it, regenerate with\n"+
+					"  go run ./cmd/hipstr-bench %s -out cmd/hipstr-bench/testdata/%s\ngot:\n%s",
+					tc.golden, strings.Join(tc.args, " "), tc.golden, got)
+			}
+		})
+	}
+}
+
 // TestRunOutWriteError checks a failing -out write fails the run with the
 // path in the error, though the report still prints.
 func TestRunOutWriteError(t *testing.T) {

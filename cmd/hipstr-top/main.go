@@ -19,10 +19,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"os"
@@ -43,47 +46,63 @@ const defaultSeries = "fleet.active,fleet.rps,rate:fleet.respawns,rate:fleet.bre
 	"rate:dbt.security_events,rate:machine.blockcache.evicted"
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9121", "observability server address (hipstr-fleet/hipstr-run -listen)")
-	interval := flag.Duration("interval", 2*time.Second, "poll/refresh interval")
-	series := flag.String("series", defaultSeries, "comma-separated history series to sparkline (prefix rate: for per-second deltas)")
-	topN := flag.Int("n", 10, "top-K tenants to list")
-	width := flag.Int("width", 48, "sparkline width in samples")
-	once := flag.Bool("once", false, "render one frame and exit (no screen clearing)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command: it parses args and renders a frame to stdout
+// every interval until ctx is canceled. With -once it renders one frame
+// and a failed fetch is its error; otherwise a failed fetch is reported
+// on stderr and the next tick tries again.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hipstr-top", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:9121", "observability server address (hipstr-fleet/hipstr-run -listen)")
+	interval := fs.Duration("interval", 2*time.Second, "poll/refresh interval")
+	series := fs.String("series", defaultSeries, "comma-separated history series to sparkline (prefix rate: for per-second deltas)")
+	topN := fs.Int("n", 10, "top-K tenants to list")
+	width := fs.Int("width", 48, "sparkline width in samples")
+	once := fs.Bool("once", false, "render one frame and exit (no screen clearing)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cl := &client{base: "http://" + *addr, http: &http.Client{Timeout: 5 * time.Second}}
 	specs := parseSeries(*series)
 
-	render := func() {
+	render := func() error {
 		frame, err := cl.frame(specs, *topN, *width)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hipstr-top: %v\n", err)
-			if *once {
-				os.Exit(1)
-			}
-			return
+			return err
 		}
+		out := renderFrame(frame, *width, *topN)
 		if !*once {
-			fmt.Print("\x1b[H\x1b[2J") // home + clear
+			out = "\x1b[H\x1b[2J" + out // home + clear
 		}
-		os.Stdout.WriteString(renderFrame(frame, *width, *topN))
+		_, err = io.WriteString(stdout, out)
+		return err
 	}
 
-	render()
 	if *once {
-		return
+		return render()
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if *interval <= 0 {
+		return fmt.Errorf("-interval %v: must be positive", *interval)
+	}
 	tick := time.NewTicker(*interval)
 	defer tick.Stop()
 	for {
+		if err := render(); err != nil {
+			fmt.Fprintf(os.Stderr, "hipstr-top: %v\n", err)
+		}
 		select {
 		case <-tick.C:
-			render()
-		case <-sig:
-			fmt.Println()
-			return
+		case <-ctx.Done():
+			fmt.Fprintln(stdout)
+			return nil
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -74,15 +77,16 @@ func TestSparkline(t *testing.T) {
 }
 
 // testServer builds an httptest server with the endpoint set hipstr-top
-// polls, backed by a real health monitor over a real registry.
-func testServer(t *testing.T) *httptest.Server {
+// polls, backed by a real health monitor, evaluating rules, over a real
+// registry.
+func testServer(t *testing.T, rules ...health.Rule) *httptest.Server {
 	t.Helper()
 	tel := telemetry.New()
 	tel.Gauge("fleet.active").Set(12)
 	tel.Gauge("fleet.rps").Set(340.5)
 	tel.Counter("fleet.respawns").Add(9)
 
-	mon := health.NewMonitor(health.Config{Telemetry: tel})
+	mon := health.NewMonitor(health.Config{Rules: rules, Telemetry: tel})
 	for i := 0; i < 4; i++ {
 		mon.Observe(int64(i)*1e9, tel.Snapshot())
 	}
@@ -184,6 +188,71 @@ func TestFrameAgainstBareVM(t *testing.T) {
 	out := renderFrame(f, 8, 5)
 	if !strings.Contains(out, "vm      translations x86 5") {
 		t.Fatalf("vm fallback line missing:\n%s", out)
+	}
+}
+
+// TestRunOnceShowsIncident runs the command with -once against a server
+// holding an open incident: one frame, with the fleet line, the incident
+// and the tenants, and no screen clearing.
+func TestRunOnceShowsIncident(t *testing.T) {
+	ts := testServer(t, health.Rule{Name: "active-high", Series: "fleet.active",
+		Kind: health.KindThreshold, Threshold: 10})
+	defer ts.Close()
+
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-addr", strings.TrimPrefix(ts.URL, "http://"), "-once"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := out.String()
+	for _, want := range []string{
+		"hipstr-top — " + ts.URL,
+		"fleet   active 12",
+		"incidents  open 1  opened 1  resolved 0",
+		"[OPEN] #1 active-high",
+		"top tenants",
+	} {
+		if !strings.Contains(frame, want) {
+			t.Fatalf("frame missing %q:\n%s", want, frame)
+		}
+	}
+	if strings.Contains(frame, "\x1b[") {
+		t.Fatalf("-once frame clears the screen:\n%q", frame)
+	}
+}
+
+// TestRunStopsOnCancel: without -once, run clears the screen before each
+// frame and returns once ctx is canceled.
+func TestRunStopsOnCancel(t *testing.T) {
+	ts := testServer(t)
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out bytes.Buffer
+	if err := run(ctx, []string{"-addr", strings.TrimPrefix(ts.URL, "http://")}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if frame := out.String(); !strings.HasPrefix(frame, "\x1b[H\x1b[2Jhipstr-top") {
+		t.Fatalf("frame does not start with a screen clear:\n%q", frame)
+	}
+}
+
+// TestRunErrors: -once against an address nothing listens on returns
+// the fetch error, and a non-positive -interval is rejected, not a panic.
+func TestRunErrors(t *testing.T) {
+	ts := httptest.NewServer(http.NotFoundHandler())
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	ts.Close()
+
+	for _, args := range [][]string{
+		{"-addr", addr, "-once"},
+		{"-addr", addr, "-interval", "0"},
+	} {
+		var out bytes.Buffer
+		if err := run(context.Background(), args, &out); err == nil {
+			t.Errorf("%q ran without error:\n%s", args, out.String())
+		}
 	}
 }
 

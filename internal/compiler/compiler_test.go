@@ -169,28 +169,6 @@ func TestFixedSlotRecorded(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	bin, err := compiler.Compile(testprogs.SumLoop(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := bin.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fatbin.LoadBytes(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Module != bin.Module || len(got.Funcs) != len(bin.Funcs) {
-		t.Fatal("round trip lost structure")
-	}
-	p := runNative(t, got, isa.X86)
-	if p.ExitCode != 45 {
-		t.Fatalf("deserialized binary exit %d, want 45", p.ExitCode)
-	}
-}
-
 func TestDeterministicCompilation(t *testing.T) {
 	a, err := compiler.Compile(testprogs.NestedLoops(3, 3))
 	if err != nil {

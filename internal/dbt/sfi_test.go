@@ -32,14 +32,15 @@ func TestNoIndirectJumpsInCodeCache(t *testing.T) {
 	cache := vm.Cache(isa.X86)
 	addr := uint32(fatbin.X86CacheBase)
 	end := fatbin.X86CacheBase + cache.Used()
+	var win [16]byte
 	for addr < end {
-		win, err := vm.P.Mem.Fetch(addr, 16)
+		n, err := vm.P.Mem.FetchInto(addr, win[:])
 		if err != nil {
 			addr++
 			continue
 		}
 		var in isa.Inst
-		if err := isa.Decode(isa.X86, win, addr, &in); err != nil {
+		if err := isa.Decode(isa.X86, win[:n], addr, &in); err != nil {
 			addr++ // alignment padding between units
 			continue
 		}

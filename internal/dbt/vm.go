@@ -28,7 +28,10 @@ const (
 	O0 OptLevel = iota // no optimization
 	O1                 // machine block placement, branch inlining/superblocks
 	O2                 // + global register cache
-	O3                 // + PSR with a register bias
+	// O3 is the paper's O2 plus a register bias: at least three registers
+	// relocate to other registers. O2's 3-entry register cache already
+	// does that, so O3 builds O2's maps.
+	O3
 )
 
 // Config configures a PSR virtual machine pair.
@@ -80,9 +83,6 @@ func (c Config) psrConfig() psr.Config {
 	pc := psr.Config{RandPages: c.RandPages}
 	if c.Opt >= O2 {
 		pc.GlobalRegCache = 3
-	}
-	if c.Opt >= O3 {
-		pc.RegisterBias = true
 	}
 	return pc
 }

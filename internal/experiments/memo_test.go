@@ -87,13 +87,15 @@ func TestSharedSuiteMatchesFreshSuites(t *testing.T) {
 }
 
 // TestSuiteSimulatesEachConfigOnce counts the memo's entries: the quick
-// registry runs 42 distinct window simulations, 4 gadget censuses and 4
-// brute-force simulations (Table 2's three benchmarks plus httpd), and
-// Fig 14 alone runs 3 per benchmark (native, PSR = 2 MB, 256 KB).
+// registry runs 39 distinct window simulations, 4 gadget censuses and 4
+// brute-force simulations (Table 2's three benchmarks plus httpd). Alone,
+// Fig 9 runs 3 per benchmark (native, O1, and the default config, which
+// fills both its O2 and O3 columns) and Fig 14 3 (native, PSR = 2 MB,
+// 256 KB).
 func TestSuiteSimulatesEachConfigOnce(t *testing.T) {
 	s, _ := sharedQuickRun(t)
-	if n := memoLen(&s.runs); n != 42 {
-		t.Errorf("quick registry ran %d window simulations, want 42", n)
+	if n := memoLen(&s.runs); n != 39 {
+		t.Errorf("quick registry ran %d window simulations, want 39", n)
 	}
 	if n := memoLen(&s.censuses); n != 4 {
 		t.Errorf("quick registry took %d censuses, want 4", n)
@@ -102,11 +104,13 @@ func TestSuiteSimulatesEachConfigOnce(t *testing.T) {
 		t.Errorf("quick registry ran %d brute-force simulations, want 4", n)
 	}
 
-	fig14, _ := ByName("fig14")
-	alone := QuickSuite(nil)
-	runQuick(t, alone, fig14)
-	if n := memoLen(&alone.runs); n != 9 {
-		t.Errorf("fig14 alone ran %d window simulations, want 9", n)
+	for _, name := range []string{"fig9", "fig14"} {
+		e, _ := ByName(name)
+		alone := QuickSuite(nil)
+		runQuick(t, alone, e)
+		if n, want := memoLen(&alone.runs), 3*len(alone.Profiles); n != want {
+			t.Errorf("%s alone ran %d window simulations, want %d", name, n, want)
+		}
 	}
 
 	var m memo[string, int]

@@ -7,8 +7,6 @@
 package fatbin
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -191,9 +189,9 @@ type Binary struct {
 
 // ContentHash returns a deterministic digest of everything that can
 // influence translation output: both text sections, the data image, and
-// the full extended symbol table in function order. It deliberately avoids
-// gob (map iteration order is randomized) so equal binaries hash equal
-// across processes and runs. The shared translation-unit cache keys on it.
+// the full extended symbol table in function order, so equal binaries
+// hash equal across processes and runs. The shared translation-unit cache
+// keys on it.
 func (b *Binary) ContentHash() uint64 {
 	if h := b.contentHash.Load(); h != 0 {
 		return h
@@ -271,39 +269,4 @@ func (b *Binary) Load(m *mem.Memory, stackSize, heapSize uint32) {
 	if stackSize > 0 {
 		m.Map("stack", StackTop-stackSize, stackSize, mem.PermRW)
 	}
-}
-
-// Save serializes the binary.
-func (b *Binary) Save() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-		return nil, fmt.Errorf("fatbin: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// LoadBytes deserializes a binary produced by Save. It rejects a symbol
-// table that Func or FuncAt would trip over: a nil function entry, or a
-// FuncByName entry out of range or naming another function.
-func LoadBytes(data []byte) (*Binary, error) {
-	// A non-nil FuncByName makes gob insert entries one by one instead of
-	// presizing the map from an unchecked count in the stream.
-	b := Binary{FuncByName: map[string]int{}}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
-		return nil, fmt.Errorf("fatbin: decode: %w", err)
-	}
-	for i, f := range b.Funcs {
-		if f == nil {
-			return nil, fmt.Errorf("fatbin: function %d is missing", i)
-		}
-	}
-	for name, i := range b.FuncByName {
-		if i < 0 || i >= len(b.Funcs) {
-			return nil, fmt.Errorf("fatbin: %q maps to function %d of %d", name, i, len(b.Funcs))
-		}
-		if b.Funcs[i].Name != name {
-			return nil, fmt.Errorf("fatbin: %q maps to function %d, named %q", name, i, b.Funcs[i].Name)
-		}
-	}
-	return &b, nil
 }

@@ -107,7 +107,7 @@ func TestLoadMapsRegions(t *testing.T) {
 	if err != nil || v != 0x04030201 {
 		t.Fatalf("data readback %#x, %v", v, err)
 	}
-	if _, err := ram.Fetch(X86TextBase, 1); err != nil {
+	if _, err := ram.FetchInto(X86TextBase, make([]byte, 1)); err != nil {
 		t.Fatalf("text not executable: %v", err)
 	}
 	if err := ram.WriteWord(X86TextBase, 1); err == nil {

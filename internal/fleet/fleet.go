@@ -102,8 +102,6 @@ type Config struct {
 	// cache, full translation) instead of forking the prototype
 	// snapshot — the baseline the warm path is measured against.
 	ColdAdmission bool
-	// Telemetry receives fleet aggregates (nil = private instance).
-	Telemetry *telemetry.Telemetry
 }
 
 // Per-tenant bounds. Only the first perTenantSeries tenants publish
@@ -274,12 +272,12 @@ type Host struct {
 	recent                                 recentLatency // fleet.latency_p99_us
 }
 
-// NewHost returns a host with its aggregate metrics registered. The
-// gauges (active, peak, rps, injector depth, latency p99) are
-// collector-backed: they read atomics and, for the injector depth, the
-// run-queue lock and, for the latency p99 of the tenants retired in the
-// last latencySLOWindow, the latency ring's lock, so the registry is
-// scrape-safe from any goroutine.
+// NewHost returns a host with its aggregate metrics registered in a
+// registry of its own (Telemetry). The gauges (active, peak, rps,
+// injector depth, latency p99) are collector-backed: they read atomics
+// and, for the injector depth, the run-queue lock and, for the latency
+// p99 of the tenants retired in the last latencySLOWindow, the latency
+// ring's lock, so the registry is scrape-safe from any goroutine.
 func NewHost(cfg Config) *Host {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -287,10 +285,7 @@ func NewHost(cfg Config) *Host {
 	if cfg.Policy.SliceSteps == 0 {
 		cfg.Policy.SliceSteps = DefaultSliceSteps
 	}
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.New()
-	}
+	tel := telemetry.New()
 	h := &Host{
 		cfg:     cfg,
 		tel:     tel,
@@ -310,11 +305,6 @@ func NewHost(cfg Config) *Host {
 		hSlice:      tel.Histogram("fleet.slice_us"),
 	}
 	h.cond = sync.NewCond(&h.mu)
-	// Nothing steals work, so fleet.steals is always 0. It stays
-	// registered for its last readers: the benchmark (bench/fleet.go
-	// sums Aggregates.Steals into it) and CI's fleet smoke step, which
-	// greps /metrics for '^fleet_steals '.
-	tel.Counter("fleet.steals")
 	tel.Reg.RegisterCollector(func() {
 		h.mu.Lock()
 		depth := len(h.fresh)

@@ -21,35 +21,33 @@ type Config struct {
 	// DiversifyProb is the per-call/return probability of switching
 	// variants (1.0 in the original system; Figure 14 sweeps it).
 	DiversifyProb float64
-	// ShepherdFrac is the always-on dynamic-instrumentation overhead of
-	// Isomeron's program shepherding, as a fraction of base cycles. The
-	// HIPStR paper quotes the Isomeron authors on their shepherding
-	// rendering "CPU optimizations like branch prediction ineffective";
-	// Isomeron's published baseline overhead is ~19%.
-	ShepherdFrac float64
-	// ShepherdCycles is the instrumentation cost charged at every call
-	// and return (the diversifier coin flip + indirection table lookup).
-	ShepherdCycles float64
-	// SwitchCycles is the extra cost when execution actually switches
-	// variants (cold code, new return-address mapping).
-	SwitchCycles float64
-	// RASDefeatPenalty models the broken return-address-stack prediction:
-	// every return mispredicts with probability DiversifyProb.
-	RASDefeatPenalty float64
-	Seed             int64
 }
 
 // DefaultConfig mirrors the published system's behavior.
 func DefaultConfig() Config {
-	return Config{
-		DiversifyProb:    1.0,
-		ShepherdFrac:     0.19,
-		ShepherdCycles:   14,
-		SwitchCycles:     22,
-		RASDefeatPenalty: 15,
-		Seed:             1,
-	}
+	return Config{DiversifyProb: 1.0}
 }
+
+// The published system's fixed costs, and the seed of its coin flips.
+const (
+	// shepherdFrac is the always-on dynamic-instrumentation overhead of
+	// Isomeron's program shepherding, as a fraction of base cycles. The
+	// HIPStR paper quotes the Isomeron authors on their shepherding
+	// rendering "CPU optimizations like branch prediction ineffective";
+	// Isomeron's published baseline overhead is ~19%.
+	shepherdFrac = 0.19
+	// shepherdCycles is the instrumentation cost charged at every call
+	// and return (the diversifier coin flip + indirection table lookup).
+	shepherdCycles = 14
+	// switchCycles is the extra cost when execution actually switches
+	// variants (cold code, new return-address mapping).
+	switchCycles = 22
+	// rasDefeatPenalty models the broken return-address-stack prediction:
+	// every return mispredicts with probability DiversifyProb.
+	rasDefeatPenalty = 15
+	// coinSeed seeds the diversifier's coin flips.
+	coinSeed = 1
+)
 
 // Result is a modeled Isomeron run derived from a native measurement.
 type Result struct {
@@ -64,7 +62,7 @@ type Result struct {
 // measurement m: every call and return pays shepherding, diversification
 // flips pay the switch cost, and returns lose their predictability.
 func (c Config) Apply(m perf.Measurement) Result {
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := rand.New(rand.NewSource(coinSeed))
 	events := m.Counts.Calls + m.Counts.Returns
 	var switches uint64
 	for i := uint64(0); i < events; i++ {
@@ -72,10 +70,10 @@ func (c Config) Apply(m perf.Measurement) Result {
 			switches++
 		}
 	}
-	overhead := m.Cycles*c.ShepherdFrac +
-		float64(events)*c.ShepherdCycles +
-		float64(switches)*c.SwitchCycles +
-		float64(m.Counts.Returns)*c.DiversifyProb*c.RASDefeatPenalty
+	overhead := m.Cycles*shepherdFrac +
+		float64(events)*shepherdCycles +
+		float64(switches)*switchCycles +
+		float64(m.Counts.Returns)*c.DiversifyProb*rasDefeatPenalty
 	total := m.Cycles + overhead
 	r := Result{
 		BaseCycles:     m.Cycles,

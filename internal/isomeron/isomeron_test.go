@@ -40,8 +40,8 @@ func TestAlwaysOnShepherdingCosts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DiversifyProb = 0 // no switching at all
 	r := cfg.Apply(m)
-	// The instrumentation baseline still costs ~ShepherdFrac.
-	if r.Relative > 1-cfg.ShepherdFrac/2 {
+	// The instrumentation baseline still costs ~shepherdFrac.
+	if r.Relative > 1-shepherdFrac/2 {
 		t.Fatalf("p=0 relative %.3f: shepherding cost missing", r.Relative)
 	}
 }

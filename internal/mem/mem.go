@@ -562,33 +562,11 @@ func (m *Memory) writeWord(addr uint32, v uint32) error {
 	return m.Write(addr, b[:])
 }
 
-// Fetch returns up to n instruction bytes starting at addr, requiring
-// execute permission on every page touched. Fewer than n bytes are
-// returned when the executable range ends.
-func (m *Memory) Fetch(addr uint32, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	off := addr
-	for len(out) < n {
-		pg, err := m.pageFor(off, PermX)
-		if err != nil {
-			if len(out) > 0 {
-				return out, nil
-			}
-			return nil, err
-		}
-		po := off % PageSize
-		take := min(n-len(out), PageSize-int(po))
-		out = append(out, pg.data[po:int(po)+take]...)
-		off += uint32(take)
-	}
-	return out, nil
-}
-
-// FetchInto is Fetch with a caller-owned buffer: it fills buf with
-// instruction bytes starting at addr and returns how many were copied.
-// Fewer than len(buf) bytes come back when the executable range ends;
-// a fault on the very first page is an error. The interpreter's block
-// cache uses this to refill without allocating per fetch.
+// FetchInto fills the caller's buf with instruction bytes starting at
+// addr, requiring execute permission on every page touched, and returns
+// how many were copied. Fewer than len(buf) bytes come back when the
+// executable range ends; a fault on the very first page is an error. The
+// interpreter's block cache uses it to refill without allocating.
 func (m *Memory) FetchInto(addr uint32, buf []byte) (int, error) {
 	off := addr
 	n := 0

@@ -36,7 +36,7 @@ func TestPermissionFaults(t *testing.T) {
 	if _, err := m.ReadWord(0x5000); err == nil {
 		t.Fatal("read of unmapped page succeeded")
 	}
-	if _, err := m.Fetch(0x1000, 4); err == nil {
+	if _, err := m.FetchInto(0x1000, make([]byte, 4)); err == nil {
 		t.Fatal("fetch from non-executable page succeeded")
 	}
 }
@@ -45,12 +45,12 @@ func TestFetchStopsAtBoundary(t *testing.T) {
 	m := New()
 	m.Map("text", 0x1000, 0x1000, PermRX)
 	// 0x2000.. is unmapped; a fetch near the end returns a short window.
-	b, err := m.Fetch(0x1ffc, 16)
+	n, err := m.FetchInto(0x1ffc, make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != 4 {
-		t.Fatalf("window len %d, want 4", len(b))
+	if n != 4 {
+		t.Fatalf("window len %d, want 4", n)
 	}
 }
 

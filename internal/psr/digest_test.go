@@ -21,7 +21,7 @@ var optConfigs = []Config{
 	{RandPages: 2},
 	{RandPages: 2},
 	{RandPages: 2, GlobalRegCache: 3},
-	{RandPages: 2, GlobalRegCache: 3, RegisterBias: true},
+	{RandPages: 2, GlobalRegCache: 3},
 }
 
 // TestBuildDigest builds the relocation maps of every function of the
@@ -38,7 +38,7 @@ func TestBuildDigest(t *testing.T) {
 		}
 		bins = append(bins, bin)
 	}
-	cfgs := append(slices.Clone(optConfigs), Config{RandPages: 16, GlobalRegCache: 3, RegisterBias: true})
+	cfgs := append(slices.Clone(optConfigs), Config{RandPages: 16, GlobalRegCache: 3})
 	d := uint64(14695981039346656037)
 	word := func(w uint64) { d = (d ^ w) * 1099511628211 }
 	maps := 0

@@ -23,20 +23,18 @@ type Config struct {
 	// pages (paper: 2..16 pages, i.e. 13..16 bits of entropy per
 	// parameter). Default 2 (8 KiB).
 	RandPages int
-	// RegisterBias, when set (the -O3 mode), forces at least three
-	// architectural registers to relocate to other registers rather than
-	// to stack slots.
-	RegisterBias bool
 	// GlobalRegCache, when > 0 (the -O2 mode), reserves this many
 	// register-to-register relocations for the hottest registers; it is
-	// fixed at 3 in the paper.
+	// fixed at 3 in the paper, and VMs set 0 or 3. At 3 it also gives the
+	// paper's -O3 register bias (at least three registers relocate to
+	// other registers), so -O3 builds -O2's maps.
 	GlobalRegCache int
 }
 
-// DefaultConfig mirrors the paper's main configuration: 8 KiB frames,
-// 3-entry global register cache, register bias on.
+// DefaultConfig mirrors the paper's main configuration: 8 KiB frames and
+// the 3-entry global register cache.
 func DefaultConfig() Config {
-	return Config{RandPages: 2, RegisterBias: true, GlobalRegCache: 3}
+	return Config{RandPages: 2, GlobalRegCache: 3}
 }
 
 // RandSpace returns the randomization space in bytes.
@@ -306,9 +304,9 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	// architectural register — this keeps the translator's implicit-
 	// operand fixups free of displacement chains.
 	//
-	// Register-resident relocations (register bias / global register
-	// cache) rotate a random subset of the remaining registers among
-	// themselves; everything else moves to a random stack slot.
+	// Register-resident relocations (the global register cache) rotate a
+	// random subset of the remaining registers among themselves;
+	// everything else moves to a random stack slot.
 	for i := 0; i < 16; i++ {
 		m.RegTo[i] = RegLoc(isa.Reg(i))
 	}
@@ -323,16 +321,7 @@ func (r *Randomizer) Build(fn *fatbin.FuncMeta, k isa.Kind) *Map {
 	}
 	r.rng.Shuffle(len(normal), func(i, j int) { normal[i], normal[j] = normal[j], normal[i] })
 
-	regResident := 0
-	if r.cfg.RegisterBias {
-		regResident = 3
-	}
-	if r.cfg.GlobalRegCache > regResident {
-		regResident = r.cfg.GlobalRegCache
-	}
-	if regResident > len(normal) {
-		regResident = len(normal)
-	}
+	regResident := min(r.cfg.GlobalRegCache, len(normal))
 	resident := normal[:regResident]
 	toStack := normal[regResident:]
 	if len(resident) > 1 {

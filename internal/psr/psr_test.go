@@ -117,10 +117,11 @@ func TestTranslatorTemporaryAlwaysAvailable(t *testing.T) {
 	}
 }
 
+// TestRegisterBias checks the paper's -O3 register bias, at least three
+// reg->reg relocations, on the O2/O3 config: its register cache gives it.
 func TestRegisterBias(t *testing.T) {
-	cfg := Config{RandPages: 2, RegisterBias: true}
 	for seed := int64(0); seed < 20; seed++ {
-		m := buildMap(t, seed, isa.X86, cfg)
+		m := buildMap(t, seed, isa.X86, DefaultConfig())
 		regToReg := 0
 		for i := 0; i < 8; i++ {
 			l := m.RegTo[i]
@@ -210,8 +211,8 @@ func TestEntropyScalesWithRandPages(t *testing.T) {
 // at least one translator temporary.
 func TestMapInvariantsQuick(t *testing.T) {
 	fn := mainMeta(t)
-	f := func(seed int64, pages uint8, bias, cache bool) bool {
-		cfg := Config{RandPages: int(pages%15) + 2, RegisterBias: bias}
+	f := func(seed int64, pages uint8, cache bool) bool {
+		cfg := Config{RandPages: int(pages%15) + 2}
 		if cache {
 			cfg.GlobalRegCache = 3
 		}
